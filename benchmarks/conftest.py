@@ -9,6 +9,8 @@ paper's *shape*: who wins, by roughly what factor.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 
@@ -19,6 +21,19 @@ def approx_ratio(measured: float, paper: float, tolerance: float = 0.35):
     assert (1 - tolerance) <= ratio <= (1 + tolerance), (
         "measured %.2f vs paper %.2f (ratio %.2f)" % (measured, paper, ratio)
     )
+
+
+def record_row(result, workload: str, **params):
+    """``{metric: value}`` for one workload and params of a suite
+    result, read through its record keys (``SuiteResult.by_key``)."""
+    wanted = json.dumps(params, sort_keys=True)
+    row = {
+        metric: record.value
+        for (name, metric, key), record in result.by_key().items()
+        if name == workload and key == wanted
+    }
+    assert row, "no %s records for %s" % (workload, wanted)
+    return row
 
 
 @pytest.fixture

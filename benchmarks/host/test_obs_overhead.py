@@ -5,9 +5,9 @@ contract:
 
 1. **Disabled is free (<= 5% wall-clock).**  With ``obs=None`` (the
    default) the only additions to the hot path are ``is not None``
-   guards, so fresh throughput must stay within 5% of the committed
-   ``BENCH_host.json`` baseline (same machine, same scale) -- and the
-   virtual-clock results must match the baseline *exactly*.
+   guards, so fresh throughput must stay within 5% of the newest
+   archived host baseline (``benchmarks/history/``; same machine, same
+   scale) -- and the virtual-clock results must match it *exactly*.
 
 2. **Enabled never moves virtual time.**  A fully-instrumented run
    (metrics + profiler + tracer) must produce bit-identical
@@ -21,20 +21,18 @@ Like the rest of ``benchmarks/host`` these are excluded from tier-1
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
 import pytest
 
-from benchmarks.host.run import run_suite, standard_workloads
+from benchmarks.conftest import record_row
 from repro.bench import workloads
+from repro.bench.archive import DEFAULT_HISTORY, latest_result
+from repro.bench.suites import run_host, standard_workloads
 from repro.debug.trace import Tracer
 from repro.obs import Observability
 
 pytestmark = pytest.mark.host
-
-BASELINE_PATH = Path(__file__).parent.parent.parent / "BENCH_host.json"
 
 #: The acceptance bound on the disabled path.
 MAX_DISABLED_OVERHEAD = 0.05
@@ -42,26 +40,29 @@ MAX_DISABLED_OVERHEAD = 0.05
 
 @pytest.fixture(scope="module")
 def baseline():
-    with BASELINE_PATH.open() as fh:
-        payload = json.load(fh)
-    return payload
+    result = latest_result(DEFAULT_HISTORY, "host")
+    assert result is not None, "no archived host baseline"
+    return result
 
 
 def test_disabled_overhead_within_bound(baseline):
-    """Fresh disabled-path throughput vs. the committed baseline."""
-    scale = baseline["scale"]
-    repeat = max(baseline["repeat"], 3)
-    fresh = {r["workload"]: r for r in run_suite(scale=scale, repeat=repeat)}
-    prior = {r["workload"]: r for r in baseline["results"]}
-    assert set(fresh) == set(prior)
-    for name, r in fresh.items():
+    """Fresh disabled-path throughput vs. the archived baseline."""
+    fresh = run_host(
+        scale=baseline.config["scale"],
+        repeat=max(baseline.config["repeat"], 3),
+        model=baseline.config["model"],
+    )
+    names = {r.workload for r in baseline.records}
+    assert {r.workload for r in fresh.records} == names
+    for name in sorted(names):
+        r, prior = record_row(fresh, name), record_row(baseline, name)
         # Determinism oracle first: if virtual time moved, the numbers
         # are not comparable and something far worse than overhead broke.
-        assert r["simulated_us"] == prior[name]["simulated_us"], (
-            "%s: simulated time diverged from the committed baseline"
+        assert r["simulated_us"] == prior["simulated_us"], (
+            "%s: simulated time diverged from the archived baseline"
             % name
         )
-        floor = prior[name]["steps_per_sec"] * (1.0 - MAX_DISABLED_OVERHEAD)
+        floor = prior["steps_per_sec"] * (1.0 - MAX_DISABLED_OVERHEAD)
         assert r["steps_per_sec"] >= floor, (
             "%s: disabled-path throughput %0.0f steps/s fell below "
             "%0.0f (baseline %0.0f minus the %d%% bound)"
@@ -69,7 +70,7 @@ def test_disabled_overhead_within_bound(baseline):
                 name,
                 r["steps_per_sec"],
                 floor,
-                prior[name]["steps_per_sec"],
+                prior["steps_per_sec"],
                 int(MAX_DISABLED_OVERHEAD * 100),
             )
         )

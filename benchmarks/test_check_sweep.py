@@ -8,11 +8,11 @@ invariant suite stays silent.  Run with ``-m check``::
 
 The final test runs the check *suite* proper
 (:func:`repro.bench.suites.run_check`, shared with ``python -m
-repro.bench run --suite check``) and writes the normalized schema
-records (``bench-records/check.json``, the artifact CI uploads and
-gates on): with a fixed seed the schedules explored and invariant
-checks run are deterministic, so a checker that silently stops
-checking shows up as a divergence.
+repro.bench run --suite check``) and writes its schema records
+(``bench-records/check.json``, the artifact CI uploads and gates on):
+with a fixed seed the schedules explored and invariant checks run are
+deterministic, so a checker that silently stops checking shows up as a
+divergence.
 """
 
 from pathlib import Path
@@ -46,17 +46,16 @@ def test_dfs_finds_nothing(name):
 
 
 def test_suite_writes_schema_records():
-    from repro.bench.adapters import check_suite_result
     from repro.bench.schema import SuiteResult
     from repro.bench.suites import run_check
 
-    payload = run_check(runs=15, seed=99)
-    assert {row["workload"] for row in payload["results"]} == set(WORKLOADS)
-    assert all(row["failures"] == 0 for row in payload["results"])
+    result = run_check(runs=15, seed=99)
+    result.save(RECORDS)
+    assert {r.workload for r in result.records} == set(WORKLOADS)
+    failures = [r for r in result.records if r.metric == "failures"]
+    assert failures and all(r.value == 0 for r in failures)
 
-    check_suite_result(payload).save(RECORDS)
-    result = SuiteResult.load(RECORDS)
-    assert result.suite == "check"
+    assert SuiteResult.load(RECORDS).to_dict() == result.to_dict()
     gated = [r for r in result.records if r.direction == "exact"]
     # schedules + checks + failures per workload, all divergence oracles.
     assert len(gated) == 3 * len(WORKLOADS)

@@ -6,9 +6,9 @@ Marked ``fleet`` (excluded from tier-1; run directly)::
 
 The sweep itself lives in :func:`repro.bench.suites.run_fleet` (shared
 with ``python -m repro.bench run --suite fleet``); this module runs
-it, persists the legacy ``BENCH_fleet.json`` payload plus the
-normalized schema records (``bench-records/fleet.json``, the artifact
-CI uploads and gates on), and asserts the scaling shapes.  Two sweeps:
+it, saves its schema records (``bench-records/fleet.json``, the
+artifact CI uploads and gates on), and asserts the scaling shapes on
+them.  Two sweeps:
 
 - **DFS exploration** of a deep workload (``signal_storm`` at scale 8:
   trail ~1600 choice points spread across the whole run).  The speedup
@@ -29,45 +29,44 @@ worthless.
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
 
 import pytest
 
-from repro.bench.adapters import fleet_suite_result
+from benchmarks.conftest import record_row
+from repro.bench.schema import SuiteResult
 from repro.bench.suites import run_fleet
 
 pytestmark = pytest.mark.fleet
 
 ROOT = Path(__file__).resolve().parent.parent
-OUTPUT = ROOT / "BENCH_fleet.json"
 RECORDS = ROOT / "bench-records" / "fleet.json"
 
 CORES = os.cpu_count() or 1
 
 
-def test_fleet_scaling_writes_bench_json():
+def test_fleet_scaling_writes_records():
     if not hasattr(os, "fork"):  # pragma: no cover - POSIX-only repo
         pytest.skip("fleet benchmarks need fork")
 
-    payload = run_fleet(max_runs=40, rounds=800, grid=True, grid_repeat=3)
-    dfs = payload["dfs"]
-    grid = payload["compare_grid"]
+    result = run_fleet(max_runs=40, rounds=800, grid=True, grid_repeat=3)
+    result.save(RECORDS)
+    dfs = record_row(result, "dfs")
+    grid = record_row(result, "compare_grid")
 
     # Determinism before speed: snapshot and parallel runs are the
     # same exploration as sequential, byte for byte.
-    assert dfs["reports_identical"]
-    assert grid["reports_identical"]
+    assert dfs["reports_identical"] == 1
+    assert grid["reports_identical"] == 1
 
     # Snapshots must save real simulated work, not just wall clock.
-    for phase in ("snapshot_fleet", "jobs4_fleet"):
-        assert dfs[phase]["snapshot_hits"] > 0
-        assert dfs[phase]["steps_executed"] < dfs[phase]["steps_full"]
-    assert (
-        dfs["sequential_fleet"]["steps_executed"]
-        == dfs["sequential_fleet"]["steps_full"]
-    )
+    for phase in ("snapshot", "jobs4"):
+        stats = record_row(result, "dfs", phase=phase)
+        assert stats["snapshot_hits"] > 0
+        assert stats["steps_executed"] < stats["steps_full"]
+    sequential = record_row(result, "dfs", phase="sequential")
+    assert sequential["steps_executed"] == sequential["steps_full"]
 
     assert dfs["speedup_jobs4"] >= 2.0, (
         "DFS jobs=4 speedup %.2fx < 2x (seq %.2fs, par %.2fs)"
@@ -86,14 +85,6 @@ def test_fleet_scaling_writes_bench_json():
         # cost no more than sequential plus measurement jitter.
         assert grid["jobs4_s"] < grid["sequential_s"] * 1.15
 
-    OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
-    fleet_suite_result(payload).save(RECORDS)
-
-    from repro.bench.schema import SuiteResult
-
-    result = SuiteResult.load(RECORDS)
-    assert result.suite == "fleet"
-    by_metric = {(r.workload, r.metric): r for r in result.records
-                 if not r.params or "phase" not in r.params}
-    assert by_metric[("dfs", "reports_identical")].value == 1
-    assert by_metric[("dfs", "schedules_explored")].direction == "exact"
+    assert SuiteResult.load(RECORDS).to_dict() == result.to_dict()
+    assert result.by_key()[("dfs", "schedules_explored", "{}")].direction \
+        == "exact"

@@ -1,4 +1,4 @@
-"""Server-architecture load sweeps: writes ``BENCH_net.json``.
+"""Server-architecture load sweeps: writes ``bench-records/net.json``.
 
 Marked ``net`` (excluded from tier-1; run directly)::
 
@@ -6,9 +6,8 @@ Marked ``net`` (excluded from tier-1; run directly)::
 
 The sweep itself lives in :func:`repro.bench.suites.run_net` (shared
 with ``python -m repro.bench run --suite net``); this module runs it,
-persists the legacy payload plus the normalized schema records
-(``bench-records/net.json``, the artifact CI uploads and gates on),
-and asserts the architecture shapes.
+saves its schema records (``bench-records/net.json``, the artifact CI
+uploads and gates on), and asserts the architecture shapes on them.
 
 One virtual CPU serves an open-loop Poisson request stream at three
 offered loads; every number is virtual-time and bit-deterministic.
@@ -43,15 +42,16 @@ Shape assertions (the acceptance bar for this subsystem):
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
 
 import pytest
 
-from repro.bench.adapters import net_suite_result
+from benchmarks.conftest import record_row
+from repro.bench.schema import SuiteResult
 from repro.bench.suites import (
     NET_ARCHS as ARCHS,
+    NET_CACHE_POOL_SIZE,
     NET_CLIENT_SWEEP as CLIENT_SWEEP,
     NET_SF_DEFAULT,
     NET_SF_FIXTURES,
@@ -63,32 +63,33 @@ from repro.bench.suites import (
 pytestmark = pytest.mark.net
 
 ROOT = Path(__file__).resolve().parent.parent
-OUTPUT = ROOT / "BENCH_net.json"
 RECORDS = ROOT / "bench-records" / "net.json"
 
 
 @pytest.fixture(scope="module")
 def sweep():
-    """The full grid, computed once and persisted (legacy + schema)."""
-    payload = run_net()
-    with OUTPUT.open("w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-    net_suite_result(payload).save(RECORDS)
-    return payload
+    """The full grid, computed once and saved as schema records."""
+    result = run_net()
+    result.save(RECORDS)
+    return result
 
 
-def _by(rows, arch, clients):
-    (row,) = [
-        r for r in rows if r["arch"] == arch and r["clients"] == clients
-    ]
-    return row
+def _cell(result, arch, clients, sweep="cold"):
+    """One grid cell's metrics, read through the record keys."""
+    pool_size = 0 if sweep == "cold" else NET_CACHE_POOL_SIZE
+    return record_row(result, arch, clients=clients, pool_size=pool_size,
+                    sweep=sweep)
+
+
+def _sf_row(result, sf, arch):
+    return record_row(result, arch, sf=sf,
+                    clients=NET_SF_FIXTURES[sf]["clients"], sweep="sf")
 
 
 def test_pool_doubles_perconn_throughput_at_saturation(sweep):
     top = CLIENT_SWEEP[-1]
-    pool = _by(sweep["results"], "pool", top)
-    perconn = _by(sweep["results"], "perconn", top)
+    pool = _cell(sweep, "pool", top)
+    perconn = _cell(sweep, "perconn", top)
     ratio = pool["throughput_rps"] / perconn["throughput_rps"]
     assert ratio >= 2.0, (
         "pool %.1f rps vs perconn %.1f rps (ratio %.2f)"
@@ -98,7 +99,7 @@ def test_pool_doubles_perconn_throughput_at_saturation(sweep):
 
 def test_select_dispatcher_has_the_best_accept_latency(sweep):
     top = CLIENT_SWEEP[-1]
-    rows = {a: _by(sweep["results"], a, top) for a in ARCHS}
+    rows = {a: _cell(sweep, a, top) for a in ARCHS}
     for other in ("perconn", "pool"):
         assert (
             rows["select"]["accept_wait_p99_us"]
@@ -117,11 +118,11 @@ def test_create_cache_narrows_the_architecture_gap(sweep):
     context switches still favour long-lived workers)."""
     top = CLIENT_SWEEP[-1]
     cold_ratio = (
-        _by(sweep["results"], "pool", top)["throughput_rps"]
-        / _by(sweep["results"], "perconn", top)["throughput_rps"]
+        _cell(sweep, "pool", top)["throughput_rps"]
+        / _cell(sweep, "perconn", top)["throughput_rps"]
     )
-    warm_pool = _by(sweep["cache_on_results"], "pool", top)
-    warm_perconn = _by(sweep["cache_on_results"], "perconn", top)
+    warm_pool = _cell(sweep, "pool", top, "warm")
+    warm_perconn = _cell(sweep, "perconn", top, "warm")
     warm_ratio = warm_pool["throughput_rps"] / warm_perconn["throughput_rps"]
     assert warm_ratio < cold_ratio
     assert warm_ratio > 1.0
@@ -132,17 +133,9 @@ def test_the_crossover_short_lived_connections_favour_select(sweep):
     overhead (it never amortizes), so select wins the open-loop sweep
     at every offered load."""
     for clients in CLIENT_SWEEP:
-        select = _by(sweep["results"], "select", clients)
-        epoll = _by(sweep["results"], "epoll", clients)
+        select = _cell(sweep, "select", clients)
+        epoll = _cell(sweep, "epoll", clients)
         assert select["throughput_rps"] > epoll["throughput_rps"], clients
-
-
-def _sf_row(sweep, sf, arch):
-    (row,) = [
-        r for r in sweep["sf_results"]
-        if r["sf"] == sf and r["arch"] == arch
-    ]
-    return row
 
 
 def test_the_crossover_longlived_concurrency_favours_epoll(sweep):
@@ -158,25 +151,25 @@ def test_the_crossover_longlived_concurrency_favours_epoll(sweep):
 
 def test_sf_rows_hold_the_full_fleet_concurrently(sweep):
     for name in NET_SF_DEFAULT:
-        for arch in NET_SF_FIXTURES[name]["archs"]:
+        fixture = NET_SF_FIXTURES[name]
+        for arch in fixture["archs"]:
             row = _sf_row(sweep, name, arch)
-            assert row["peak_clients"] == row["clients"]
+            assert row["peak_clients"] == fixture["clients"]
             assert (
                 row["replies"]
-                == row["clients"] * row["requests_per_client"]
+                == fixture["clients"] * fixture["requests_per_client"]
             )
 
 
 def test_sweep_is_deterministic(sweep):
-    """Re-running one grid point reproduces its row bit-for-bit."""
+    """Re-running one grid point reproduces its records bit-for-bit."""
     again = run_net_point("pool", CLIENT_SWEEP[0], pool_size=0)
-    assert again == _by(sweep["results"], "pool", CLIENT_SWEEP[0])
+    by_key = sweep.by_key()
+    assert again and all(by_key[r.key()] == r for r in again)
 
 
-def test_output_file_is_valid_json(sweep):
-    on_disk = json.loads(OUTPUT.read_text())
-    assert on_disk["results"] == sweep["results"]
-    assert len(on_disk["results"]) == len(ARCHS) * len(CLIENT_SWEEP)
+def test_records_file_round_trips(sweep):
+    assert SuiteResult.load(RECORDS).to_dict() == sweep.to_dict()
 
 
 @pytest.mark.skipif(
@@ -186,24 +179,20 @@ def test_output_file_is_valid_json(sweep):
 def test_sf100_holds_a_hundred_thousand_clients_concurrently():
     """The headline scale point: one epoll dispatcher thread owning
     10^5 concurrently connected clients, every request answered."""
-    row = run_sf_point("sf100", "epoll")
+    row = {r.metric: r.value for r in run_sf_point("sf100", "epoll")}
     assert row["peak_clients"] == 100_000
     assert row["replies"] == 200_000
     assert row["throughput_rps"] > 0
 
 
-def test_normalized_records_are_schema_valid(sweep):
-    from repro.bench.schema import SuiteResult
-
-    result = SuiteResult.load(RECORDS)
-    assert result.suite == "net"
+def test_every_cell_has_an_exact_elapsed_oracle(sweep):
     # One elapsed_us oracle per grid cell: cold + warm + sf rows.
     sf_cells = sum(
         len(NET_SF_FIXTURES[name]["archs"]) for name in NET_SF_DEFAULT
     )
-    oracles = [r for r in result.records if r.metric == "elapsed_us"]
+    oracles = [r for r in sweep.records if r.metric == "elapsed_us"]
     assert len(oracles) == (
         len(ARCHS) * len(CLIENT_SWEEP) + len(ARCHS) + sf_cells
     )
     assert all(r.direction == "exact" for r in oracles)
-    assert result.config["sf"] == sorted(NET_SF_DEFAULT)
+    assert sweep.config["sf"] == sorted(NET_SF_DEFAULT)

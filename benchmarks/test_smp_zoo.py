@@ -16,7 +16,7 @@ machine model must reproduce:
 
 The final test runs the suite proper (:func:`repro.bench.suites.run_smp`,
 shared with ``python -m repro.bench run --suite smp``) and writes the
-normalized records CI uploads and gates on (``bench-records/smp.json``).
+schema records CI uploads and gates on (``bench-records/smp.json``).
 """
 
 from pathlib import Path
@@ -105,20 +105,20 @@ def test_sweep_is_byte_identical():
 
 
 def test_suite_writes_schema_records():
-    from repro.bench.adapters import smp_suite_result
+    from benchmarks.conftest import record_row
     from repro.bench.schema import SuiteResult
     from repro.bench.suites import run_smp
 
-    payload = run_smp()
-    assert {row["algo"] for row in payload["results"]} == {
+    result = run_smp()
+    result.save(RECORDS)
+    assert {r.workload for r in result.records if "model" in r.params} == {
         "tas", "ttas", "ticket", "mcs", "hybrid"
     }
-    assert payload["ipi"]["ipis_delivered"] > 0
-    assert payload["ipi"]["ipis_delivered"] == payload["ipi"]["ipi_posts"]
+    ipi = record_row(result, "ipi_signal_storm", ncpus=2, rounds=40)
+    assert ipi["ipis_delivered"] > 0
+    assert ipi["ipis_delivered"] == ipi["ipi_posts"]
 
-    smp_suite_result(payload).save(RECORDS)
-    result = SuiteResult.load(RECORDS)
-    assert result.suite == "smp"
+    assert SuiteResult.load(RECORDS).to_dict() == result.to_dict()
     gated = [r for r in result.records if r.direction == "exact"]
     assert len(gated) >= 20  # every (algo, ncpus) cell gates its makespan
     assert any(r.workload == "ipi_signal_storm" for r in gated)

@@ -15,15 +15,14 @@ Paper methodology (Table 2):
 Production evaluation harness (``python -m repro.bench``):
 
 - :mod:`repro.bench.schema` -- the versioned :class:`BenchRecord` /
-  :class:`SuiteResult` record schema shared by all four suites.
-- :mod:`repro.bench.suites` -- the host/net/check/fleet suite runners.
-- :mod:`repro.bench.adapters` -- native payloads -> schema records,
-  including the ``repro.obs`` counter harvest.
+  :class:`SuiteResult` record schema shared by all five suites.
+- :mod:`repro.bench.suites` -- the host/net/check/fleet/smp suite
+  runners, each returning its schema records (including the
+  ``repro.obs`` counter harvest).
 - :mod:`repro.bench.archive` -- per-commit history under
   ``benchmarks/history/<commit>/<suite>.json``.
 - :mod:`repro.bench.compare` -- tolerance-band diff + gate semantics.
 - :mod:`repro.bench.trend` -- ASCII/HTML reports over the history.
-- :mod:`repro.bench.migrate` -- legacy ``BENCH_*.json`` conversion.
 - :mod:`repro.bench.cli` -- the ``run|compare|gate|trend`` CLI.
 """
 

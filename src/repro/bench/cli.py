@@ -4,7 +4,6 @@
 
     python -m repro.bench run     --suite host --out records/host.json
     python -m repro.bench run     --suite all --archive
-    python -m repro.bench migrate [--commit abc1234]
     python -m repro.bench compare baseline.json current.json
     python -m repro.bench gate    --suite host            # re-measure
     python -m repro.bench gate    --suite net --current records/net.json
@@ -12,7 +11,7 @@
     python -m repro.bench trend   [--suite host] [--format html --out t.html]
     python -m repro.bench list
 
-``run`` executes a suite and writes normalized schema records
+``run`` executes a suite and writes its schema records
 (``--archive`` files them under ``benchmarks/history/<commit>/``).
 ``compare`` diffs two record files with per-metric tolerance bands.
 ``gate`` compares a current run (measured on the spot when
@@ -29,7 +28,6 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from repro.bench.adapters import normalize
 from repro.bench.archive import (
     DEFAULT_HISTORY,
     latest_result,
@@ -61,8 +59,7 @@ def _run_suite_now(suite: str, config: Optional[dict] = None,
               if k in accepted and v is not None}
     if scale is not None and "scale" in accepted:
         kwargs["scale"] = scale
-    payload = runner(**kwargs)
-    return normalize(suite, payload)
+    return runner(**kwargs)
 
 
 def _load_result(path) -> SuiteResult:
@@ -94,21 +91,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             path = save_result(result, args.history)
             print("  archived %s" % path)
     return status
-
-
-def cmd_migrate(args: argparse.Namespace) -> int:
-    from repro.bench.migrate import describe, migrate_legacy
-
-    saved = migrate_legacy(
-        root=args.root, history_dir=args.history, commit=args.commit
-    )
-    if not saved:
-        print("no legacy BENCH_*.json files found under %s" % args.root,
-              file=sys.stderr)
-        return 1
-    for line in describe(saved):
-        print("migrated %s" % line)
-    return 0
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
@@ -268,15 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--archive", action="store_true",
                      help="also file under benchmarks/history/<commit>/")
     run.set_defaults(fn=cmd_run)
-
-    migrate = subs.add_parser(
-        "migrate", help="convert legacy BENCH_*.json into the history"
-    )
-    migrate.add_argument("--root", default=".",
-                         help="repo root holding the legacy files")
-    migrate.add_argument("--commit", default=None,
-                         help="commit label for the seed entry")
-    migrate.set_defaults(fn=cmd_migrate)
 
     comp = subs.add_parser("compare", help="diff two record files")
     comp.add_argument("baseline")

@@ -14,7 +14,9 @@ across every suite:
 - a metric present in the baseline but missing from the current run
   fails (silently dropping a measurement is itself a regression);
 - mismatched suite names or runner configs make the results
-  **incomparable**, which also fails.
+  **incomparable**, which also fails, as does a record whose unit or
+  direction differs from its baseline's (a moved declaration must not
+  drift silently).
 """
 
 from __future__ import annotations
@@ -127,6 +129,18 @@ def compare_results(
             )
             continue
         common["current_value"] = cur.value
+        if (cur.unit, cur.direction) != (record.unit, record.direction):
+            findings.append(
+                Finding(
+                    status="incomparable",
+                    message="declaration changed: baseline %s/%s, current "
+                    "%s/%s -- regenerate the baseline deliberately"
+                    % (record.unit, record.direction, cur.unit,
+                       cur.direction),
+                    **common,
+                )
+            )
+            continue
         if record.direction == "exact":
             if cur.value != record.value:
                 findings.append(
@@ -147,8 +161,14 @@ def compare_results(
 
         band = record.tolerance if record.tolerance is not None else tolerance
         if record.value == 0:
-            # A zero baseline has no relative band; only report change.
-            status = "ok" if cur.value == record.value else "improved"
+            # A zero baseline has no relative band: any move is out of
+            # band, and its sign against the direction decides which way.
+            if cur.value == 0:
+                status = "ok"
+            elif (cur.value > 0) == (record.direction == "higher"):
+                status = "improved"
+            else:
+                status = "regressed"
             findings.append(
                 Finding(
                     status=status,

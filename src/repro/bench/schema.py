@@ -1,12 +1,12 @@
-"""The versioned benchmark-record schema shared by all four suites.
+"""The versioned benchmark-record schema shared by all five suites.
 
 Every benchmark runner (host throughput, net load sweeps, check
-exploration, fleet scaling) ultimately produces the same thing: named
-metrics with a unit, measured for one workload under explicit
+exploration, fleet scaling, the SMP lock zoo) produces the same thing:
+named metrics with a unit, measured for one workload under explicit
 parameters, on a fingerprinted environment.  This module is the one
-definition of that shape; the adapters in :mod:`repro.bench.adapters`
-map each runner's native payload onto it, and the compare/gate/trend
-machinery consumes nothing else.
+definition of that shape; the runners in :mod:`repro.bench.suites`
+emit it directly, and the compare/gate/trend machinery consumes
+nothing else.
 
 A :class:`BenchRecord` carries its own comparison semantics in
 ``direction``:

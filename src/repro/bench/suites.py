@@ -1,27 +1,173 @@
 """The benchmark suite runners, callable from anywhere.
 
-Historically each suite lived in its own ad-hoc runner: the host
-throughput matrix in ``benchmarks/host/run.py``, the net sweep inside
-a pytest fixture, the fleet sweep inside a test function, and the
-check sweep produced no artifact at all.  This module is the one home
-for the measurement loops; the ``benchmarks/`` modules and the
-``python -m repro.bench run`` CLI both call in here, so a suite run
-from CI and a suite run from the shell produce the same payload, and
-the adapters in :mod:`repro.bench.adapters` normalize that payload
-into schema records exactly once.
+This module is the one home for the measurement loops; the
+``benchmarks/`` modules and the ``python -m repro.bench run`` CLI both
+call in here, so a suite run from CI and a suite run from the shell
+produce the same records.
 
-Every runner returns the suite's *native* payload (the shape the
-legacy ``BENCH_*.json`` files used, so existing docs and eyeballs
-still work); pair it with its adapter to get a
-:class:`~repro.bench.schema.SuiteResult`.
+Every runner returns a validated :class:`~repro.bench.schema.SuiteResult`.
+Each metric is declared once -- name, unit, direction, tolerance -- on
+the line that records its measured value (``rec(...)`` below), so the
+gate semantics of a number sit next to the ``perf_counter`` or report
+field that produced it:
+
+- **virtual-clock outputs** (``simulated_us``, net ``elapsed_us``,
+  schedule/check counts, makespans) are ``exact`` -- the simulation is
+  deterministic, so any difference is a semantics change that needs a
+  deliberate baseline regeneration;
+- **wall-clock rates** (``steps_per_sec``) are ``higher`` with the
+  default 20% band; fleet wall-clock *ratios* get a wider per-record
+  band because CI runners are shared and noisy;
+- **harvested counters** (``exec.segment.*``, syscalls, completions,
+  fleet snapshot stats) are ``info``: archived for the trend history,
+  never gated.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import os
+import platform as platform_mod
+import subprocess
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.bench import workloads
+from repro.bench.schema import BenchRecord, EnvFingerprint, SuiteResult
+
+#: Wall-clock speedup ratios on shared CI runners need a wide band.
+WALL_RATIO_TOLERANCE = 0.5
+
+# ---------------------------------------------------------------------------
+# record plumbing
+# ---------------------------------------------------------------------------
+
+
+def git_commit(short: bool = True) -> str:
+    """The current commit hash, or ``"unknown"`` outside a checkout."""
+    cmd = ["git", "rev-parse"] + (["--short"] if short else []) + ["HEAD"]
+    try:
+        out = subprocess.run(
+            cmd, capture_output=True, text=True, timeout=10, check=True
+        )
+    except (OSError, subprocess.SubprocessError):
+        return "unknown"
+    value = out.stdout.strip()
+    return value or "unknown"
+
+
+def env_fingerprint(
+    scale: Optional[int] = None, commit: Optional[str] = None
+) -> EnvFingerprint:
+    """Fingerprint the measuring host (commit/python/cores/platform)."""
+    return EnvFingerprint(
+        commit=commit or git_commit(),
+        python=platform_mod.python_version(),
+        cores=os.cpu_count() or 1,
+        platform=platform_mod.system().lower(),
+        scale=scale,
+    )
+
+
+def records_from_metrics(
+    metrics: Mapping[str, Any],
+    suite: str,
+    workload: str,
+    params: Optional[Dict[str, Any]] = None,
+    prefixes: Optional[tuple] = None,
+) -> List[BenchRecord]:
+    """Harvest a counter mapping (``repro.obs`` snapshot style) into
+    ``info`` records.
+
+    Accepts both flat ``name -> number`` mappings (segment counters,
+    ``FleetStats`` dicts) and the richer ``repro.obs`` snapshot shape
+    where histograms appear as dicts -- histogram entries contribute
+    their ``count``/``mean``/``max`` as separate metrics.  Pass
+    ``prefixes`` to keep only matching counter families (e.g.
+    ``("exec.segment.", "net.")``).
+    """
+    records: List[BenchRecord] = []
+    params = dict(params or {})
+    for name in sorted(metrics):
+        if prefixes is not None and not any(
+            name.startswith(prefix) for prefix in prefixes
+        ):
+            continue
+        value = metrics[name]
+        if isinstance(value, Mapping):  # histogram snapshot
+            for part in ("count", "mean", "max"):
+                if part in value and isinstance(
+                    value[part], (int, float)
+                ) and not isinstance(value[part], bool):
+                    records.append(
+                        BenchRecord(
+                            suite=suite,
+                            workload=workload,
+                            metric="%s.%s" % (name, part),
+                            value=value[part],
+                            unit="count",
+                            direction="info",
+                            params=params,
+                        )
+                    )
+            continue
+        if isinstance(value, bool):
+            value = int(value)
+        if not isinstance(value, (int, float)):
+            continue
+        records.append(
+            BenchRecord(
+                suite=suite,
+                workload=workload,
+                metric=name,
+                value=value,
+                unit="count",
+                direction="info",
+                params=params,
+            )
+        )
+    return records
+
+
+def recorder(
+    records: List[BenchRecord],
+    suite: str,
+    workload: str,
+    params: Optional[Dict[str, Any]] = None,
+) -> Callable[..., None]:
+    """``rec(metric, value, unit, direction, tolerance=None)`` appending
+    one record for ``workload`` under ``params`` to ``records``."""
+    params = dict(params or {})
+
+    def rec(metric: str, value, unit: str, direction: str,
+            tolerance: Optional[float] = None) -> None:
+        records.append(
+            BenchRecord(
+                suite=suite,
+                workload=workload,
+                metric=metric,
+                value=int(value) if isinstance(value, bool) else value,
+                unit=unit,
+                direction=direction,
+                params=params,
+                tolerance=tolerance,
+            )
+        )
+
+    return rec
+
+
+def _result(
+    suite: str,
+    records: List[BenchRecord],
+    config: Dict[str, Any],
+    scale: Optional[int] = None,
+) -> SuiteResult:
+    return SuiteResult(
+        suite=suite, env=env_fingerprint(scale=scale), config=config,
+        records=records,
+    ).validate()
+
 
 # ---------------------------------------------------------------------------
 # host throughput
@@ -58,80 +204,50 @@ def standard_workloads(scale: int) -> Dict[str, Dict[str, Any]]:
     }
 
 
-def run_host_workload(
-    name: str,
-    factory: Callable[[], Callable],
-    priority: int,
-    model: str,
-    repeat: int,
-) -> Dict[str, Any]:
-    """Run one workload ``repeat`` times; best wall time wins (minimum
-    is the standard noise-rejection estimator for throughput)."""
-    best_wall = None
-    steps = None
-    simulated_us = None
-    switches = None
-    segment_counters = None
-    for _ in range(repeat):
-        main_fn = factory()
-        start = time.perf_counter()
-        stats = workloads.run_workload(main_fn, model=model, priority=priority)
-        wall = time.perf_counter() - start
-        rt = stats["runtime"]
-        if simulated_us is not None and simulated_us != stats["elapsed_us"]:
-            raise AssertionError(
-                "%s: non-deterministic simulated time (%r != %r)"
-                % (name, simulated_us, stats["elapsed_us"])
-            )
-        simulated_us = stats["elapsed_us"]
-        steps = rt.steps
-        switches = stats["context_switches"]
-        if rt._segments is not None:
-            segment_counters = rt._segments.counters()
-        if best_wall is None or wall < best_wall:
-            best_wall = wall
-    result = {
-        "workload": name,
-        "model": model,
-        "wall_seconds": round(best_wall, 6),
-        "steps": steps,
-        "steps_per_sec": round(steps / best_wall, 1),
-        "simulated_us": simulated_us,
-        "simulated_us_per_sec": round(simulated_us / best_wall, 1),
-        "context_switches": switches,
-    }
-    if segment_counters is not None:
-        result["segments"] = segment_counters
-    return result
-
-
-def run_host_rows(
-    scale: int = 1, repeat: int = 3, model: str = "sparc-ipx"
-) -> List[Dict[str, Any]]:
-    """The bare result rows (the shape ``benchmarks/host/run.py`` keeps)."""
-    results = []
-    for name, spec in standard_workloads(scale).items():
-        results.append(
-            run_host_workload(
-                name, spec["factory"], spec["priority"], model, repeat
-            )
-        )
-    return results
-
-
 def run_host(
     scale: int = 4, repeat: int = 3, model: str = "sparc-ipx"
-) -> Dict[str, Any]:
-    """The full host-throughput payload (``BENCH_host.json`` shape)."""
-    import platform as platform_mod
+) -> SuiteResult:
+    """Executor wall-clock throughput over the standard workloads.
 
-    return {
-        "suite": "host-throughput",
-        "scale": scale,
-        "repeat": repeat,
-        "python": platform_mod.python_version(),
-        "results": run_host_rows(scale=scale, repeat=repeat, model=model),
-    }
+    Each workload runs ``repeat`` times and the best wall time wins
+    (minimum is the standard noise-rejection estimator for
+    throughput); the simulated time must be identical across repeats.
+    """
+    records: List[BenchRecord] = []
+    for name, spec in standard_workloads(scale).items():
+        best_wall = None
+        simulated_us = None
+        for _ in range(repeat):
+            main_fn = spec["factory"]()
+            start = time.perf_counter()
+            stats = workloads.run_workload(
+                main_fn, model=model, priority=spec["priority"]
+            )
+            wall = time.perf_counter() - start
+            if simulated_us is not None and simulated_us != stats["elapsed_us"]:
+                raise AssertionError(
+                    "%s: non-deterministic simulated time (%r != %r)"
+                    % (name, simulated_us, stats["elapsed_us"])
+                )
+            simulated_us = stats["elapsed_us"]
+            if best_wall is None or wall < best_wall:
+                best_wall = wall
+        rt = stats["runtime"]
+        rec = recorder(records, "host", name)
+        rec("steps_per_sec", round(rt.steps / best_wall, 1), "steps/s",
+            "higher")
+        rec("wall_seconds", round(best_wall, 6), "s", "info")
+        rec("simulated_us", simulated_us, "us", "exact")
+        rec("simulated_us_per_sec", round(simulated_us / best_wall, 1),
+            "us/s", "info")
+        rec("steps", rt.steps, "count", "exact")
+        rec("context_switches", stats["context_switches"], "count", "info")
+        if rt._segments is not None:
+            records.extend(
+                records_from_metrics(rt._segments.counters(), "host", name)
+            )
+    config = {"scale": scale, "repeat": repeat, "model": model}
+    return _result("host", records, config, scale=scale)
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +322,9 @@ def run_net_point(
     clients: int,
     pool_size: int,
     load: Optional[Dict[str, Any]] = None,
-) -> Dict[str, Any]:
-    """One grid cell: run the scenario, flatten the report row."""
+    sweep: str = "cold",
+) -> List[BenchRecord]:
+    """One grid cell: run the scenario, record its report."""
     from repro.net.scenario import run_scenario
 
     load = dict(NET_LOAD if load is None else load)
@@ -216,27 +333,30 @@ def run_net_point(
     )
     assert report.requests_served == clients  # every request answered
     assert report.refused == 0
-    return {
-        "arch": arch,
-        "clients": clients,
-        "pool_size": pool_size,
-        "elapsed_us": round(report.elapsed_us, 1),
-        "throughput_rps": round(report.throughput_rps, 1),
-        "latency_p50_us": round(report.latency_p50_us, 1),
-        "latency_p99_us": round(report.latency_p99_us, 1),
-        "accept_wait_p50_us": round(report.accept_wait_p50_us, 1),
-        "accept_wait_p99_us": round(report.accept_wait_p99_us, 1),
-        "accept_depth_max": report.accept_depth_max,
-        "queue_wait_p99_us": round(report.queue_wait_p99_us, 1),
-        "syscalls": report.syscalls,
-        "context_switches": report.context_switches,
-        "completions_sigio": report.completions_sigio,
-        "completions_fc": report.completions_fc,
-    }
+    records: List[BenchRecord] = []
+    rec = recorder(records, "net", arch, {
+        "clients": clients, "pool_size": pool_size, "sweep": sweep,
+    })
+    rec("elapsed_us", round(report.elapsed_us, 1), "us", "exact")
+    rec("throughput_rps", round(report.throughput_rps, 1), "req/s", "higher")
+    rec("latency_p50_us", round(report.latency_p50_us, 1), "us", "info")
+    rec("latency_p99_us", round(report.latency_p99_us, 1), "us", "lower")
+    rec("accept_wait_p50_us", round(report.accept_wait_p50_us, 1), "us",
+        "info")
+    rec("accept_wait_p99_us", round(report.accept_wait_p99_us, 1), "us",
+        "lower")
+    rec("accept_depth_max", report.accept_depth_max, "count", "info")
+    rec("syscalls", report.syscalls, "count", "info")
+    rec("context_switches", report.context_switches, "count", "info")
+    rec("completions_sigio", report.completions_sigio, "count", "info")
+    rec("completions_fc", report.completions_fc, "count", "info")
+    rec("queue_wait_p99_us", round(report.queue_wait_p99_us, 1), "us",
+        "info")
+    return records
 
 
-def run_sf_point(sf: str, arch: str) -> Dict[str, Any]:
-    """One scale-factor cell: run the fixture, emit a normalized row.
+def run_sf_point(sf: str, arch: str) -> List[BenchRecord]:
+    """One scale-factor cell: run the fixture, record per-sample metrics.
 
     Every rate/percentile is per-sample (per reply), so rows are
     comparable across fixtures whose client and request counts differ
@@ -255,25 +375,25 @@ def run_sf_point(sf: str, arch: str) -> Dict[str, Any]:
     assert report.refused == 0
     assert report.replies == expected  # every request answered
     assert report.peak_clients == clients  # all concurrently resident
-    return {
-        "sf": sf,
-        "arch": arch,
-        "clients": clients,
-        "requests_per_client": report.requests_per_client,
-        "replies": report.replies,
-        "peak_clients": report.peak_clients,
-        "elapsed_us": round(report.elapsed_us, 1),
-        "throughput_rps": round(report.throughput_rps, 1),
-        "latency_mean_us": round(report.latency_mean_us, 1),
-        "latency_p50_us": round(report.latency_p50_us, 1),
-        "latency_p99_us": round(report.latency_p99_us, 1),
-        "syscalls_per_request": round(report.syscalls / report.replies, 3),
-        "epoll_waits": report.epoll_waits,
-        "epoll_wakeups": report.epoll_wakeups,
-        "epoll_ctl_calls": report.epoll_ctl_calls,
-        "epoll_ready_returned": report.epoll_ready_returned,
-        "epoll_stale_dropped": report.epoll_stale_dropped,
-    }
+    records: List[BenchRecord] = []
+    rec = recorder(records, "net", arch, {
+        "sf": sf, "clients": clients, "sweep": "sf",
+    })
+    rec("elapsed_us", round(report.elapsed_us, 1), "us", "exact")
+    rec("peak_clients", report.peak_clients, "count", "exact")
+    rec("throughput_rps", round(report.throughput_rps, 1), "req/s", "higher")
+    rec("latency_p50_us", round(report.latency_p50_us, 1), "us", "info")
+    rec("latency_p99_us", round(report.latency_p99_us, 1), "us", "lower")
+    rec("latency_mean_us", round(report.latency_mean_us, 1), "us", "info")
+    rec("syscalls_per_request", round(report.syscalls / report.replies, 3),
+        "count", "lower")
+    rec("replies", report.replies, "count", "info")
+    rec("epoll_waits", report.epoll_waits, "count", "info")
+    rec("epoll_wakeups", report.epoll_wakeups, "count", "info")
+    rec("epoll_ctl_calls", report.epoll_ctl_calls, "count", "info")
+    rec("epoll_ready_returned", report.epoll_ready_returned, "count", "info")
+    rec("epoll_stale_dropped", report.epoll_stale_dropped, "count", "info")
+    return records
 
 
 def run_net(
@@ -282,40 +402,38 @@ def run_net(
     cache_pool_size: int = NET_CACHE_POOL_SIZE,
     load: Optional[Dict[str, Any]] = None,
     sf: Sequence[str] = NET_SF_DEFAULT,
-) -> Dict[str, Any]:
-    """The full sweep payload (``BENCH_net.json`` shape).
+) -> SuiteResult:
+    """The server-architecture sweep.
 
-    The headline grid disables the TCB/stack cache (``pool_size=0``)
-    to isolate the architecture comparison; a second sweep at the top
-    client count re-enables the cache and shows the gap narrow --
-    ``pthread_create`` pre-caching is itself a thread pool, one layer
-    down.  The ``sf`` scale-factor fixtures then push the dispatcher
-    architectures into the long-lived high-concurrency regime
-    (``NET_SF_FIXTURES``); sf100 is opt-in (pass ``sf`` explicitly).
+    The headline grid (``sweep=cold``) disables the TCB/stack cache
+    (``pool_size=0``) to isolate the architecture comparison; a second
+    sweep (``sweep=warm``) at the top client count re-enables the
+    cache and shows the gap narrow -- ``pthread_create`` pre-caching is
+    itself a thread pool, one layer down.  The ``sf`` scale-factor
+    fixtures (``sweep=sf``) then push the dispatcher architectures
+    into the long-lived high-concurrency regime (``NET_SF_FIXTURES``);
+    sf100 is opt-in (pass ``sf`` explicitly).
     """
     load = dict(NET_LOAD if load is None else load)
-    results = [
-        run_net_point(arch, clients, pool_size=0, load=load)
-        for clients in client_sweep
-        for arch in archs
-    ]
-    cached = [
-        run_net_point(arch, client_sweep[-1], cache_pool_size, load=load)
-        for arch in archs
-    ]
-    sf_results = [
-        run_sf_point(name, arch)
-        for name in sf
-        for arch in NET_SF_FIXTURES[name]["archs"]
-    ]
-    return {
-        "suite": "net-architecture-sweep",
-        "model": "sparc-ipx",
+    records: List[BenchRecord] = []
+    for clients in client_sweep:
+        for arch in archs:
+            records += run_net_point(arch, clients, pool_size=0, load=load)
+    for arch in archs:
+        records += run_net_point(arch, client_sweep[-1], cache_pool_size,
+                                 load=load, sweep="warm")
+    for name in sf:
+        for arch in NET_SF_FIXTURES[name]["archs"]:
+            records += run_sf_point(name, arch)
+    config = {
+        "client_sweep": sorted(set(client_sweep)),
+        "archs": sorted(set(archs)),
+        "cache_pool_size": cache_pool_size,
         "load": load,
-        "results": results,
-        "cache_on_results": cached,
-        "sf_results": sf_results,
+        "model": "sparc-ipx",
+        "sf": sorted(set(sf)),
     }
+    return _result("net", records, config)
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +446,7 @@ def run_check(
     seed: int = 99,
     scale: int = 1,
     names: Optional[Sequence[str]] = None,
-) -> Dict[str, Any]:
+) -> SuiteResult:
     """Seeded random-walk exploration over the checker workloads.
 
     Everything but ``wall_seconds`` is deterministic for a fixed
@@ -339,53 +457,28 @@ def run_check(
     from repro.check.explore import Explorer
 
     chosen = sorted(WORKLOADS) if names is None else list(names)
-    results = []
+    records: List[BenchRecord] = []
     for name in chosen:
         factory, priority = WORKLOADS[name]
         explorer = Explorer(lambda: factory(scale), priority=priority)
         start = time.perf_counter()
         report = explorer.explore_random(runs=runs, seed=seed)
         wall = time.perf_counter() - start
-        results.append(
-            {
-                "workload": name,
-                "mode": "random",
-                "runs": runs,
-                "seed": seed,
-                "schedules_explored": report.schedules_explored,
-                "checks_run": report.checks_run,
-                "failures": len(report.failures),
-                "wall_seconds": round(wall, 6),
-            }
-        )
-    return {
-        "suite": "check-exploration",
-        "runs": runs,
-        "seed": seed,
-        "scale": scale,
-        "results": results,
-    }
+        rec = recorder(records, "check", name, {
+            "mode": "random", "runs": runs, "seed": seed,
+        })
+        rec("schedules_explored", report.schedules_explored, "count",
+            "exact")
+        rec("checks_run", report.checks_run, "count", "exact")
+        rec("failures", len(report.failures), "count", "exact")
+        rec("wall_seconds", round(wall, 6), "s", "info")
+    config = {"runs": runs, "seed": seed, "scale": scale}
+    return _result("check", records, config, scale=scale)
 
 
 # ---------------------------------------------------------------------------
 # fleet scaling sweep
 # ---------------------------------------------------------------------------
-
-
-def fleet_stats_dict(stats) -> Dict[str, Any]:
-    return {
-        "backend": stats.backend,
-        "jobs": stats.jobs,
-        "tasks": stats.tasks,
-        "snapshots_created": stats.snapshots_created,
-        "snapshot_hits": stats.snapshot_hits,
-        "snapshot_evictions": stats.snapshot_evictions,
-        "speculative_waste": stats.speculative_waste,
-        "fallbacks": stats.fallbacks,
-        "steps_executed": stats.steps_executed,
-        "steps_full": stats.steps_full,
-        "steps_saved": stats.steps_saved,
-    }
 
 
 def run_fleet(
@@ -396,16 +489,17 @@ def run_fleet(
     jobs: int = 4,
     grid: bool = True,
     grid_repeat: int = 3,
-) -> Dict[str, Any]:
-    """DFS snapshot sweep + scenario compare grid (``BENCH_fleet.json``
-    shape).  Needs :func:`os.fork`.
+) -> SuiteResult:
+    """DFS snapshot sweep + scenario compare grid.  Needs :func:`os.fork`.
 
     The DFS speedup is algorithmic (prefix checkpoints cut simulated
     steps), so it holds on a single-core host; the grid speedup is
-    pure fan-out and is bounded by the host's core count.
+    pure fan-out and is bounded by the host's core count.  The
+    algorithmic facts (schedules explored, byte-identical reports, the
+    full replay step count) are ``exact``; snapshot placement counters
+    depend on speculation timing, so they are harvested per ``phase``
+    as ``info``.
     """
-    import os
-
     from repro.bench.workloads import signal_storm
     from repro.check.explore import Explorer
     from repro.net.scenario import compare_scenarios
@@ -442,26 +536,26 @@ def run_fleet(
         and par_report.render() == seq_report.render()
     )
 
-    payload: Dict[str, Any] = {
-        "host_cores": os.cpu_count() or 1,
-        "dfs": {
-            "workload": "signal_storm",
-            "scale": rounds // 100,
-            "max_runs": max_runs,
-            "max_depth": max_depth,
-            "max_branch": max_branch,
-            "schedules_explored": seq_report.schedules_explored,
-            "sequential_s": round(seq_s, 3),
-            "snapshot_jobs1_s": round(snap_s, 3),
-            "jobs4_s": round(par_s, 3),
-            "speedup_snapshot_jobs1": round(seq_s / snap_s, 2),
-            "speedup_jobs4": round(seq_s / par_s, 2),
-            "reports_identical": dfs_identical,
-            "sequential_fleet": fleet_stats_dict(seq_report.fleet),
-            "snapshot_fleet": fleet_stats_dict(snap_report.fleet),
-            "jobs4_fleet": fleet_stats_dict(par_report.fleet),
-        },
-    }
+    records: List[BenchRecord] = []
+    rec = recorder(records, "fleet", "dfs")
+    rec("schedules_explored", seq_report.schedules_explored, "count",
+        "exact")
+    rec("sequential_s", round(seq_s, 3), "s", "info")
+    rec("snapshot_jobs1_s", round(snap_s, 3), "s", "info")
+    rec("jobs4_s", round(par_s, 3), "s", "info")
+    rec("speedup_snapshot_jobs1", round(seq_s / snap_s, 2), "ratio",
+        "higher", WALL_RATIO_TOLERANCE)
+    rec("speedup_jobs4", round(seq_s / par_s, 2), "ratio", "higher",
+        WALL_RATIO_TOLERANCE)
+    rec("reports_identical", dfs_identical, "bool", "exact")
+    rec("steps_full", seq_report.fleet.steps_full, "count", "exact")
+    for phase, report in (("sequential", seq_report),
+                          ("snapshot", snap_report), ("jobs4", par_report)):
+        stats = report.fleet
+        records += records_from_metrics(
+            dict(dataclasses.asdict(stats), steps_saved=stats.steps_saved),
+            "fleet", "dfs", params={"phase": phase},
+        )
 
     if grid:
         cells = [
@@ -490,15 +584,23 @@ def run_fleet(
         grid_identical = grid_par == grid_seq and [
             r.render() for r in grid_par
         ] == [r.render() for r in grid_seq]
-        payload["compare_grid"] = {
-            "cells": len(cells),
-            "sequential_s": round(grid_seq_s, 3),
-            "jobs4_s": round(grid_par_s, 3),
-            "speedup_jobs4": round(grid_seq_s / grid_par_s, 2),
-            "reports_identical": grid_identical,
-        }
+        rec = recorder(records, "fleet", "compare_grid")
+        rec("cells", len(cells), "count", "exact")
+        rec("sequential_s", round(grid_seq_s, 3), "s", "info")
+        rec("jobs4_s", round(grid_par_s, 3), "s", "info")
+        rec("speedup_jobs4", round(grid_seq_s / grid_par_s, 2), "ratio",
+            "higher", WALL_RATIO_TOLERANCE)
+        rec("reports_identical", grid_identical, "bool", "exact")
 
-    return payload
+    config = {
+        "workload": "signal_storm",
+        "max_runs": max_runs,
+        "rounds": rounds,
+        "max_depth": max_depth,
+        "max_branch": max_branch,
+        "grid": grid,
+    }
+    return _result("fleet", records, config)
 
 
 # ---------------------------------------------------------------------------
@@ -513,18 +615,21 @@ def run_smp(
     model: str = "niagara-t3",
     seed: int = 42,
     ipi_rounds: int = 40,
-) -> Dict[str, Any]:
-    """The SMP suite payload: the lock-zoo crossover sweep plus an
-    IPI-routed signal workload.
+) -> SuiteResult:
+    """The lock-zoo crossover sweep plus an IPI-routed signal workload.
 
     Every simulated number is deterministic in (model, seed, axes):
     the zoo's per-cell makespans come off per-CPU virtual clocks, and
     the IPI row runs ``signal_storm`` on a 2-CPU world where every
-    async signal crosses from the interrupt CPU as an IPI event.  Only
-    ``wall_seconds`` varies run to run.
+    async signal crosses from the interrupt CPU as an IPI event.  A
+    changed makespan is a changed contention semantics, so they are
+    ``exact``; coherence/IPI counters are harvested as ``info``, and
+    only the ``*_wall_seconds`` vary run to run.
     """
-    from repro.locks.workload import ZOO_ALGOS, ZOO_CPUS, run_zoo
+    from repro.locks.workload import run_zoo
 
+    records: List[BenchRecord] = []
+    wall = recorder(records, "smp", "suite")
     start = time.perf_counter()
     rows = run_zoo(
         acquisitions=acquisitions,
@@ -533,7 +638,23 @@ def run_smp(
         model=model,
         seed=seed,
     )
-    zoo_wall = time.perf_counter() - start
+    wall("zoo_wall_seconds", round(time.perf_counter() - start, 6), "s",
+         "info")
+    for row in rows:
+        params = {"ncpus": row["ncpus"], "model": row["model"]}
+        rec = recorder(records, "smp", row["algo"], params)
+        rec("makespan_cycles", row["makespan_cycles"], "cycles", "exact")
+        rec("cycles_per_acquisition", row["cycles_per_acquisition"],
+            "cycles", "exact")
+        rec("executor_steps", row["executor_steps"], "count", "exact")
+        rec("acquisitions", row["acquisitions"], "count", "exact")
+        records += records_from_metrics(
+            row["counters"], "smp", row["algo"], params=params
+        )
+        records += records_from_metrics(
+            {"lock.%s" % k: v for k, v in row["lock"].items()},
+            "smp", row["algo"], params=params,
+        )
 
     start = time.perf_counter()
     stats = workloads.run_workload(
@@ -545,43 +666,36 @@ def run_smp(
         timeslice_us=1_000.0,
         ncpus=2,
     )
-    ipi_wall = time.perf_counter() - start
+    wall("ipi_wall_seconds", round(time.perf_counter() - start, 6), "s",
+         "info")
     rt = stats["runtime"]
-    smp = rt.world.smp
-    ipi_row = {
-        "workload": "signal_storm",
-        "ncpus": 2,
-        "rounds": ipi_rounds,
-        "elapsed_us": stats["elapsed_us"],
-        "context_switches": stats["context_switches"],
-        "ipis_sent": smp.counters()["smp.ipis_sent"],
-        "ipis_delivered": smp.counters()["smp.ipis_delivered"],
-        "ipi_posts": rt.proc.signals.ipi_posts,
-    }
+    smp = rt.world.smp.counters()
+    rec = recorder(records, "smp", "ipi_signal_storm",
+                   {"ncpus": 2, "rounds": ipi_rounds})
+    rec("elapsed_us", stats["elapsed_us"], "us", "exact")
+    rec("ipis_sent", smp["smp.ipis_sent"], "count", "exact")
+    rec("ipis_delivered", smp["smp.ipis_delivered"], "count", "exact")
+    rec("ipi_posts", rt.proc.signals.ipi_posts, "count", "exact")
+    rec("context_switches", stats["context_switches"], "count", "info")
 
-    return {
-        "suite": "smp-lock-zoo",
-        "model": model,
-        "seed": seed,
+    config = {
         "acquisitions": acquisitions,
         "section_cycles": section_cycles,
         "think_cycles": think_cycles,
-        "algos": list(ZOO_ALGOS),
-        "cpu_counts": list(ZOO_CPUS),
-        "results": rows,
-        "ipi": ipi_row,
-        "zoo_wall_seconds": round(zoo_wall, 6),
-        "ipi_wall_seconds": round(ipi_wall, 6),
+        "model": model,
+        "seed": seed,
+        "ipi_rounds": ipi_rounds,
     }
+    return _result("smp", records, config)
 
 
 # ---------------------------------------------------------------------------
 # the registry the CLI dispatches on
 # ---------------------------------------------------------------------------
 
-#: suite name -> (runner, config keys the runner accepts).  The gate
-#: re-measures a baseline by feeding its archived ``config`` back in.
-SUITE_RUNNERS: Dict[str, Callable[..., Dict[str, Any]]] = {
+#: suite name -> runner.  The gate re-measures a baseline by feeding
+#: its archived ``config`` back in as keyword arguments.
+SUITE_RUNNERS: Dict[str, Callable[..., SuiteResult]] = {
     "host": run_host,
     "net": run_net,
     "check": run_check,

@@ -167,8 +167,8 @@ class SegmentSpace:
             + table[costs.LEAVE_KERNEL]
         )
         self._c_self = 2 * insn
-        # exec.segment.* counters (harvested into BENCH_host.json and
-        # ``python -m repro.obs report``).
+        # exec.segment.* counters (harvested into the host bench records
+        # and ``python -m repro.obs report``).
         self.segments_compiled = 0
         self.hits = 0
         self.misses = 0

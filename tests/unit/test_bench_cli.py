@@ -2,7 +2,6 @@
 gate semantics: self-compare passes twice, an injected 25% steps/s drop
 or any simulated-time divergence exits nonzero)."""
 
-import json
 from pathlib import Path
 
 import pytest
@@ -45,15 +44,12 @@ def run_cli(history, *argv):
     return main(["--history", str(history)] + list(argv))
 
 
-def test_migrate_then_list(history, capsys):
-    assert run_cli(history, "migrate", "--root", str(REPO_ROOT),
-                   "--commit", "seed1") == 0
-    out = capsys.readouterr().out
-    assert out.count("migrated") == 3
+def test_list_shows_archived_history(history, capsys):
+    save_result(host_result(commit="seed1"), history)
     assert run_cli(history, "list") == 0
     out = capsys.readouterr().out
-    assert "seed1" in out
-    assert "fleet, host, net" in out
+    assert "suites: check, fleet, host, net, smp" in out
+    assert "seed1  (host)" in out
 
 
 def test_compare_identical_passes(history, tmp_path, capsys):
@@ -130,10 +126,9 @@ def test_gate_measures_now_and_passes_on_same_commit(history, capsys):
     # End to end on a real suite: archive a measured check run, then
     # let the gate re-measure with the archived config.  The checker
     # is virtual-time deterministic, so the exact oracles match.
-    from repro.bench.adapters import check_suite_result
     from repro.bench.suites import run_check
 
-    result = check_suite_result(run_check(runs=5, seed=99))
+    result = run_check(runs=5, seed=99)
     result.env.commit = "c1"
     save_result(result, history)
     assert run_cli(history, "gate", "--suite", "check") == 0
@@ -227,8 +222,3 @@ def test_module_entrypoint():
     assert proc.returncode == 0
     assert "suites: check, fleet, host, net, smp" in proc.stdout
 
-
-def test_legacy_payload_files_still_valid_json():
-    for name in ("BENCH_host.json", "BENCH_net.json", "BENCH_fleet.json"):
-        with (REPO_ROOT / name).open() as fh:
-            json.load(fh)

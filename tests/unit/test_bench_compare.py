@@ -112,14 +112,45 @@ def test_per_record_tolerance_overrides_default():
 
 
 def test_zero_baseline_has_no_relative_band():
-    base = result(rec(metric="stalls", value=0, direction="lower",
-                      unit="count"))
-    same = result(rec(metric="stalls", value=0, direction="lower",
-                      unit="count"))
-    moved = result(rec(metric="stalls", value=3, direction="lower",
-                       unit="count"))
-    assert [f.status for f in compare_results(base, same)] == ["ok"]
-    assert failures(compare_results(base, moved)) == []
+    # Any move off a zero baseline is out of band; the direction
+    # decides whether it is a regression or an improvement.
+    def stall(value, direction):
+        return result(rec(metric="stalls", value=value, direction=direction,
+                          unit="count"))
+
+    def status(base, cur):
+        return [f.status for f in compare_results(base, cur)]
+
+    assert status(stall(0, "lower"), stall(0, "lower")) == ["ok"]
+    assert status(stall(0, "lower"), stall(3, "lower")) == ["regressed"]
+    assert status(stall(0, "higher"), stall(3, "higher")) == ["improved"]
+    assert status(stall(0, "higher"), stall(-3, "higher")) == ["regressed"]
+    assert status(stall(0, "lower"), stall(-3, "lower")) == ["improved"]
+    assert len(failures(compare_results(stall(0, "lower"),
+                                        stall(3, "lower")))) == 1
+
+
+def test_unit_or_direction_drift_is_incomparable():
+    base = result(rec(metric="latency_p99_us", value=100.0,
+                      direction="lower", unit="us"))
+    for drifted in (
+        rec(metric="latency_p99_us", value=100.0, direction="lower",
+            unit="us/op"),
+        rec(metric="latency_p99_us", value=100.0, direction="info",
+            unit="us"),
+    ):
+        findings = compare_results(base, result(drifted))
+        assert [f.status for f in findings] == ["incomparable"]
+        assert failures(findings) == findings
+        assert "declaration changed" in findings[0].message
+    # An exact oracle that drifts to a band is caught before its value.
+    oracle = result(rec(metric="simulated_us", value=5.0, direction="exact",
+                        unit="us"))
+    banded = result(rec(metric="simulated_us", value=5.0, direction="lower",
+                        unit="us"))
+    assert [f.status for f in compare_results(oracle, banded)] == [
+        "incomparable"
+    ]
 
 
 def test_suite_mismatch_is_incomparable():

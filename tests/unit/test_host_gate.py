@@ -8,36 +8,28 @@ pass, simulated-time divergence fails loudly, scale mismatches are
 incomparable, and missing workloads fail.
 """
 
-from repro.bench.adapters import host_suite_result
 from repro.bench.compare import compare_results, failures
-from repro.bench.schema import EnvFingerprint
+from repro.bench.schema import BenchRecord, EnvFingerprint, SuiteResult
 
 
-def _payload(scale, **per_workload):
-    return {
-        "suite": "host-throughput",
-        "scale": scale,
-        "repeat": 3,
-        "results": [
-            {
-                "workload": name,
-                "model": "sparc-ipx",
-                "wall_seconds": 0.5,
-                "steps": 1000,
-                "steps_per_sec": sps,
-                "simulated_us": sim,
-                "simulated_us_per_sec": sim / 0.5,
-                "context_switches": 10,
-            }
-            for name, (sps, sim) in per_workload.items()
-        ],
-    }
-
-
-def _result(scale, **per_workload):
-    return host_suite_result(
-        _payload(scale, **per_workload), env=EnvFingerprint(commit="t")
-    )
+def _result(scale, repeat=3, **per_workload):
+    """A host result shaped like :func:`repro.bench.suites.run_host`'s:
+    per workload, ``steps_per_sec`` (higher) and ``simulated_us``
+    (exact), plus the runner's config."""
+    records = []
+    for name, (sps, sim) in per_workload.items():
+        records.append(BenchRecord(suite="host", workload=name,
+                                   metric="steps_per_sec", value=sps,
+                                   unit="steps/s", direction="higher"))
+        records.append(BenchRecord(suite="host", workload=name,
+                                   metric="simulated_us", value=sim,
+                                   unit="us", direction="exact"))
+    return SuiteResult(
+        suite="host",
+        env=EnvFingerprint(commit="t", scale=scale),
+        config={"scale": scale, "repeat": repeat, "model": "sparc-ipx"},
+        records=records,
+    ).validate()
 
 
 BASE = _result(16, lock_storm=(1_000_000.0, 25741.05),
@@ -113,8 +105,6 @@ def test_missing_workload_fails():
 
 def test_differing_repeat_is_still_comparable():
     # Best-of-N fidelity differs, but the measurement is the same.
-    payload = _payload(16, lock_storm=(1_000_000.0, 25741.05),
-                       churn=(100_000.0, 154732.4))
-    payload["repeat"] = 10
-    cur = host_suite_result(payload, env=EnvFingerprint(commit="t"))
+    cur = _result(16, repeat=10, lock_storm=(1_000_000.0, 25741.05),
+                  churn=(100_000.0, 154732.4))
     assert _gate(cur) == []
