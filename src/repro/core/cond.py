@@ -56,10 +56,6 @@ class CondOps(LibraryOps):
 
     def __init__(self, runtime) -> None:
         super().__init__(runtime)
-        # Watcher-free fast-path charges (see LibKernel.__init__).
-        table = runtime.world._costs
-        self._c_wait_setup = table[costs.COND_WAIT_SETUP]
-        self._c_signal = table[costs.COND_SIGNAL_WORK]
 
     ENTRIES = {
         "cond_init": "lib_cond_init",
@@ -132,10 +128,7 @@ class CondOps(LibraryOps):
             return BLOCKED
         rt.kern.enter()
         world = rt.world
-        if world.clock._watchers:
-            world.spend(costs.COND_WAIT_SETUP, fire=False)
-        else:
-            world.clock.cycles += self._c_wait_setup
+        world.spend(costs.COND_WAIT_SETUP, fire=False)
         cond.bound_mutex = mutex
         cond.waiters.add(tcb)
         record = rt.block_current(
@@ -173,11 +166,7 @@ class CondOps(LibraryOps):
         if cond.destroyed:
             return EINVAL
         rt.kern.enter()
-        world = rt.world
-        if world.clock._watchers:
-            world.spend(costs.COND_SIGNAL_WORK, fire=False)
-        else:
-            world.clock.cycles += self._c_signal
+        rt.world.spend(costs.COND_SIGNAL_WORK, fire=False)
         cond.signals_sent += 1
         self._wake_one(cond)
         rt.kern.leave()

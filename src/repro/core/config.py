@@ -99,8 +99,8 @@ class RuntimeConfig:
         Enable the executor's segment compiler (see
         :mod:`repro.sim.segments`).  Purely a host-speed feature --
         simulated behaviour is bit-identical either way, which the
-        property tests assert.  The ``REPRO_SEGMENTS=0`` environment
-        variable force-disables it regardless of this flag.
+        property tests assert.  ``segments=False`` is the one switch
+        for the interpreter-only reference runs.
     """
 
     pool_size: int = 32

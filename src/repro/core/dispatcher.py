@@ -43,13 +43,6 @@ class Dispatcher:
 
     def __init__(self, runtime: "PthreadsRuntime") -> None:
         self._runtime = runtime
-        # Pre-resolved cycle charges for the watcher-free fast path
-        # (see LibKernel.__init__): one dispatch makes 3-4 charges.
-        table = runtime.world._costs
-        self._c_select = table[costs.DISPATCH_SELECT]
-        self._c_overhead = table[costs.DISPATCH_OVERHEAD]
-        self._c_dequeue = table[costs.READY_DEQUEUE]
-        self._c_errno = table[costs.ERRNO_SWITCH]
         self.context_switches = 0
         self.dispatch_calls = 0
         self.signal_restarts = 0  # Figure 2's "signals caught?" loop
@@ -66,18 +59,11 @@ class Dispatcher:
             # to harvest later, so it is observed here (one attribute
             # load and an is-check on the disabled path).
             obs.on_dispatch(runtime)
-        clock = world.clock
         while True:
-            if clock._watchers:
-                world.spend(costs.DISPATCH_SELECT, fire=False)
-            else:
-                clock.cycles += self._c_select
+            world.spend(costs.DISPATCH_SELECT, fire=False)
             chosen = self._select()
             # Clear the flags before transferring control (Figure 2).
-            if clock._watchers:
-                world.spend(costs.DISPATCH_OVERHEAD, fire=False)
-            else:
-                clock.cycles += self._c_overhead
+            world.spend(costs.DISPATCH_OVERHEAD, fire=False)
             kern.dispatcher_flag = False
             kern.kernel_flag = False
             if kern.deferred_signals or kern.deferred_upcalls:
@@ -119,10 +105,7 @@ class Dispatcher:
             if not ready._count:
                 return None
             world = runtime.world
-            if world.clock._watchers:
-                world.spend(costs.READY_DEQUEUE, fire=False)
-            else:
-                world.clock.cycles += self._c_dequeue
+            world.spend(costs.READY_DEQUEUE, fire=False)
             return ready.dequeue()
 
         candidate: Optional[Tcb] = None
@@ -141,10 +124,7 @@ class Dispatcher:
             runtime.sched.preempt_current_for_dispatch()
         if candidate is not None:
             world = runtime.world
-            if world.clock._watchers:
-                world.spend(costs.READY_DEQUEUE, fire=False)
-            else:
-                world.clock.cycles += self._c_dequeue
+            world.spend(costs.READY_DEQUEUE, fire=False)
             runtime.sched.ready.remove(candidate)
         return candidate
 
@@ -186,10 +166,7 @@ class Dispatcher:
             # (even across an idle gap -- they are still in the file).
             world.windows.flush()
             occupant.errno = runtime.unix_errno
-        if world.clock._watchers:
-            world.spend(costs.ERRNO_SWITCH, fire=False)
-        else:
-            world.clock.cycles += self._c_errno
+        world.spend(costs.ERRNO_SWITCH, fire=False)
         runtime.unix_errno = chosen.errno
         if occupant is not chosen:
             world.windows.switch_in()

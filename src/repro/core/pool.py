@@ -40,9 +40,6 @@ class ThreadPool:
         if size < 0:
             raise ValueError("pool size must be >= 0: %r" % size)
         self._world = world
-        # Watcher-free fast-path charges (see LibKernel.__init__).
-        self._c_pop = world._costs[costs.POOL_POP]
-        self._c_push = world._costs[costs.POOL_PUSH]
         self._heap = heap
         self.stack_size = stack_size
         self.capacity = size
@@ -65,11 +62,7 @@ class ThreadPool:
         want = stack_size if stack_size is not None else self.stack_size
         if self._entries and want <= self.stack_size:
             self.hits += 1
-            world = self._world
-            if world.clock._watchers:
-                world.spend(costs.POOL_POP, fire=False)
-            else:
-                world.clock.cycles += self._c_pop
+            self._world.spend(costs.POOL_POP, fire=False)
             tcb_addr, stack = self._entries.pop()
             stack.reset()
             return tcb_addr, stack
@@ -88,11 +81,7 @@ class ThreadPool:
         )
         if fits:
             self.returns += 1
-            world = self._world
-            if world.clock._watchers:
-                world.spend(costs.POOL_PUSH, fire=False)
-            else:
-                world.clock.cycles += self._c_push
+            self._world.spend(costs.POOL_PUSH, fire=False)
             self._entries.append((tcb_addr, stack))
         else:
             self._heap.free(tcb_addr)

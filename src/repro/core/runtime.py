@@ -17,7 +17,6 @@ resumes whatever thread the dispatcher chose.
 
 from __future__ import annotations
 
-import os
 from types import GeneratorType
 from typing import Any, Callable, Dict, List, Optional, Union
 
@@ -157,7 +156,7 @@ class PthreadsRuntime:
         # unless configured off.
         self._max_steps: Optional[int] = None
         self._until_cycles: Optional[int] = None
-        if self.config.segments and os.environ.get("REPRO_SEGMENTS") != "0":
+        if self.config.segments:
             from repro.sim.segments import SegmentSpace
 
             self._segments: Optional[SegmentSpace] = SegmentSpace(self)

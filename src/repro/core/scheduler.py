@@ -24,16 +24,10 @@ class Scheduler:
 
     def __init__(self, runtime: "PthreadsRuntime") -> None:
         self._runtime = runtime
-        # Watcher-free fast-path charge (see LibKernel.__init__).
-        self._c_enqueue = runtime.world._costs[costs.READY_ENQUEUE]
         self.ready = ReadyQueue()
 
     def _charge_enqueue(self) -> None:
-        world = self._runtime.world
-        if world.clock._watchers:
-            world.spend(costs.READY_ENQUEUE, fire=False)
-        else:
-            world.clock.cycles += self._c_enqueue
+        self._runtime.world.spend(costs.READY_ENQUEUE, fire=False)
 
     # -- making threads runnable ------------------------------------------------
 
@@ -43,11 +37,7 @@ class Scheduler:
         Must be called with the kernel flag set (all callers are
         library internals).
         """
-        world = self._runtime.world
-        if world.clock._watchers:
-            world.spend(costs.READY_ENQUEUE, fire=False)
-        else:
-            world.clock.cycles += self._c_enqueue
+        self._runtime.world.spend(costs.READY_ENQUEUE, fire=False)
         tcb.state = ThreadState.READY
         tcb.wait = None
         self.ready.enqueue(tcb, front=front)

@@ -36,14 +36,6 @@ class ThreadOps(LibraryOps):
 
     def __init__(self, runtime) -> None:
         super().__init__(runtime)
-        # Watcher-free fast-path charges (see LibKernel.__init__):
-        # create/exit/join dominate the churn workloads, where the
-        # spend-call overhead is a measurable fraction of a step.
-        table = runtime.world._costs
-        self._c_create = table[costs.CREATE_MISC]
-        self._c_activate = table[costs.TCB_INIT] + table[costs.STACK_SETUP]
-        self._c_exit = table[costs.EXIT_WORK]
-        self._c_join = table[costs.JOIN_WORK]
 
     ENTRIES = {
         "create": "lib_create",
@@ -110,10 +102,7 @@ class ThreadOps(LibraryOps):
         attr = (attr or ThreadAttr()).validated()
         rt.kern.enter()
         world = rt.world
-        if world.clock._watchers:
-            world.spend(costs.CREATE_MISC, fire=False)
-        else:
-            world.clock.cycles += self._c_create
+        world.spend(costs.CREATE_MISC, fire=False)
         tid = rt.new_tid()
         name = attr.name or "thread-%d" % tid
         new = Tcb(tid, name)
@@ -146,11 +135,8 @@ class ThreadOps(LibraryOps):
         rt = self.rt
         tcb_addr, stack = rt.pool.acquire(stack_size)
         world = rt.world
-        if world.clock._watchers:
-            world.spend(costs.TCB_INIT, fire=False)
-            world.spend(costs.STACK_SETUP, fire=False)
-        else:
-            world.clock.cycles += self._c_activate
+        world.spend(costs.TCB_INIT, fire=False)
+        world.spend(costs.STACK_SETUP, fire=False)
         new.stack = stack
         new.tcb_addr = tcb_addr
         new.lazy = False
@@ -197,11 +183,7 @@ class ThreadOps(LibraryOps):
         if tcb.cancel_pending and rt.cancel_ops.act_if_pending(tcb):
             return BLOCKED
         rt.kern.enter()
-        world = rt.world
-        if world.clock._watchers:
-            world.spend(costs.JOIN_WORK, fire=False)
-        else:
-            world.clock.cycles += self._c_join
+        rt.world.spend(costs.JOIN_WORK, fire=False)
         if target.detached:
             rt.kern.leave()
             return (EINVAL, None)
@@ -248,11 +230,7 @@ class ThreadOps(LibraryOps):
         """``pthread_exit``: unwind, run cleanup + destructors, die."""
         rt = self.rt
         rt.kern.enter()
-        world = rt.world
-        if world.clock._watchers:
-            world.spend(costs.EXIT_WORK, fire=False)
-        else:
-            world.clock.cycles += self._c_exit
+        rt.world.spend(costs.EXIT_WORK, fire=False)
         tcb.exiting = True
         # Tear down the user frames; cleanup handlers run next, on a
         # fresh frame, in the dying thread's own context and priority.
@@ -289,10 +267,7 @@ class ThreadOps(LibraryOps):
         rt = self.rt
         rt.kern.enter()
         world = rt.world
-        if world.clock._watchers:
-            world.spend(costs.EXIT_WORK, fire=False)
-        else:
-            world.clock.cycles += self._c_exit
+        world.spend(costs.EXIT_WORK, fire=False)
         tcb.frames.unwind_all()
         tcb.exit_value = value
         tcb.state = ThreadState.TERMINATED

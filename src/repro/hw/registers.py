@@ -66,26 +66,15 @@ class RegisterWindows:
     def save(self) -> None:
         """Execute a ``save`` (function call).  May overflow-trap.
 
-        With watchers attached the charges stay separate ``advance``
-        calls (each watcher callback sees the same before/after pairs
-        as always); the watcher-free common case fuses them into one
-        attribute bump.
+        The trap and the call are charged as separate advances, so a
+        clock watcher can tell the trap cycles from the call cycles.
         """
-        clock = self._clock
-        if clock._watchers:
-            if self._active == self._usable:
-                self.overflow_traps += 1
-                clock.advance(self._c_overflow)
-            else:
-                self._active += 1
-            clock.advance(self._c_call)
-            return
         if self._active == self._usable:
             self.overflow_traps += 1
-            clock.cycles += self._c_overflow + self._c_call
+            self._clock.advance(self._c_overflow)
         else:
             self._active += 1
-            clock.cycles += self._c_call
+        self._clock.advance(self._c_call)
 
     def restore(self) -> None:
         """Execute a ``restore`` (function return).  May fill-trap.
@@ -93,21 +82,12 @@ class RegisterWindows:
         An ordinary call-path underflow fills a single window -- far
         cheaper than the bulk refill a context switch pays.
         """
-        clock = self._clock
-        if clock._watchers:
-            if self._active <= 1:
-                self.underflow_traps += 1
-                clock.advance(self._c_fill)
-            else:
-                self._active -= 1
-            clock.advance(self._c_ret)
-            return
         if self._active <= 1:
             self.underflow_traps += 1
-            clock.cycles += self._c_fill + self._c_ret
+            self._clock.advance(self._c_fill)
         else:
             self._active -= 1
-            clock.cycles += self._c_ret
+        self._clock.advance(self._c_ret)
 
     def flush(self) -> None:
         """``ST_FLUSH_WINDOWS``: spill every active window to the stack.
@@ -117,22 +97,14 @@ class RegisterWindows:
         pair approximates a context switch in Table 2).
         """
         self.flush_traps += 1
-        clock = self._clock
-        if clock._watchers:
-            clock.advance(self._c_flush)
-        else:
-            clock.cycles += self._c_flush
+        self._clock.advance(self._c_flush)
         self._active = 1
 
     def switch_in(self) -> None:
         """Load the incoming thread's top frame (``restore`` underflow)."""
         self.underflow_traps += 1
-        clock = self._clock
-        if clock._watchers:
-            clock.advance(self._c_underflow)
-            clock.advance(self._c_regs)
-        else:
-            clock.cycles += self._c_underflow + self._c_regs
+        self._clock.advance(self._c_underflow)
+        self._clock.advance(self._c_regs)
         self._active = 1
 
     def __repr__(self) -> str:

@@ -29,7 +29,7 @@ queueing and service).
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import List
 
 from repro.unix.net import NetStack, ResidentClientEngine
 
@@ -62,7 +62,6 @@ class LoadGenerator:
         think_us: float = 150.0,
         start_us: float = 10.0,
         rng_salt: int = 0x6E65,  # "ne"
-        collector: Optional[Any] = None,
     ) -> None:
         if arrival not in ARRIVALS:
             raise ValueError(
@@ -87,7 +86,6 @@ class LoadGenerator:
             requests_per_client=requests_per_client,
             req_bytes=req_bytes,
             think_us=think_us,
-            collector=collector,
         )
 
     # -- schedule ------------------------------------------------------------

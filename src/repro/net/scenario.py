@@ -172,7 +172,6 @@ def build_main(
             mean_gap_us=mean_gap_us,
             burst=burst,
             think_us=think_us,
-            collector=collector,
         )
         if loadgen_box is not None:
             loadgen_box["gen"] = gen

@@ -34,7 +34,7 @@ from typing import Any, Dict, List, Optional
 
 
 class Collector:
-    """Virtual-time measurement sink shared by server and load layers.
+    """Virtual-time measurement sink filled by the server architectures.
 
     Reads ``world.now_us`` only -- appending to these lists never
     advances the clock, so an attached collector cannot perturb the
@@ -45,8 +45,6 @@ class Collector:
         self.requests_served = 0
         self.connections_served = 0
         self.queue_waits_us: List[float] = []  # pool: enqueue -> pickup
-        self.latencies_us: List[float] = []  # loadgen: send -> reply
-        self.refused = 0
 
 
 class WorkQueue:

@@ -126,18 +126,6 @@ class EventQueue:
             return self.next_time() is not None and self._horizon <= now
         return horizon is not None and horizon <= now
 
-    def pop_due(self, now: int) -> Optional[Event]:
-        """Pop the earliest event with ``time <= now``, or None."""
-        when = self.next_time()
-        if when is None or when > now:
-            return None
-        heap = self._heap
-        event = heapq.heappop(heap)[2]
-        event.fired = True
-        self._live -= 1
-        self._horizon = _STALE
-        return event
-
     def fire_due(self, now: int) -> int:
         """Fire every event due at or before ``now``; returns the count.
 

@@ -38,7 +38,7 @@ clock watcher is attached).  Simulated time, ``Runtime.steps``,
 per-thread ``cpu_cycles`` and every library counter advance
 bit-identically to interpretation; the property tests in
 ``tests/properties/test_prop_segment_equivalence.py`` assert digest
-equality against forced interpretation (``REPRO_SEGMENTS=0``).
+equality against forced interpretation (``RuntimeConfig(segments=False)``).
 
 Bypass rules (checked before any replay or recording):
 
@@ -72,7 +72,9 @@ _BLACKLISTED = object()
 
 #: Visits to a location before a recording is attempted.
 _RECORD_AFTER = 8
-#: Recording attempts per location before it is blacklisted.
+#: Failed recordings per location before it stops recording: a
+#: location with no compiled variant is blacklisted, one with variants
+#: keeps them but records no new one.
 _MAX_FAILS = 3
 #: Maximum ops recorded into one segment (also bounds generated-code
 #: size, and with it the one-time host cost of compiling a segment).
@@ -111,11 +113,12 @@ class _LocState:
 class _Variants(list):
     """Compiled segments at one location, MRU first."""
 
-    __slots__ = ("mismatches",)
+    __slots__ = ("mismatches", "fails")
 
     def __init__(self, items) -> None:
         super().__init__(items)
         self.mismatches = 0
+        self.fails = 0  # failed variant recordings (see _MAX_FAILS)
 
 
 class _SegStep:
@@ -331,7 +334,8 @@ class SegmentSpace:
         if op is not None:
             # No variant takes the in-hand op: interpret it here (the
             # send already happened).  Repeated mismatches grow a new
-            # variant recorded from the in-hand op.
+            # variant recorded from the in-hand op, until _MAX_FAILS
+            # such recordings have failed here.
             self.misses += 1
             if total:
                 self.hits += 1
@@ -339,6 +343,7 @@ class SegmentSpace:
             variants.mismatches += 1
             if (
                 variants.mismatches >= _VARIANT_AFTER
+                and variants.fails < _MAX_FAILS
                 and len(variants) < _MAX_VARIANTS
                 and self.segments_compiled < _MAX_SEGMENTS
             ):
@@ -456,6 +461,8 @@ class SegmentSpace:
             entry.fails += 1
             if entry.fails >= _MAX_FAILS:
                 table[lasti] = _BLACKLISTED
+        elif type(entry) is _Variants:
+            entry.fails += 1
         self.record_failures += 1
         return True
 

@@ -125,7 +125,9 @@ class World:
 
         The clock advance is inlined (identically to
         :meth:`VirtualClock.advance`): this method runs several times
-        per executor step.
+        per executor step.  Library code charges every keyed cost here,
+        watched clock or not, so a profiled run executes the same
+        library code as an unprofiled one.
         """
         cycles = self._costs[key] * times
         clock = self.clock

@@ -18,7 +18,6 @@ against the SIGIO path, reproducing the paper's argument.
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.hw import costs
@@ -54,26 +53,6 @@ class FirstClassInterface:
         for datum, request in backlog:
             self._notify(datum, request)
 
-    def submit(
-        self, fd: int, op: str, nbytes: int, datum: Any
-    ) -> IoRequest:
-        """Issue non-blocking I/O with a user datum attached.
-
-        One syscall for the issue, as usual; the *completion* comes
-        back through shared memory, not a signal.
-        """
-        if op not in ("read", "write"):
-            raise ValueError("bad I/O op: %r" % (op,))
-        self.kernel._enter("fc_aio_%s" % op)
-        return IoRequest(
-            reqid=next(_fc_ids),
-            fd=fd,
-            op=op,
-            nbytes=nbytes,
-            requester=datum,
-            issue_time=self.world.now,
-        )
-
     def complete(self, request: IoRequest) -> None:
         """Kernel side: the device finished; notify the user scheduler
         through the channel (cheap), never through a signal."""
@@ -99,6 +78,3 @@ class FirstClassInterface:
             self.backlog.append((datum, request))
             return
         self._upcall(datum, request)
-
-
-_fc_ids = itertools.count(1_000_000)

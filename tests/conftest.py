@@ -48,6 +48,22 @@ def run_program(
     return rt
 
 
+class RxLog:
+    """A kernel-owned socket's ``owner`` that records what arrives."""
+
+    def __init__(self) -> None:
+        self.got: list = []  # delivered Messages, in arrival order
+
+    def connected(self, sock: Any) -> None:
+        pass
+
+    def rx(self, sock: Any, msg: Any) -> None:
+        self.got.append(msg)
+
+    def eof(self, sock: Any) -> None:
+        pass
+
+
 @pytest.fixture
 def rt() -> PthreadsRuntime:
     """A fresh default runtime (no slicer, small pool)."""

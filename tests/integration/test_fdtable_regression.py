@@ -12,7 +12,7 @@
 """
 
 from repro.core.errors import OK
-from tests.conftest import make_runtime
+from tests.conftest import RxLog, make_runtime
 
 
 def _disk_workload(fd):
@@ -72,8 +72,7 @@ def test_disk_fd_and_socket_fd_share_one_descriptor_space():
         assert err == OK
         err = yield pt.listen(sock_fd, 2)
         assert err == OK
-        got = []
-        rt.net.remote_connect(80, on_rx=lambda s, m: got.append(m.nbytes))
+        rt.net.remote_connect(80, owner=RxLog())
         err, conn_fd = yield pt.accept(sock_fd)
         assert err == OK
         out["sock"] = yield pt.write(conn_fd, 77)  # socket: send

@@ -17,7 +17,7 @@ from repro.core.errors import (
     ENOTCONN,
     OK,
 )
-from tests.conftest import make_runtime
+from tests.conftest import RxLog, make_runtime
 
 
 def _listening(pt, port=80, backlog=8):
@@ -243,10 +243,8 @@ def test_read_write_route_to_sockets_through_the_fd_table():
     def main(pt):
         rt = pt.runtime
         lfd = yield from _listening(pt)
-        got = []
-        remote = rt.net.remote_connect(
-            80, on_rx=lambda s, m: got.append(m.nbytes)
-        )
+        log = RxLog()
+        remote = rt.net.remote_connect(80, owner=log)
         err, cfd = yield pt.accept(lfd)
         assert err == OK
         # write on a socket fd is send; read is recv.
@@ -257,7 +255,7 @@ def test_read_write_route_to_sockets_through_the_fd_table():
         assert err == OK
         out["read"] = msg.nbytes
         yield pt.delay_us(200)
-        out["peer_got"] = got
+        out["peer_got"] = [m.nbytes for m in log.got]
         yield pt.close(cfd)
         yield pt.close(lfd)
 

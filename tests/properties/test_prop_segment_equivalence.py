@@ -4,10 +4,9 @@ interpretation.
 The segment compiler (:mod:`repro.sim.segments`) replays recorded
 straight-line op runs as batched clock spends.  Its contract is that a
 run with the cache enabled is *observably indistinguishable* from one
-with the cache disabled (``RuntimeConfig(segments=False)``, the same
-switch ``REPRO_SEGMENTS=0`` flips): same state digest, same simulated
-clock, same step count, same context switches -- and the same clock
-value at every point a generator body happens to read ``world.now``.
+with the cache disabled (``RuntimeConfig(segments=False)``): same
+state digest, same simulated clock, same step count, same context
+switches -- and the same clock value at every point a generator body happens to read ``world.now``.
 
 Hypothesis drives random workload shapes and scheduling parameters;
 two deterministic regression tests pin down specific historical bugs:
@@ -191,11 +190,25 @@ def test_timer_expiry_inside_formerly_straight_line_run():
     assert _fingerprint(on) == _fingerprint(off)
 
 
+def test_failed_variant_recordings_are_capped():
+    """A compiled location whose in-hand op keeps missing records a new
+    variant every few mismatches; once those recordings have failed
+    ``_MAX_FAILS`` times it stops (it used to retry once per item)."""
+    on = assert_equivalent(lambda: pipeline(4, 3000, 500), seed=1)
+    counters = on._segments.counters()
+    assert counters["exec.segment.recordings"] <= 20
+    assert counters["exec.segment.steps_replayed"] == 68927
+
+
 def test_dfs_exploration_identical_with_segments_disabled(monkeypatch):
     """repro.check must see every choice point: segments bypass when a
     choice source / scheduling policy is attached, so DFS reports are
     byte-identical with the cache compiled in or configured out."""
+    import functools
+
+    from repro.check import explore as explore_mod
     from repro.check.explore import Explorer
+    from repro.core.config import RuntimeConfig
 
     def explore():
         return Explorer(
@@ -206,7 +219,10 @@ def test_dfs_exploration_identical_with_segments_disabled(monkeypatch):
         ).explore_dfs(max_runs=8)
 
     with_cache = explore()
-    monkeypatch.setenv("REPRO_SEGMENTS", "0")
+    monkeypatch.setattr(
+        explore_mod, "RuntimeConfig",
+        functools.partial(RuntimeConfig, segments=False),
+    )
     without_cache = explore()
     assert with_cache == without_cache
     assert with_cache.render() == without_cache.render()

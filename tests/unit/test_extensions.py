@@ -75,11 +75,6 @@ class TestFirstClassChannel:
         channel.register_scheduler(lambda d, r: None)
         assert kernel.syscall_counts["fc_register"] == 1
 
-    def test_submit_validates_op(self):
-        world, kernel, channel = self._channel()
-        with pytest.raises(ValueError):
-            channel.submit(1, "seek", 1, datum=None)
-
     def test_notification_is_far_cheaper_than_signal_delivery(self):
         world, kernel, channel = self._channel()
         channel.register_scheduler(lambda d, r: None)

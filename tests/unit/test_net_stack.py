@@ -9,7 +9,7 @@ top (that side lives in ``tests/integration/test_netlib.py``).
 """
 
 from repro.unix.net import EOF, Message
-from tests.conftest import make_runtime
+from tests.conftest import RxLog, make_runtime
 
 
 def _stack(latency_us=80.0, **kwargs):
@@ -156,13 +156,13 @@ class TestDataPath:
     def test_kernel_owned_endpoint_consumes_via_callback(self):
         rt, stack = _stack()
         _listener(stack)
-        got = []
-        client = stack.remote_connect(80, on_rx=lambda s, m: got.append(m))
+        log = RxLog()
+        client = stack.remote_connect(80, owner=log)
         _drain(rt.world)
         server = client.peer
         stack.sys_send(server, 64, {"tag": "reply"})
         _drain(rt.world)
-        assert len(got) == 1 and got[0].meta["tag"] == "reply"
+        assert len(log.got) == 1 and log.got[0].meta["tag"] == "reply"
         assert not client.rx  # never buffered
 
     def test_eof_arrives_after_buffered_data(self):
