@@ -241,7 +241,7 @@ class NetOps(LibraryOps):
         peer = sock.peer
         if peer is None or peer.state == "closed":
             return (EPIPE, 0)
-        if rt.cancel_ops.act_if_pending(tcb):
+        if tcb.cancel_pending and rt.cancel_ops.act_if_pending(tcb):
             return BLOCKED
         rt.kern.enter()
         sent = rt.net.sys_send(sock, nbytes, meta)
@@ -264,7 +264,7 @@ class NetOps(LibraryOps):
             return (EBADF, None)
         if sock.state != "connected":
             return (ENOTCONN, None)
-        if rt.cancel_ops.act_if_pending(tcb):
+        if tcb.cancel_pending and rt.cancel_ops.act_if_pending(tcb):
             return BLOCKED
         rt.kern.enter()
         got = rt.net.sys_recv(sock)

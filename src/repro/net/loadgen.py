@@ -111,7 +111,7 @@ class LoadGenerator:
             world.schedule_in(
                 max(1, world.cycles_for_us(t - world.now_us)),
                 engine.client(i).arrive,
-                name="client-%d-arrive" % i,
+                name="client-arrive",
             )
 
     # -- results (all owned by the kernel-resident engine) ---------------------

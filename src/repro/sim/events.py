@@ -149,6 +149,10 @@ class EventQueue:
         order exactly.  Cancellation by a sibling is honoured at
         process time: a member cancelled after the sweep already did
         its live/horizon bookkeeping and is simply skipped.
+
+        A *lone* head -- neither heap child shares its timestamp, so by
+        the heap order no other entry does -- fires directly, without a
+        batch list: exactly what a batch of one would do.
         """
         horizon = self._horizon
         if horizon != _STALE and (horizon is None or horizon > now):
@@ -158,10 +162,22 @@ class EventQueue:
         push = heapq.heappush
         fired = 0
         while True:
-            self._drop_cancelled()
-            if not heap or heap[0][0] > now:
+            while heap and heap[0][2].cancelled:
+                pop(heap)  # tombstone
+            if not heap:
                 break
             t0 = heap[0][0]
+            if t0 > now:
+                break
+            size = len(heap)
+            if (size < 2 or heap[1][0] != t0) and (size < 3 or heap[2][0] != t0):
+                event = pop(heap)[2]
+                self._horizon = _STALE
+                event.fired = True
+                self._live -= 1
+                event.action()
+                fired += 1
+                continue
             batch: List[Event] = []
             while heap and heap[0][0] == t0:
                 batch.append(pop(heap)[2])

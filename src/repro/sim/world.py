@@ -166,13 +166,13 @@ class World:
 
     def schedule_at(self, time: int, action, name: str = "event") -> Event:
         """Schedule ``action`` at absolute cycle ``time``."""
-        return self.events.schedule(max(time, self.now), action, name)
+        return self.events.schedule(max(time, self.clock.cycles), action, name)
 
     def schedule_in(self, cycles: int, action, name: str = "event") -> Event:
         """Schedule ``action`` ``cycles`` from now."""
         if cycles < 0:
             raise ValueError("cannot schedule in the past: %r" % cycles)
-        return self.events.schedule(self.now + cycles, action, name)
+        return self.events.schedule(self.clock.cycles + cycles, action, name)
 
     def fire_due(self) -> int:
         """Fire every event due at the current instant.
@@ -184,14 +184,15 @@ class World:
         (otherwise a timer with a period shorter than its handler would
         recurse without bound).
         """
+        now = self.clock.cycles
         horizon = self.events._horizon
-        if horizon is None or horizon > self.clock.cycles:
+        if horizon is None or horizon > now:
             return 0  # nothing can be due (stale horizon is -1: falls through)
         if self._defer_depth or self._firing:
             return 0
         self._firing = True
         try:
-            return self.events.fire_due(self.now)
+            return self.events.fire_due(now)
         finally:
             self._firing = False
 

@@ -74,10 +74,14 @@ class UnixKernel:
     def _enter(self, name: str, work_key: Optional[str] = None) -> None:
         """Charge kernel enter/exit overhead plus in-kernel work."""
         self.syscall_counts[name] += 1
-        self.world.spend(costs.SYSCALL, fire=False)
+        world = self.world
+        world.spend(costs.SYSCALL, fire=False)
         if work_key is not None:
-            self.world.spend(work_key, fire=False)
-        self.world.fire_due()
+            world.spend(work_key, fire=False)
+        # fire_due's horizon gate, checked inline.
+        horizon = world.events._horizon
+        if horizon is not None and horizon <= world.clock.cycles:
+            world.fire_due()
 
     @property
     def total_syscalls(self) -> int:

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.hw import costs
@@ -47,14 +47,34 @@ from repro.unix.sigset import SIGIO
 from repro.unix.signals import SigCause
 
 
-@dataclass
 class Message:
-    """One application message (bookkeeping only, no payload bytes)."""
+    """One application message (bookkeeping only, no payload bytes).
 
-    nbytes: int
-    meta: Dict[str, Any] = field(default_factory=dict)
-    sent_at: int = 0
-    delivered_at: int = 0
+    A message in flight carries its destination socket ``dst``, so the
+    link event that lands it is the message's own bound :meth:`deliver`
+    -- no closure per message.
+    """
+
+    __slots__ = ("nbytes", "meta", "sent_at", "delivered_at", "dst")
+
+    def __init__(
+        self, nbytes: int, meta: Dict[str, Any], sent_at: int, dst: "Socket"
+    ) -> None:
+        self.nbytes = nbytes
+        self.meta = meta
+        self.sent_at = sent_at
+        self.delivered_at = 0
+        self.dst = dst
+
+    def deliver(self) -> None:
+        """Link event: land on ``dst`` through its stack."""
+        dst = self.dst
+        dst.stack._deliver(dst, self)
+
+    def __repr__(self) -> str:
+        return "Message(%d bytes, sent_at=%d, delivered_at=%d)" % (
+            self.nbytes, self.sent_at, self.delivered_at,
+        )
 
 
 @dataclass
@@ -223,6 +243,12 @@ class NetStack:
         self.deterministic = deterministic
         self.rx_capacity = rx_capacity
         self.channel = channel
+        #: Link delay in cycles when every message gets the same one (a
+        #: deterministic, zero-bandwidth link); None when each message
+        #: draws its own latency or adds its transfer time.
+        self._fixed_delay: Optional[int] = None
+        if deterministic and bandwidth_bytes_per_us <= 0:
+            self._fixed_delay = max(world.cycles_for_us(latency_us), 1)
         self._req_ids = itertools.count(1)
         self._sock_ids = itertools.count(1)
         self._epoll_ids = itertools.count(1)
@@ -301,7 +327,7 @@ class NetStack:
         self._world.schedule_in(
             self._link_delay(0),
             lambda: self._establish(listener, server_side, sock),
-            name="net-establish#%d" % server_side.sid,
+            name="net-establish",
         )
         return True
 
@@ -322,7 +348,8 @@ class NetStack:
         self._kernel._enter("recv", costs.RECV_WORK)
         if sock.rx:
             msg = self._rx_pop(sock)
-            self._drain_senders(sock)
+            if sock.waiting_senders:
+                self._drain_senders(sock)
             return msg
         if sock.rx_eof:
             return EOF
@@ -579,7 +606,7 @@ class NetStack:
         self._world.schedule_in(
             self._link_delay(0),
             lambda: self._establish(listener, server_side, client),
-            name="net-establish#%d" % server_side.sid,
+            name="net-establish",
         )
         return client
 
@@ -612,6 +639,9 @@ class NetStack:
         return len(listener.accept_queue) + listener.claims < listener.backlog
 
     def _link_delay(self, nbytes: int) -> int:
+        fixed = self._fixed_delay
+        if fixed is not None:
+            return fixed
         delay_us = self.latency_us
         if not self.deterministic:
             delay_us = self._world.rng.expovariate(self.latency_us)
@@ -668,22 +698,26 @@ class NetStack:
 
     def _transmit(self, dst: Socket, nbytes: int,
                   meta: Optional[dict]) -> None:
+        """Put one message on the link.  ``meta`` is copied here, once,
+        so a sender may reuse or change its dict after the call."""
         dst.rx_inflight += nbytes
-        msg = Message(nbytes=nbytes, meta=dict(meta or {}),
-                      sent_at=self._world.now)
-        self._world.schedule_in(
-            self._link_delay(nbytes),
-            lambda: self._deliver(dst, msg),
-            name="net-deliver",
+        world = self._world
+        msg = Message(nbytes, dict(meta) if meta else {},
+                      world.clock.cycles, dst)
+        world.schedule_in(
+            self._fixed_delay or self._link_delay(nbytes),
+            msg.deliver,
+            "net-deliver",
         )
 
     def _deliver(self, dst: Socket, msg: Message) -> None:
         """Link event: a message arrives at ``dst``."""
-        self._world.spend(costs.NET_DELIVER, fire=False)
+        world = self._world
+        world.spend(costs.NET_DELIVER, fire=False)
         dst.rx_inflight -= msg.nbytes
         if dst.state == "closed":
             return  # arrived after close: dropped on the floor
-        msg.delivered_at = self._world.now
+        msg.delivered_at = world.clock.cycles
         self.messages_delivered += 1
         self.bytes_delivered += msg.nbytes
         if dst.kernel_owned:
@@ -696,15 +730,17 @@ class NetStack:
             # occupy the buffer, so that space stays free -- re-admit
             # any sender parked on it before the handoff.
             request = dst.pending_recvs.popleft()
-            self._world.spend(costs.RECV_WORK, fire=False)
+            world.spend(costs.RECV_WORK, fire=False)
             self._complete(request, msg)
-            self._drain_senders(dst)
+            if dst.waiting_senders:
+                self._drain_senders(dst)
             return
         if dst.rx is None:
             dst.rx = deque()
         dst.rx.append(msg)
         dst.rx_bytes += msg.nbytes
-        self._notify_selectors(dst)
+        if dst.selectors:
+            self._notify_selectors(dst)
         if dst.watchers:
             self._epoll_edges(dst)
 
@@ -741,7 +777,7 @@ class NetStack:
             self._world.schedule_in(
                 self._link_delay(0),
                 lambda: self._deliver_eof(peer),
-                name="net-eof#%d" % peer.sid,
+                name="net-eof",
             )
 
     def _deliver_eof(self, sock: Socket) -> None:
@@ -851,8 +887,9 @@ class ResidentClient:
 
     def send(self) -> None:
         eng = self.engine
+        world = eng.world
         meta = {
-            "t0": eng.world.now_us,
+            "t0": world.clock.cycles / world.model.mhz,  # world.now_us
             "cid": self.cid,
             "rid": self.sent,
         }
@@ -868,20 +905,26 @@ class ResidentClient:
     def rx(self, sock: Socket, msg: Message) -> None:
         """AWAIT_REPLY satisfied: sample latency, then THINK or CLOSE."""
         eng = self.engine
+        world = eng.world
         eng.replies += 1
-        latency = eng.world.now_us - msg.meta["t0"]
+        latency = world.clock.cycles / world.model.mhz - msg.meta["t0"]
         eng.latencies_us.append(latency)
         if self.sent >= eng.requests_per_client:
             eng.stack.remote_close(self.sock)
             eng.completed += 1
             eng.active -= 1
             return
-        eng.world.schedule_in(
-            eng.think_cycles, self.send, name="client-%d-think" % self.cid
-        )
+        world.schedule_in(eng.think_cycles, self.send, "client-think")
 
     def eof(self, sock: Socket) -> None:
-        """Server closed first: the record simply goes quiescent."""
+        """Server closed first: close this end and leave the active set.
+
+        The client did not finish its requests, so it is not counted
+        as ``completed``.
+        """
+        eng = self.engine
+        eng.stack.remote_close(sock)
+        eng.active -= 1
 
 
 class ResidentClientEngine:

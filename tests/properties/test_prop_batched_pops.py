@@ -7,7 +7,10 @@ strictly one ``(time, seq)`` at a time, a randomized program of
 schedules, cancellations, mid-fire re-schedules (including into the
 past, the SMP cross-clock hazard) and sibling cancellations must
 produce the identical fire order, identical fired counts, and an
-identical surviving schedule.
+identical surviving schedule.  A sparse-time program (mostly *lone*
+heads, which ``fire_due`` fires without building a batch) must match
+too, including cancelled tombstones that share a lone event's
+timestamp.
 """
 
 import heapq
@@ -61,6 +64,23 @@ EVENT = st.tuples(
     st.integers(min_value=-3, max_value=5),  # spawn delta / cancel index
 )
 
+# The same, spread over a wide time range so most heads are lone, plus
+# an optional cancelled twin at the same time, scheduled just before
+# (so the tombstone is the head) or just after (so it is a child).
+SPARSE_EVENT = st.tuples(
+    st.integers(min_value=0, max_value=200),  # time (wide: lone heads)
+    st.sampled_from(["plain", "spawn", "cancel"]),
+    st.integers(min_value=-3, max_value=5),
+    st.sampled_from([None, "before", "after"]),  # cancelled twin
+)
+
+
+def _cancel(queue, handle):
+    if isinstance(queue, OneAtATimeQueue):
+        queue.cancel(handle)
+    else:
+        handle.cancel()
+
 
 def _run(queue, script, horizons):
     """Drive one queue through the script; return the fire log."""
@@ -79,16 +99,24 @@ def _run(queue, script, horizons):
             elif kind == "cancel":
                 target = handles.get(param % max(1, len(handles)))
                 if target is not None:
-                    queue.cancel(target) if isinstance(
-                        queue, OneAtATimeQueue
-                    ) else target.cancel()
+                    _cancel(queue, target)
 
         return action
 
-    for index, (time, kind, param) in enumerate(script):
+    def twin(index, time):
+        _cancel(queue, queue.schedule(
+            time, make_action("e%d-twin" % index, time, "plain", 0)
+        ))
+
+    for index, (time, kind, param, *rest) in enumerate(script):
+        twin_at = rest[0] if rest else None
+        if twin_at == "before":
+            twin(index, time)
         handles[index] = queue.schedule(
             time, make_action("e%d" % index, time, kind, param)
         )
+        if twin_at == "after":
+            twin(index, time)
     total = 0
     for horizon in horizons:
         total += queue.fire_due(horizon)
@@ -102,7 +130,21 @@ def _run(queue, script, horizons):
              max_size=4),
 )
 def test_batched_drain_matches_one_at_a_time(script, raw_horizons):
-    horizons = sorted(raw_horizons)  # fire_due is driven monotonically
+    _assert_matches_one_at_a_time(script, sorted(raw_horizons))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(SPARSE_EVENT, min_size=1, max_size=25),
+    st.lists(st.integers(min_value=0, max_value=220), min_size=1,
+             max_size=4),
+)
+def test_sparse_lone_heads_match_one_at_a_time(script, raw_horizons):
+    _assert_matches_one_at_a_time(script, sorted(raw_horizons))
+
+
+def _assert_matches_one_at_a_time(script, horizons):
+    """``horizons`` ascend: fire_due is driven monotonically."""
     batched = EventQueue()
     reference = OneAtATimeQueue()
     batched_log, batched_fired = _run(batched, script, horizons)

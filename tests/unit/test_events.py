@@ -85,3 +85,29 @@ def test_fired_flag():
     event = queue.schedule(1, lambda: None)
     queue.fire_due(1)
     assert event.fired
+
+
+def test_lone_events_leave_the_batch_counters_alone():
+    queue = EventQueue()
+    hits = []
+    for t in (5, 1, 9):
+        queue.schedule(t, lambda t=t: hits.append(t))
+    assert queue.fire_due(10) == 3
+    assert hits == [1, 5, 9]
+    assert queue.batch_pops == 0
+    assert queue.batched_events == 0
+    assert queue.max_batch == 0
+
+
+def test_three_events_at_one_time_are_one_batch_of_three():
+    queue = EventQueue()
+    hits = []
+    queue.schedule(2, lambda: hits.append("lone"))
+    for label in ("a", "b", "c"):
+        queue.schedule(4, lambda label=label: hits.append(label))
+    queue.schedule(7, lambda: hits.append("late"))
+    assert queue.fire_due(10) == 5
+    assert hits == ["lone", "a", "b", "c", "late"]
+    assert queue.batch_pops == 1
+    assert queue.batched_events == 3
+    assert queue.max_batch == 3

@@ -8,7 +8,8 @@ bookkeeping -- are pinned independently of the thread library built on
 top (that side lives in ``tests/integration/test_netlib.py``).
 """
 
-from repro.unix.net import EOF, Message
+from repro.sim.rng import DeterministicRng
+from repro.unix.net import EOF, Message, ResidentClientEngine
 from tests.conftest import RxLog, make_runtime
 
 
@@ -244,3 +245,71 @@ class TestSelect:
         stack.sys_select(many)
         cost_many = rt.world.now - t1
         assert cost_many > cost_one  # scan scales with the fd set
+
+
+class TestLinkPath:
+    @staticmethod
+    def _send_delay(rt, stack, nbytes=100):
+        """Cycles between a send and the delivery event it schedules."""
+        a, b = _connected_pair(stack)
+        assert stack.sys_send(a, nbytes, None) == nbytes
+        return rt.world.next_event_time() - rt.world.now
+
+    def test_fixed_delay_is_the_latency_in_cycles(self):
+        for latency_us in (80.0, 0.0001):
+            rt, stack = _stack(latency_us=latency_us)
+            expected = max(rt.world.cycles_for_us(latency_us), 1)
+            assert stack._fixed_delay == expected
+            assert self._send_delay(rt, stack) == expected
+
+    def test_exponential_link_draws_one_sample_per_message(self):
+        rt, stack = _stack(latency_us=50.0, deterministic=False)
+        assert stack._fixed_delay is None
+        reference = DeterministicRng()
+        reference.setstate(rt.world.rng.getstate())
+        a, b = _connected_pair(stack)
+        sends = 7
+        for _ in range(sends):
+            assert stack.sys_send(a, 10, None) == 10
+        for _ in range(sends):
+            reference.expovariate(50.0)
+        assert rt.world.rng.getstate() == reference.getstate()
+
+    def test_bandwidth_adds_transfer_time(self):
+        rt, stack = _stack(latency_us=50.0, bandwidth_bytes_per_us=2.0)
+        assert stack._fixed_delay is None
+        expected = rt.world.cycles_for_us(50.0 + 1000 / 2.0)
+        assert self._send_delay(rt, stack, nbytes=1000) == expected
+
+    def test_sender_may_change_meta_after_send(self):
+        rt, stack = _stack()
+        a, b = _connected_pair(stack)
+        meta = {"rid": 1}
+        assert stack.sys_send(a, 10, meta) == 10
+        meta["rid"] = 2
+        _drain(rt.world)
+        msg = stack.sys_recv(b)
+        assert msg.meta == {"rid": 1}
+        assert msg.meta is not meta
+
+
+class TestResidentClient:
+    def test_server_closing_first_releases_the_client(self):
+        """The client's socket closes and it leaves the active set,
+        without counting as a client that completed its requests."""
+        rt, stack = _stack()
+        listener = _listener(stack)
+        engine = ResidentClientEngine(
+            stack, 80, requests_per_client=4, req_bytes=64, think_us=100.0
+        )
+        client = engine.client(0)
+        client.arrive()
+        _drain(rt.world)  # connects and sends its first request
+        server = stack.sys_accept(listener)
+        assert engine.active == 1
+        stack.sys_close(server)
+        _drain(rt.world)
+        assert stack.eof_delivered == 1
+        assert client.sock.state == "closed"
+        assert engine.active == 0
+        assert engine.completed == 0
