@@ -343,7 +343,7 @@ class PT:
 
     def send(self, fd: int, nbytes: int, meta: Any = None) -> LibCall:
         """Send a message -> ``(err, nbytes)``; blocks on backpressure."""
-        return LibCall("send", (fd, nbytes), {"meta": meta})
+        return LibCall("send", (fd, nbytes, meta))
 
     def recv(self, fd: int) -> LibCall:
         """Receive one message -> ``(err, msg_or_None)`` (None = EOF)."""

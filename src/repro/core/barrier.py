@@ -58,7 +58,7 @@ class BarrierOps(LibraryOps):
         self, tcb: Tcb, count: int, name: Optional[str] = None
     ):
         del tcb
-        self.rt.world.spend(costs.SEM_OVERHEAD, fire=False)
+        self.rt.world.spend(costs.SEM_OVERHEAD)
         if count < 1:
             return EINVAL
         return Barrier(self.rt, count, name)

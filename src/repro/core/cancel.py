@@ -58,7 +58,7 @@ class CancelOps(LibraryOps):
         if not isinstance(target, Tcb) or target.reclaimed:
             return ESRCH
         rt.kern.enter()
-        rt.world.spend(costs.CANCEL_WORK, fire=False)
+        rt.world.spend(costs.CANCEL_WORK)
         rt.thread_ops._ensure_active(target)
         cause = SigCause(kind="cancel", thread=target)
         rt.sigdeliver.direct_signal(SIGCANCEL, cause)
@@ -75,7 +75,7 @@ class CancelOps(LibraryOps):
         )
         if state not in (cfg.PTHREAD_INTR_ENABLE, cfg.PTHREAD_INTR_DISABLE):
             return (EINVAL, old)
-        rt.world.spend(costs.ATTR_OP, fire=False)
+        rt.world.spend(costs.ATTR_OP)
         tcb.intr_enabled = state == cfg.PTHREAD_INTR_ENABLE
         if (
             tcb.intr_enabled
@@ -98,7 +98,7 @@ class CancelOps(LibraryOps):
             cfg.PTHREAD_INTR_ASYNCHRONOUS,
         ):
             return (EINVAL, old)
-        rt.world.spend(costs.ATTR_OP, fire=False)
+        rt.world.spend(costs.ATTR_OP)
         tcb.intr_type = intr_type
         if (
             tcb.intr_enabled
@@ -113,7 +113,7 @@ class CancelOps(LibraryOps):
 
     def lib_testintr(self, tcb: Tcb) -> object:
         """``pthread_testintr``: an explicit interruption point."""
-        self.rt.world.spend(costs.CANCEL_WORK, fire=False)
+        self.rt.world.spend(costs.CANCEL_WORK)
         if self.act_if_pending(tcb):
             return BLOCKED
         return OK
@@ -163,7 +163,7 @@ class CancelOps(LibraryOps):
     def act_on_cancel(self, tcb: Tcb) -> None:
         """Act on a cancellation request (kernel flag held)."""
         rt = self.rt
-        rt.world.spend(costs.CANCEL_WORK, fire=False)
+        rt.world.spend(costs.CANCEL_WORK)
         tcb.cancel_pending = False
         tcb.intr_enabled = False  # per the paper
         tcb.sigmask = SigSet.full()  # all other signals disabled

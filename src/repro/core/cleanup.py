@@ -34,14 +34,14 @@ class CleanupOps(LibraryOps):
         """Push ``handler(pt, arg)`` onto the calling thread's stack."""
         if not callable(handler):
             return EINVAL
-        self.rt.world.spend(costs.CLEANUP_OP, fire=False)
+        self.rt.world.spend(costs.CLEANUP_OP)
         tcb.cleanup_stack.append((handler, arg))
         return OK
 
     def lib_cleanup_pop(self, tcb: Tcb, execute: bool = False) -> int:
         """Pop the most recent handler, running it if ``execute``."""
         rt = self.rt
-        rt.world.spend(costs.CLEANUP_OP, fire=False)
+        rt.world.spend(costs.CLEANUP_OP)
         if not tcb.cleanup_stack:
             return EINVAL
         handler, arg = tcb.cleanup_stack.pop()

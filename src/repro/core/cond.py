@@ -68,7 +68,7 @@ class CondOps(LibraryOps):
 
     def lib_cond_init(self, tcb: Tcb, attr: Optional[CondAttr] = None) -> Cond:
         del tcb
-        self.rt.world.spend(costs.ATTR_OP, fire=False)
+        self.rt.world.spend(costs.ATTR_OP)
         cond = Cond(attr)
         check = self.rt.check
         if check is not None:
@@ -77,7 +77,7 @@ class CondOps(LibraryOps):
 
     def lib_cond_destroy(self, tcb: Tcb, cond: Cond) -> int:
         del tcb
-        self.rt.world.spend(costs.ATTR_OP, fire=False)
+        self.rt.world.spend(costs.ATTR_OP)
         if cond.destroyed:
             return EINVAL
         if cond.waiters:
@@ -104,7 +104,7 @@ class CondOps(LibraryOps):
                 return EPERM
             if rt.cancel_ops.act_if_pending(tcb):
                 return BLOCKED
-            rt.world.spend(costs.COND_WAIT_SETUP, fire=False)
+            rt.world.spend(costs.COND_WAIT_SETUP)
             return ETIMEDOUT
         return self._wait_common(tcb, cond, mutex, timeout_us=timeout_us)
 
@@ -128,7 +128,7 @@ class CondOps(LibraryOps):
             return BLOCKED
         rt.kern.enter()
         world = rt.world
-        world.spend(costs.COND_WAIT_SETUP, fire=False)
+        world.spend(costs.COND_WAIT_SETUP)
         cond.bound_mutex = mutex
         cond.waiters.add(tcb)
         record = rt.block_current(
@@ -166,7 +166,7 @@ class CondOps(LibraryOps):
         if cond.destroyed:
             return EINVAL
         rt.kern.enter()
-        rt.world.spend(costs.COND_SIGNAL_WORK, fire=False)
+        rt.world.spend(costs.COND_SIGNAL_WORK)
         cond.signals_sent += 1
         self._wake_one(cond)
         rt.kern.leave()
@@ -180,7 +180,7 @@ class CondOps(LibraryOps):
         rt.kern.enter()
         cond.broadcasts_sent += 1
         while cond.waiters:
-            rt.world.spend(costs.COND_SIGNAL_WORK, fire=False)
+            rt.world.spend(costs.COND_SIGNAL_WORK)
             self._wake_one(cond)
         rt.kern.leave()
         del tcb

@@ -60,10 +60,10 @@ class Dispatcher:
             # load and an is-check on the disabled path).
             obs.on_dispatch(runtime)
         while True:
-            world.spend(costs.DISPATCH_SELECT, fire=False)
+            world.spend(costs.DISPATCH_SELECT)
             chosen = self._select()
             # Clear the flags before transferring control (Figure 2).
-            world.spend(costs.DISPATCH_OVERHEAD, fire=False)
+            world.spend(costs.DISPATCH_OVERHEAD)
             kern.dispatcher_flag = False
             kern.kernel_flag = False
             if kern.deferred_signals or kern.deferred_upcalls:
@@ -105,7 +105,7 @@ class Dispatcher:
             if not ready._count:
                 return None
             world = runtime.world
-            world.spend(costs.READY_DEQUEUE, fire=False)
+            world.spend(costs.READY_DEQUEUE)
             return ready.dequeue()
 
         candidate: Optional[Tcb] = None
@@ -124,7 +124,7 @@ class Dispatcher:
             runtime.sched.preempt_current_for_dispatch()
         if candidate is not None:
             world = runtime.world
-            world.spend(costs.READY_DEQUEUE, fire=False)
+            world.spend(costs.READY_DEQUEUE)
             runtime.sched.ready.remove(candidate)
         return candidate
 
@@ -166,7 +166,7 @@ class Dispatcher:
             # (even across an idle gap -- they are still in the file).
             world.windows.flush()
             occupant.errno = runtime.unix_errno
-        world.spend(costs.ERRNO_SWITCH, fire=False)
+        world.spend(costs.ERRNO_SWITCH)
         runtime.unix_errno = chosen.errno
         if occupant is not chosen:
             world.windows.switch_in()

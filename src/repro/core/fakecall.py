@@ -58,7 +58,7 @@ class FakeCalls:
         self, tcb: Tcb, sig: int, cause: SigCause, action: UserAction
     ) -> None:
         rt = self.rt
-        rt.world.spend(costs.FAKE_CALL_SETUP, fire=False)
+        rt.world.spend(costs.FAKE_CALL_SETUP)
         self.installed += 1
 
         reacquire = None

@@ -26,30 +26,33 @@ class FdTable:
     """fd -> servicing object (device or socket) for one process."""
 
     def __init__(self) -> None:
-        self._entries: Dict[int, Any] = {}
+        #: fd -> servicing object.  Read it directly for a one-lookup
+        #: resolve (the socket calls do); change it only through
+        #: :meth:`alloc` and :meth:`close`.
+        self.entries: Dict[int, Any] = {}
         self._next_fd = FIRST_FD
         self.opened = 0
         self.closed = 0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.entries)
 
     def __contains__(self, fd: int) -> bool:
-        return fd in self._entries
+        return fd in self.entries
 
     def alloc(self, obj: Any) -> int:
         """Install ``obj`` under the lowest unused descriptor."""
         fd = self._next_fd
-        while fd in self._entries:
+        while fd in self.entries:
             fd += 1
-        self._entries[fd] = obj
+        self.entries[fd] = obj
         self._next_fd = fd + 1
         self.opened += 1
         return fd
 
     def get(self, fd: int) -> Optional[Any]:
         """The object servicing ``fd`` (None when unmapped)."""
-        return self._entries.get(fd)
+        return self.entries.get(fd)
 
     def close(self, fd: int) -> Optional[Any]:
         """Unmap ``fd``; returns the evicted object (None if unmapped).
@@ -57,7 +60,7 @@ class FdTable:
         Freed descriptors are reused lowest-first, the POSIX rule
         (``open`` returns the lowest available descriptor).
         """
-        obj = self._entries.pop(fd, None)
+        obj = self.entries.pop(fd, None)
         if obj is not None:
             self.closed += 1
             if fd < self._next_fd:
@@ -66,7 +69,7 @@ class FdTable:
 
     def fds(self):
         """Live descriptors (ascending)."""
-        return sorted(self._entries)
+        return sorted(self.entries)
 
     def __repr__(self) -> str:
-        return "FdTable(open=%d)" % len(self._entries)
+        return "FdTable(open=%d)" % len(self.entries)

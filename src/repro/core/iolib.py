@@ -72,7 +72,7 @@ class IoOps(LibraryOps):
         if rt.cancel_ops.act_if_pending(tcb):
             return BLOCKED
         rt.kern.enter()
-        rt.world.spend(costs.INSN, times=8, fire=False)
+        rt.world.spend(costs.INSN, times=8)
         request = dev.submit(fd, op, nbytes, requester=tcb)
         rt.block_current(
             kind="io",

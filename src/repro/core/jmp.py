@@ -55,7 +55,7 @@ class JmpOps(LibraryOps):
 
     def lib_jmp_buf_new(self, tcb: Tcb) -> JmpBuf:
         del tcb
-        self.rt.world.spend(costs.INSN, fire=False)
+        self.rt.world.spend(costs.INSN)
         return JmpBuf()
 
     def lib_setjmp_block(
@@ -65,7 +65,7 @@ class JmpOps(LibraryOps):
         rt = self.rt
         # setjmp saves the register state: flush windows + store.
         rt.world.windows.flush()
-        rt.world.spend(costs.SETJMP_SAVE, fire=False)
+        rt.world.spend(costs.SETJMP_SAVE)
         buf.thread = tcb
         buf.armed = True
         rt.push_frame(
@@ -103,7 +103,7 @@ class JmpOps(LibraryOps):
         if buf.depth > tcb.frames.depth():
             buf.armed = False
             return EINVAL
-        rt.world.spend(costs.LONGJMP_RESTORE, fire=False)
+        rt.world.spend(costs.LONGJMP_RESTORE)
         # Unwind every frame above and including the block's body.
         dropped = tcb.frames.unwind_to(buf.depth - 1)
         if tcb.stack is not None:

@@ -48,7 +48,7 @@ class LibKernel:
             )
         world = self._runtime.world
         clock = world.clock
-        world.spend(costs.ENTER_KERNEL, fire=False)
+        world.spend(costs.ENTER_KERNEL)
         self.kernel_flag = True
         self.enters += 1
         # Events due *now* fire inside the critical section, which is
@@ -65,7 +65,7 @@ class LibKernel:
         runtime = self._runtime
         world = runtime.world
         clock = world.clock
-        world.spend(costs.LEAVE_KERNEL, fire=False)
+        world.spend(costs.LEAVE_KERNEL)
         # Drain events that became due during the critical section while
         # the flag is still set: their signals take the log-and-defer
         # path and are handled by the dispatcher below (Figure 2).
@@ -98,7 +98,7 @@ class LibKernel:
 
     def log_deferred(self, sig: int, cause: SigCause) -> None:
         """Record a signal caught while the kernel flag was set."""
-        self._runtime.world.spend(costs.SIG_LOG_IN_KERNEL, fire=False)
+        self._runtime.world.spend(costs.SIG_LOG_IN_KERNEL)
         self.deferred_signals.append((sig, cause))
         self.deferred_total += 1
         self.dispatcher_flag = True

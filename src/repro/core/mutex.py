@@ -105,7 +105,7 @@ class MutexOps(LibraryOps):
         self, tcb: Tcb, attr: Optional[MutexAttr] = None
     ) -> Mutex:
         del tcb
-        self.rt.world.spend(costs.ATTR_OP, fire=False)
+        self.rt.world.spend(costs.ATTR_OP)
         mutex = Mutex(self.rt, attr)
         check = self.rt.check
         if check is not None:
@@ -114,7 +114,7 @@ class MutexOps(LibraryOps):
 
     def lib_mutex_destroy(self, tcb: Tcb, mutex: Mutex) -> int:
         del tcb
-        self.rt.world.spend(costs.ATTR_OP, fire=False)
+        self.rt.world.spend(costs.ATTR_OP)
         if mutex.destroyed:
             return EINVAL
         if mutex.locked or mutex.waiters:
@@ -128,7 +128,7 @@ class MutexOps(LibraryOps):
         rt = self.rt
         if mutex.destroyed:
             return EINVAL
-        rt.world.spend(costs.PROTOCOL_CHECK, fire=False)
+        rt.world.spend(costs.PROTOCOL_CHECK)
         if mutex.protocol == cfg.PRIO_PROTECT and rt.config.check_ceilings:
             if tcb.base_priority > mutex.prioceiling:
                 # The paper: locking above the ceiling should be an
@@ -145,7 +145,7 @@ class MutexOps(LibraryOps):
         rt = self.rt
         if mutex.destroyed:
             return EINVAL
-        rt.world.spend(costs.PROTOCOL_CHECK, fire=False)
+        rt.world.spend(costs.PROTOCOL_CHECK)
         if mutex.protocol == cfg.PRIO_PROTECT and rt.config.check_ceilings:
             if tcb.base_priority > mutex.prioceiling:
                 return EINVAL
@@ -159,7 +159,7 @@ class MutexOps(LibraryOps):
     def _try_fast_acquire(self, tcb: Tcb, mutex: Mutex) -> bool:
         """Figure 4: ldstub + record owner, as a restartable sequence."""
         world = self.rt.world
-        world.spend(costs.MUTEX_FAST_LOCK, fire=False)
+        world.spend(costs.MUTEX_FAST_LOCK)
         seq = mutex.lock_sequence
         if seq.interrupt_hook is None:
             # No interruption source: the sequence below cannot restart,
@@ -215,7 +215,7 @@ class MutexOps(LibraryOps):
         """Contended: queue up (priority order), boost owner, block."""
         rt = self.rt
         rt.kern.enter()
-        rt.world.spend(costs.MUTEX_SLOW_EXTRA, fire=False)
+        rt.world.spend(costs.MUTEX_SLOW_EXTRA)
         if not mutex.locked:
             # The owner released between our ldstub and kernel entry
             # (cannot happen in the serial simulation, but the retest
@@ -251,12 +251,12 @@ class MutexOps(LibraryOps):
         if mutex.destroyed:
             return EINVAL
         world = rt.world
-        world.spend(costs.PROTOCOL_CHECK, fire=False)
+        world.spend(costs.PROTOCOL_CHECK)
         if mutex.owner is not tcb:
             return EPERM
         if not mutex.waiters and mutex.protocol == cfg.PRIO_NONE:
             # Uncontended, no protocol: clear the byte and go.
-            world.spend(costs.MUTEX_FAST_UNLOCK, fire=False)
+            world.spend(costs.MUTEX_FAST_UNLOCK)
             mutex.cell.value = 0
             mutex.owner = None
             rt.protocols.on_released(tcb, mutex)
@@ -266,7 +266,7 @@ class MutexOps(LibraryOps):
                 )
             return OK
         rt.kern.enter()
-        world.spend(costs.MUTEX_FAST_UNLOCK, fire=False)
+        world.spend(costs.MUTEX_FAST_UNLOCK)
         self.unlock_locked(tcb, mutex)
         rt.kern.leave()
         return OK
@@ -288,7 +288,7 @@ class MutexOps(LibraryOps):
             return
         # Hand the mutex directly to the highest-priority waiter: the
         # cell stays set, ownership transfers.
-        rt.world.spend(costs.MUTEX_TRANSFER, fire=False)
+        rt.world.spend(costs.MUTEX_TRANSFER)
         self.handoffs += 1
         mutex.handoffs += 1
         mutex.owner = heir
@@ -348,7 +348,7 @@ class MutexOps(LibraryOps):
         self, tcb: Tcb, mutex: Mutex, ceiling: int
     ) -> tuple:
         del tcb
-        self.rt.world.spend(costs.ATTR_OP, fire=False)
+        self.rt.world.spend(costs.ATTR_OP)
         try:
             cfg.check_priority(ceiling)
         except ValueError:
@@ -361,5 +361,5 @@ class MutexOps(LibraryOps):
 
     def lib_mutex_getprioceiling(self, tcb: Tcb, mutex: Mutex) -> int:
         del tcb
-        self.rt.world.spend(costs.ATTR_OP, fire=False)
+        self.rt.world.spend(costs.ATTR_OP)
         return mutex.prioceiling

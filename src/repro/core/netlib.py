@@ -162,6 +162,8 @@ class NetOps(LibraryOps):
         ep = self._epoll(epfd)
         if ep is None:
             return (EBADF, [])
+        if maxevents is not None and maxevents <= 0:
+            return (EINVAL, [])
         if rt.cancel_ops.act_if_pending(tcb):
             return BLOCKED
         rt.kern.enter()
@@ -309,11 +311,11 @@ class NetOps(LibraryOps):
     # -- plumbing ------------------------------------------------------------
 
     def _sock(self, fd: int) -> Optional[Socket]:
-        obj = self.rt.fds.get(fd)
+        obj = self.rt.fds.entries.get(fd)
         return obj if isinstance(obj, Socket) else None
 
     def _epoll(self, fd: int) -> Optional[EpollInstance]:
-        obj = self.rt.fds.get(fd)
+        obj = self.rt.fds.entries.get(fd)
         return obj if isinstance(obj, EpollInstance) else None
 
     def _park(

@@ -46,7 +46,7 @@ class OnceOps(LibraryOps):
         completes; every call returns 0.
         """
         rt = self.rt
-        rt.world.spend(costs.ONCE_OP, fire=False)
+        rt.world.spend(costs.ONCE_OP)
         if once.done:
             return OK
         rt.kern.enter()

@@ -62,7 +62,7 @@ class ThreadPool:
         want = stack_size if stack_size is not None else self.stack_size
         if self._entries and want <= self.stack_size:
             self.hits += 1
-            self._world.spend(costs.POOL_POP, fire=False)
+            self._world.spend(costs.POOL_POP)
             tcb_addr, stack = self._entries.pop()
             stack.reset()
             return tcb_addr, stack
@@ -70,7 +70,7 @@ class ThreadPool:
         # A freshly allocated stack is cold: its first use takes
         # zero-fill page faults.  Cached stacks stay resident, which is
         # the cache's whole justification -- hits skip this entirely.
-        self._world.spend(costs.STACK_FAULT_IN, fire=False)
+        self._world.spend(costs.STACK_FAULT_IN)
         return self._allocate(want)
 
     def release(self, tcb_addr: int, stack: Stack) -> None:
@@ -81,7 +81,7 @@ class ThreadPool:
         )
         if fits:
             self.returns += 1
-            self._world.spend(costs.POOL_PUSH, fire=False)
+            self._world.spend(costs.POOL_PUSH)
             self._entries.append((tcb_addr, stack))
         else:
             self._heap.free(tcb_addr)

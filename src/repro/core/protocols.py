@@ -46,7 +46,7 @@ class ProtocolManager:
         tcb.held_mutexes.append(mutex)
         if mutex.protocol == cfg.PRIO_PROTECT:
             # SRP: save the current level, jump to the ceiling.
-            self.rt.world.spend(costs.PRIO_ADJUST, fire=False)
+            self.rt.world.spend(costs.PRIO_ADJUST)
             tcb.srp_stack.append(tcb.effective_priority)
             if mutex.prioceiling > tcb.effective_priority:
                 self.boosts += 1
@@ -59,7 +59,7 @@ class ProtocolManager:
         chain if the mutex uses priority inheritance."""
         if mutex.protocol != cfg.PRIO_INHERIT:
             return
-        self.rt.world.spend(costs.PRIO_ADJUST, fire=False)
+        self.rt.world.spend(costs.PRIO_ADJUST)
         level = waiter.effective_priority
         seen = set()
         current: Optional["Mutex"] = mutex
@@ -91,7 +91,7 @@ class ProtocolManager:
         tcb.held_mutexes.remove(mutex)
         if mutex.protocol == cfg.PRIO_NONE:
             return
-        self.rt.world.spend(costs.PRIO_ADJUST, fire=False)
+        self.rt.world.spend(costs.PRIO_ADJUST)
         if (
             mutex.protocol == cfg.PRIO_PROTECT
             and self.rt.config.mixed_protocol_unlock == "stack"

@@ -47,6 +47,12 @@ from repro.unix.sigset import NSIG, SIGCANCEL, UNMASKABLE, SigSet
 from repro.unix.timers import IntervalTimer
 
 
+def _unknown_libcall(frame: Frame, op: LibCall) -> ProgramCrash:
+    return ProgramCrash(
+        frame.name, NameError("unknown library call: %r" % op.name)
+    )
+
+
 class HostProcess:
     """The UNIX process hosting the Pthreads library."""
 
@@ -519,18 +525,21 @@ class PthreadsRuntime:
             return
         segments = self._segments
         if segments is not None:
-            # Inline blacklist precheck: workloads whose streams never
-            # certify (signal/churn shapes) settle into _BLACKLISTED at
-            # every location, and this skips the try_step call for
-            # them.  Certifiable locations pay two extra dict hits.
-            gen = frame.gen
-            gi = gen.gi_frame
+            # Segment guard: the frame keeps its code object's location
+            # table, so the common answer -- a blacklisted location, as
+            # at every location of a stream that never certifies --
+            # costs one int-keyed dict hit and no try_step call.
+            gi = frame.gen.gi_frame
             if gi is not None:
-                table = segments._by_code.get(gen.gi_code)
+                table = frame.seg_table
+                if table is None:
+                    table = frame.seg_table = segments.table_for(
+                        frame.gen.gi_code
+                    )
                 if (
-                    table is None
-                    or table.get(gi.f_lasti) is not _SEG_BLACKLISTED
-                ) and segments.try_step(tcb, frame):
+                    table.get(gi.f_lasti) is not _SEG_BLACKLISTED
+                    and segments.try_step(tcb, frame, table)
+                ):
                     return  # step(s) performed, bookkeeping included
         self.steps += 1
         clock = self.world.clock
@@ -559,12 +568,24 @@ class PthreadsRuntime:
         except BaseException as crash:  # noqa: BLE001 - simulated fault
             raise ProgramCrash(frame.name, crash) from crash
         op_class = op.__class__
-        if op_class is Work:
+        if op_class is LibCall:
+            # _libcall inlined, tested first: most steps of a server
+            # are library calls.  The registry is read per call, since
+            # an entry may be replaced after construction.
+            try:
+                entry = self.registry[op.name]
+            except KeyError:
+                raise _unknown_libcall(frame, op) from None
+            if op.kwargs:
+                result = entry(tcb, *op.args, **op.kwargs)
+            else:
+                result = entry(tcb, *op.args)
+            if result is not BLOCKED:
+                frame.pending_value = result
+            tcb.cpu_cycles += clock.cycles - started
+        elif op_class is Work:
             frame.remaining_work = op.cycles
             self._do_work(tcb, frame)
-        elif op_class is LibCall:
-            self._libcall(tcb, frame, op)
-            tcb.cpu_cycles += clock.cycles - started
         elif op_class is SysCall:
             self._unix_syscall(tcb, frame, op)
             tcb.cpu_cycles += clock.cycles - started
@@ -658,9 +679,7 @@ class PthreadsRuntime:
     def _libcall(self, tcb: Tcb, frame: Frame, op: LibCall) -> None:
         entry = self.registry.get(op.name)
         if entry is None:
-            raise ProgramCrash(
-                frame.name, NameError("unknown library call: %r" % op.name)
-            )
+            raise _unknown_libcall(frame, op)
         if op.kwargs:
             result = entry(tcb, *op.args, **op.kwargs)
         else:

@@ -68,7 +68,7 @@ class RwLockOps(LibraryOps):
 
     def lib_rwlock_init(self, tcb: Tcb, name: Optional[str] = None) -> RwLock:
         del tcb
-        self.rt.world.spend(costs.SEM_OVERHEAD, fire=False)
+        self.rt.world.spend(costs.SEM_OVERHEAD)
         rw = RwLock(self.rt, name)
         check = self.rt.check
         if check is not None:

@@ -27,7 +27,7 @@ class Scheduler:
         self.ready = ReadyQueue()
 
     def _charge_enqueue(self) -> None:
-        self._runtime.world.spend(costs.READY_ENQUEUE, fire=False)
+        self._runtime.world.spend(costs.READY_ENQUEUE)
 
     # -- making threads runnable ------------------------------------------------
 
@@ -37,7 +37,7 @@ class Scheduler:
         Must be called with the kernel flag set (all callers are
         library internals).
         """
-        self._runtime.world.spend(costs.READY_ENQUEUE, fire=False)
+        self._runtime.world.spend(costs.READY_ENQUEUE)
         tcb.state = ThreadState.READY
         tcb.wait = None
         self.ready.enqueue(tcb, front=front)
@@ -59,7 +59,7 @@ class Scheduler:
 
     def pop_next(self) -> Optional[Tcb]:
         """Dequeue the highest-priority ready thread."""
-        self._runtime.world.spend(costs.READY_DEQUEUE, fire=False)
+        self._runtime.world.spend(costs.READY_DEQUEUE)
         return self.ready.dequeue()
 
     # -- displacing the running thread ---------------------------------------------
@@ -79,7 +79,7 @@ class Scheduler:
     def pervert_current_to_lowest(self) -> None:
         """Perverted policies: current to the tail of the lowest queue."""
         current = self._must_current()
-        self._runtime.world.spend(costs.READY_ENQUEUE, fire=False)
+        self._runtime.world.spend(costs.READY_ENQUEUE)
         current.state = ThreadState.READY
         self.ready.enqueue_lowest_tail(current)
         self._runtime.current = None
@@ -119,7 +119,7 @@ class Scheduler:
         business (protocol code resorts it there).
         """
         runtime = self._runtime
-        runtime.world.spend(costs.PRIO_ADJUST, fire=False)
+        runtime.world.spend(costs.PRIO_ADJUST)
         if tcb.state is ThreadState.READY:
             front = runtime.config.unboost_placement == "head"
             self.ready.reposition(tcb, front=front)

@@ -63,7 +63,7 @@ class SemOps(LibraryOps):
         self, tcb: Tcb, value: int = 0, name: Optional[str] = None
     ) -> Semaphore:
         del tcb
-        self.rt.world.spend(costs.SEM_OVERHEAD, fire=False)
+        self.rt.world.spend(costs.SEM_OVERHEAD)
         sem = Semaphore(self.rt, value=value, name=name)
         check = self.rt.check
         if check is not None:
@@ -78,7 +78,7 @@ class SemOps(LibraryOps):
         the semaphore half-destroyed and permanently unusable.
         """
         rt = self.rt
-        rt.world.spend(costs.ATTR_OP, fire=False)
+        rt.world.spend(costs.ATTR_OP)
         if sem.cond.destroyed or sem.mutex.destroyed:
             return EINVAL
         if sem.cond.waiters or sem.mutex.locked or sem.mutex.waiters:
@@ -96,7 +96,7 @@ class SemOps(LibraryOps):
         err = rt.mutex_ops.lib_mutex_lock(tcb, sem.mutex)
         if err != OK:
             return err
-        rt.world.spend(costs.SEM_OVERHEAD, fire=False)
+        rt.world.spend(costs.SEM_OVERHEAD)
         if sem.count > 0:
             sem.count -= 1
             result = OK
@@ -107,7 +107,7 @@ class SemOps(LibraryOps):
 
     def lib_sem_getvalue(self, tcb: Tcb, sem: Semaphore) -> int:
         del tcb
-        self.rt.world.spend(costs.INSN, times=2, fire=False)
+        self.rt.world.spend(costs.INSN, times=2)
         return sem.count
 
 

@@ -103,7 +103,7 @@ def shared_mutex_lock(mutex: SharedMutex, proc: uproc.UnixProcess):
         )
     world = mutex.arena.world
     while True:
-        world.spend(costs.MUTEX_FAST_LOCK, fire=False)
+        world.spend(costs.MUTEX_FAST_LOCK)
         old = mutex.cell.value
         mutex.cell.value = 0xFF  # ldstub on the shared byte
         if old == 0:
@@ -127,7 +127,7 @@ def shared_mutex_unlock(mutex: SharedMutex, proc: uproc.UnixProcess):
             % (proc.pid, mutex.name, mutex.owner_pid)
         )
     world = mutex.arena.world
-    world.spend(costs.MUTEX_FAST_UNLOCK, fire=False)
+    world.spend(costs.MUTEX_FAST_UNLOCK)
     mutex.owner_pid = None
     mutex.cell.value = 0
     if mutex.waiter_pids:

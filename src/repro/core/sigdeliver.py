@@ -57,7 +57,7 @@ class SignalDelivery:
         """Entry from the universal handler / deferred-signal drain."""
         rt = self.rt
         world = rt.world
-        world.spend(costs.SIG_RECIPIENT_RULES, fire=False)
+        world.spend(costs.SIG_RECIPIENT_RULES)
 
         # Timer expirations have library-internal armers to unpack
         # before the generic rules.
@@ -92,7 +92,7 @@ class SignalDelivery:
         # Rule 5: linear search for a thread with the signal unmasked.
         # (sigwait is "just another case where the signal is unmasked".)
         for tcb in rt.all_threads():
-            rt.world.spend(costs.INSN, fire=False)
+            rt.world.spend(costs.INSN)
             if not tcb.alive:
                 continue
             if self._eligible(tcb, sig):
@@ -119,7 +119,7 @@ class SignalDelivery:
 
         if current.policy != cfg.SCHED_RR:
             return
-        rt.world.spend(costs.TIMER_TICK, fire=False)
+        rt.world.spend(costs.TIMER_TICK)
         rt.world.emit("timeslice", thread=current.name)
         rt.sched.slice_current()
 
@@ -128,7 +128,7 @@ class SignalDelivery:
     def deliver_to_thread(self, tcb: Tcb, sig: int, cause: SigCause) -> None:
         rt = self.rt
         world = rt.world
-        world.spend(costs.SIG_ACTION_RULES, fire=False)
+        world.spend(costs.SIG_ACTION_RULES)
         self.delivered_to_threads += 1
         if world.trace is not None:
             world.emit("signal-thread", thread=tcb.name, sig=sig)

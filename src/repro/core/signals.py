@@ -63,7 +63,7 @@ class SignalOps(LibraryOps):
         if sig == SIGCANCEL:
             return (EINVAL, None)  # the cancellation signal is reserved
         rt.kern.enter()
-        rt.world.spend(costs.SIG_MASK_OP, fire=False)
+        rt.world.spend(costs.SIG_MASK_OP)
         old = rt.user_actions.get(sig)
         rt.user_actions[sig] = UserAction(handler, mask)
         rt.kern.leave()
@@ -80,7 +80,7 @@ class SignalOps(LibraryOps):
             return (EINVAL, tcb.sigmask.copy())
         signals = signals if signals is not None else SigSet()
         rt.kern.enter()
-        rt.world.spend(costs.SIG_MASK_OP, fire=False)
+        rt.world.spend(costs.SIG_MASK_OP)
         old = tcb.sigmask.copy()
         if how == SIG_BLOCK:
             tcb.sigmask = tcb.sigmask | signals
@@ -94,7 +94,7 @@ class SignalOps(LibraryOps):
         return (OK, old)
 
     def lib_thread_sigpending(self, tcb: Tcb) -> SigSet:
-        self.rt.world.spend(costs.SIG_MASK_OP, fire=False)
+        self.rt.world.spend(costs.SIG_MASK_OP)
         return tcb.pending.signals()
 
     def lib_recheck_signals(self, tcb: Tcb) -> int:
@@ -147,7 +147,7 @@ class SignalOps(LibraryOps):
         if rt.cancel_ops.act_if_pending(tcb):
             return BLOCKED
         rt.kern.enter()
-        rt.world.spend(costs.SIG_MASK_OP, fire=False)
+        rt.world.spend(costs.SIG_MASK_OP)
         # Already pending on the thread?  Consume without blocking.
         item = tcb.pending.take_any_in(signals)
         if item is not None:
@@ -174,7 +174,7 @@ class SignalOps(LibraryOps):
         """From inside a user handler: after the handler returns,
         transfer control to ``fn(pt, *args)`` instead of the
         interruption point."""
-        self.rt.world.spend(costs.INSN, times=4, fire=False)
+        self.rt.world.spend(costs.INSN, times=4)
         in_wrapper = any(f.kind == "wrapper" for f in tcb.frames)
         if not in_wrapper:
             return EINVAL

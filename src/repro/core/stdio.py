@@ -67,7 +67,7 @@ class StdioOps(LibraryOps):
 
     def lib_stdio_open(self, tcb: Tcb, name: Optional[str] = None) -> Stream:
         del tcb
-        self.rt.world.spend(costs.SEM_OVERHEAD, fire=False)
+        self.rt.world.spend(costs.SEM_OVERHEAD)
         return Stream(self.rt, name)
 
 

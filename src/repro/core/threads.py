@@ -63,14 +63,14 @@ class ThreadOps(LibraryOps):
     # global error number with the thread's error number".
 
     def lib_set_errno(self, tcb: Tcb, value: int) -> int:
-        self.rt.world.spend(costs.INSN, fire=False)
+        self.rt.world.spend(costs.INSN)
         self.rt.unix_errno = value
         tcb.errno = value
         return OK
 
     def lib_get_errno(self, tcb: Tcb) -> int:
         del tcb
-        self.rt.world.spend(costs.INSN, fire=False)
+        self.rt.world.spend(costs.INSN)
         return self.rt.unix_errno
 
     # -- creation ------------------------------------------------------------
@@ -102,7 +102,7 @@ class ThreadOps(LibraryOps):
         attr = (attr or ThreadAttr()).validated()
         rt.kern.enter()
         world = rt.world
-        world.spend(costs.CREATE_MISC, fire=False)
+        world.spend(costs.CREATE_MISC)
         tid = rt.new_tid()
         name = attr.name or "thread-%d" % tid
         new = Tcb(tid, name)
@@ -135,8 +135,8 @@ class ThreadOps(LibraryOps):
         rt = self.rt
         tcb_addr, stack = rt.pool.acquire(stack_size)
         world = rt.world
-        world.spend(costs.TCB_INIT, fire=False)
-        world.spend(costs.STACK_SETUP, fire=False)
+        world.spend(costs.TCB_INIT)
+        world.spend(costs.STACK_SETUP)
         new.stack = stack
         new.tcb_addr = tcb_addr
         new.lazy = False
@@ -183,7 +183,7 @@ class ThreadOps(LibraryOps):
         if tcb.cancel_pending and rt.cancel_ops.act_if_pending(tcb):
             return BLOCKED
         rt.kern.enter()
-        rt.world.spend(costs.JOIN_WORK, fire=False)
+        rt.world.spend(costs.JOIN_WORK)
         if target.detached:
             rt.kern.leave()
             return (EINVAL, None)
@@ -214,7 +214,7 @@ class ThreadOps(LibraryOps):
         if not isinstance(target, Tcb) or target.reclaimed:
             return ESRCH
         rt.kern.enter()
-        rt.world.spend(costs.DETACH_WORK, fire=False)
+        rt.world.spend(costs.DETACH_WORK)
         if target.detached:
             rt.kern.leave()
             return EINVAL
@@ -230,7 +230,7 @@ class ThreadOps(LibraryOps):
         """``pthread_exit``: unwind, run cleanup + destructors, die."""
         rt = self.rt
         rt.kern.enter()
-        rt.world.spend(costs.EXIT_WORK, fire=False)
+        rt.world.spend(costs.EXIT_WORK)
         tcb.exiting = True
         # Tear down the user frames; cleanup handlers run next, on a
         # fresh frame, in the dying thread's own context and priority.
@@ -267,7 +267,7 @@ class ThreadOps(LibraryOps):
         rt = self.rt
         rt.kern.enter()
         world = rt.world
-        world.spend(costs.EXIT_WORK, fire=False)
+        world.spend(costs.EXIT_WORK)
         tcb.frames.unwind_all()
         tcb.exit_value = value
         tcb.state = ThreadState.TERMINATED
@@ -309,12 +309,12 @@ class ThreadOps(LibraryOps):
 
     def lib_self(self, tcb: Tcb) -> Tcb:
         """``pthread_self``."""
-        self.rt.world.spend(costs.INSN, times=2, fire=False)
+        self.rt.world.spend(costs.INSN, times=2)
         return tcb
 
     def lib_equal(self, tcb: Tcb, a: Tcb, b: Tcb) -> bool:
         del tcb
-        self.rt.world.spend(costs.INSN, times=2, fire=False)
+        self.rt.world.spend(costs.INSN, times=2)
         return a is b
 
     def lib_yield(self, tcb: Tcb) -> int:
@@ -333,7 +333,7 @@ class ThreadOps(LibraryOps):
         del tcb
         if target.reclaimed:
             return -ESRCH
-        self.rt.world.spend(costs.ATTR_OP, fire=False)
+        self.rt.world.spend(costs.ATTR_OP)
         return target.base_priority
 
     def lib_setschedparam(
@@ -354,7 +354,7 @@ class ThreadOps(LibraryOps):
         if policy is not None and policy not in cfg.ALL_POLICIES:
             return EINVAL
         rt.kern.enter()
-        rt.world.spend(costs.ATTR_OP, fire=False)
+        rt.world.spend(costs.ATTR_OP)
         target.base_priority = priority
         if policy is not None:
             target.policy = policy
@@ -366,7 +366,7 @@ class ThreadOps(LibraryOps):
         del tcb
         if target.reclaimed:
             return (ESRCH, "", -1)
-        self.rt.world.spend(costs.ATTR_OP, fire=False)
+        self.rt.world.spend(costs.ATTR_OP)
         return (OK, target.policy, target.base_priority)
 
 

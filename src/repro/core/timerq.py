@@ -62,7 +62,7 @@ class TimerOps(LibraryOps):
         if tcb.cancel_pending and rt.cancel_ops.act_if_pending(tcb):
             return BLOCKED
         rt.kern.enter()
-        rt.world.spend(costs.TIMER_TICK, fire=False)
+        rt.world.spend(costs.TIMER_TICK)
         record = rt.block_current(kind="delay", obj=None, interruptible=True)
         # One wake-me closure per thread, built on first delay.
         wake = tcb._wake_cb
@@ -156,7 +156,7 @@ class TimerOps(LibraryOps):
                 __, __, handle = heapq.heappop(self._heap)
                 if handle.cancelled:
                     continue
-                rt.world.spend(costs.TIMER_TICK, fire=False)
+                rt.world.spend(costs.TIMER_TICK)
                 handle.action()
         finally:
             self._draining = False

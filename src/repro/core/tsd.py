@@ -37,7 +37,7 @@ class TsdOps(LibraryOps):
     ) -> Tuple[int, int]:
         """Create a key; returns ``(err, key)``."""
         del tcb
-        self.rt.world.spend(costs.TSD_OP, fire=False)
+        self.rt.world.spend(costs.TSD_OP)
         if len(self._destructors) >= cfg.PTHREAD_KEYS_MAX:
             return (ENOMEM, -1)
         key = self._next_key
@@ -47,21 +47,21 @@ class TsdOps(LibraryOps):
 
     def lib_key_delete(self, tcb: Tcb, key: int) -> int:
         del tcb
-        self.rt.world.spend(costs.TSD_OP, fire=False)
+        self.rt.world.spend(costs.TSD_OP)
         if key not in self._destructors:
             return EINVAL
         del self._destructors[key]
         return OK
 
     def lib_setspecific(self, tcb: Tcb, key: int, value: Any) -> int:
-        self.rt.world.spend(costs.TSD_OP, fire=False)
+        self.rt.world.spend(costs.TSD_OP)
         if key not in self._destructors:
             return EINVAL
         tcb.tsd[key] = value
         return OK
 
     def lib_getspecific(self, tcb: Tcb, key: int) -> Any:
-        self.rt.world.spend(costs.TSD_OP, fire=False)
+        self.rt.world.spend(costs.TSD_OP)
         return tcb.tsd.get(key)
 
     # -- exit-time destructor support ------------------------------------------------

@@ -16,7 +16,7 @@ Cost keys are module-level string constants so that typos fail loudly:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping
+from typing import Dict, Mapping, Tuple
 
 # ---------------------------------------------------------------------------
 # Cost keys.  Grouped by subsystem; each is charged by exactly the code
@@ -146,6 +146,42 @@ CLEANUP_OP = "cleanup_op"
 ATTR_OP = "attr_op"
 TIMER_TICK = "timer_tick"  # library-side timer bookkeeping
 
+# ---------------------------------------------------------------------------
+# Cost paths: one key for a fixed run of primitives charged with no clock
+# read between them.  A path is priced as the sum of its parts on every
+# model (overrides of a part carry through), so charging it once is
+# exactly charging each part in turn.
+# ---------------------------------------------------------------------------
+
+#: path key -> the primitive keys it sums.
+PATHS: Dict[str, Tuple[str, ...]] = {}
+
+
+def _path(*parts: str) -> str:
+    key = "+".join(parts)
+    PATHS[key] = parts
+    return key
+
+
+# One UNIX kernel crossing: enter + exit plus the service's in-kernel
+# work (``UnixKernel._enter`` charges exactly one of these per call).
+SYS_GETPID = _path(SYSCALL, GETPID_WORK)
+SYS_SIGSETMASK = _path(SYSCALL, SIGSETMASK_WORK)
+SYS_SIGACTION = _path(SYSCALL, SIGACTION_WORK)
+SYS_SETITIMER = _path(SYSCALL, SETITIMER_WORK)
+SYS_KILL = _path(SYSCALL, KILL_WORK)
+SYS_SBRK = _path(SYSCALL, SBRK_WORK)
+SYS_SOCKET = _path(SYSCALL, SOCKET_WORK)
+SYS_BIND = _path(SYSCALL, BIND_WORK)
+SYS_ACCEPT = _path(SYSCALL, ACCEPT_WORK)
+SYS_CONNECT = _path(SYSCALL, CONNECT_WORK)
+SYS_SEND = _path(SYSCALL, SEND_WORK)
+SYS_RECV = _path(SYSCALL, RECV_WORK)
+SYS_SELECT = _path(SYSCALL, SELECT_WORK)
+SYS_EPOLL_CREATE = _path(SYSCALL, EPOLL_WORK)
+SYS_EPOLL_CTL = _path(SYSCALL, EPOLL_CTL_WORK)
+SYS_EPOLL_WAIT = _path(SYSCALL, EPOLL_WAIT_WORK)
+
 
 #: Baseline cycle costs.  Individual CPU models override entries.
 _DEFAULT_CYCLES: Dict[str, int] = {
@@ -247,20 +283,34 @@ class CostModel:
     mhz: float
     overrides: Mapping[str, int] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        priced = set(self.overrides) & set(PATHS)
+        if priced:
+            raise ValueError(
+                "a path is priced by its parts, not overridden: %s"
+                % ", ".join(sorted(priced))
+            )
+
     def cost(self, key: str) -> int:
-        """Cycle cost of the primitive ``key`` on this model."""
+        """Cycle cost of the primitive or path ``key`` on this model."""
+        parts = PATHS.get(key)
+        if parts is not None:
+            return sum(self.cost(part) for part in parts)
         if key in self.overrides:
             return self.overrides[key]
         return _DEFAULT_CYCLES[key]
 
     def table(self) -> Dict[str, int]:
-        """The full key->cycles table with overrides applied.
+        """The full key->cycles table with overrides applied, paths
+        included (each the sum of its parts).
 
         Hot paths (``World.spend``) use this flat dict instead of
         paying the two-stage ``cost`` lookup per charge.
         """
         merged = dict(_DEFAULT_CYCLES)
         merged.update(self.overrides)
+        for key, parts in PATHS.items():
+            merged[key] = sum(merged[part] for part in parts)
         return merged
 
     def us(self, cycles: int) -> float:
@@ -346,5 +396,6 @@ def cost_model(name: str) -> CostModel:
 
 
 def all_cost_keys() -> Dict[str, int]:
-    """The full default cost table (for introspection and tests)."""
-    return dict(_DEFAULT_CYCLES)
+    """The full default cost table, paths included (for introspection
+    and tests)."""
+    return CostModel("defaults", 1.0).table()

@@ -164,6 +164,25 @@ CATEGORY_OF_KEY: Dict[str, str] = {
 }
 
 
+def path_category(path: str, category_of: Dict[str, str]) -> str:
+    """The one category every part of cost path ``path`` belongs to.
+
+    A path is charged as one spend, so the profiler can label it with
+    one category only; a path whose parts span two is rejected.
+    """
+    found = {category_of[part] for part in costs.PATHS[path]}
+    if len(found) != 1:
+        raise ValueError(
+            "cost path %r spans categories %s" % (path, sorted(found))
+        )
+    return found.pop()
+
+
+CATEGORY_OF_KEY.update(
+    {path: path_category(path, CATEGORY_OF_KEY) for path in costs.PATHS}
+)
+
+
 class CycleProfiler:
     """Attributes every clock advance to a category and a thread."""
 
@@ -241,11 +260,11 @@ class CycleProfiler:
         orig_spend_cycles = world.spend_cycles
         category_of = CATEGORY_OF_KEY
 
-        def spend(key: str, times: int = 1, fire: bool = True) -> None:
+        def spend(key: str, times: int = 1) -> None:
             prev = self._category
             self._category = category_of.get(key, LIBRARY_MISC)
             try:
-                orig_spend(key, times, fire)
+                orig_spend(key, times)
             finally:
                 self._category = prev
 

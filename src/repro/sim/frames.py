@@ -67,6 +67,12 @@ class Frame:
         wrappers use this to restore signal masks and redirect control.
     meta:
         Free-form per-frame metadata (fake-call records and the like).
+    seg_table:
+        The segment compiler's location table for ``gen``'s code object
+        (:meth:`repro.sim.segments.SegmentSpace.table_for`), resolved
+        the first time the frame steps with segments on; None before.
+        A generator never changes code object, so the executor's
+        per-step guard reads this slot instead of hashing the code.
     """
 
     __slots__ = (
@@ -80,6 +86,7 @@ class Frame:
         "on_pop",
         "deliver_to_caller",
         "meta",
+        "seg_table",
     )
 
     def __init__(
@@ -103,6 +110,7 @@ class Frame:
         # wrapper must NOT disturb the interrupted frame's pending state.
         self.deliver_to_caller = deliver_to_caller
         self.meta: Dict[str, Any] = {}
+        self.seg_table: Optional[Dict[int, Any]] = None
 
     def resume(self) -> Tuple[str, Any]:
         """Advance the generator one step.

@@ -55,7 +55,16 @@ Keying: segments are keyed by (generator code object, ``f_lasti``)
 with a small list of *variants* per location, because one code
 location may run against different library objects (each pipeline
 stage locks its own queue mutex).  Variants are matched by the first
-op's identity and kept in MRU order.
+op's identity and kept in MRU order.  The executor resolves a frame's
+per-code location table once (:meth:`SegmentSpace.table_for`, cached on
+``Frame.seg_table``), so the per-step guard is one int-keyed lookup and
+no step hashes a code object.
+
+Charges inside a recorded op never fire events: ``World.spend`` only
+charges, and due events fire at kernel enter/leave and in compute
+bursts, which the certifier sees as a fired event (``events._seq`` /
+``_live`` moved) and refuses.  So no library charge can hide an event
+inside a certified op; this is structural, not an audit of call sites.
 """
 
 from __future__ import annotations
@@ -198,22 +207,28 @@ class SegmentSpace:
 
     # -- the executor hook -------------------------------------------------
 
-    def try_step(self, tcb, frame) -> bool:
+    def table_for(self, code) -> Dict[int, Any]:
+        """The location table (``f_lasti`` -> state) for ``code``.
+
+        The executor resolves it once per frame and keeps it on
+        :attr:`Frame.seg_table`, so no step hashes a code object.
+        """
+        by_code = self._by_code
+        table = by_code.get(code)
+        if table is None:
+            by_code[code] = table = {}
+        return table
+
+    def try_step(self, tcb, frame, table) -> bool:
         """Attempt to serve the current executor step from the cache.
 
+        ``table`` is the frame's location table (:meth:`table_for`);
+        the frame's generator must be suspended (``gi_frame`` set).
         Returns True when the step (and possibly many following steps)
         was fully performed -- bookkeeping included -- and False when
         the caller must interpret normally.
         """
-        gen = frame.gen
-        gi = gen.gi_frame
-        if gi is None:
-            return False
-        by_code = self._by_code
-        table = by_code.get(gen.gi_code)
-        if table is None:
-            by_code[gen.gi_code] = table = {}
-        lasti = gi.f_lasti
+        lasti = frame.gen.gi_frame.f_lasti
         entry = table.get(lasti)
         if entry is _BLACKLISTED:
             return False

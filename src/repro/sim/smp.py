@@ -314,7 +314,7 @@ class SmpExtension:
             self.ipis_delivered += 1
             dst.ipis_received += 1
             if dst.index == 0:
-                world.spend(costs.IPI_RECEIVE, fire=False)
+                world.spend(costs.IPI_RECEIVE)
             else:
                 dst.clock.advance(self.table[costs.IPI_RECEIVE])
             action()

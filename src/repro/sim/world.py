@@ -116,12 +116,15 @@ class World:
 
     # -- spending cycles ---------------------------------------------------
 
-    def spend(self, key: str, times: int = 1, fire: bool = True) -> None:
-        """Charge the cost of primitive ``key`` (``times`` occurrences).
+    def spend(self, key: str, times: int = 1) -> None:
+        """Charge primitive or cost path ``key`` (``times`` occurrences).
 
-        By default due events fire after the charge, so asynchronous
-        signals land inside library code sections -- which is what
-        exercises the paper's defer-signals-while-in-kernel machinery.
+        Only charges: no event fires here, even one the charge makes
+        due.  Due events fire where the library decides an interruption
+        may land -- at kernel enter/leave (``UnixKernel._enter``,
+        ``LibKernel``), inside compute bursts (``_do_work``) and at the
+        explicit :meth:`fire_due` calls -- so a charge never runs
+        asynchronous code in the middle of a library code path.
 
         The clock advance is inlined (identically to
         :meth:`VirtualClock.advance`): this method runs several times
@@ -130,8 +133,8 @@ class World:
         library code as an unprofiled one.
         """
         cycles = self._costs[key] * times
-        clock = self.clock
         if cycles > 0:
+            clock = self.clock
             before = clock.cycles
             clock.cycles = after = before + cycles
             if clock._watchers:
@@ -139,12 +142,6 @@ class World:
                     watcher(before, after)
         elif cycles < 0:
             raise ValueError("cannot advance clock backwards: %r" % (cycles,))
-        if fire:
-            # Horizon gate (see EventQueue): None = empty, -1 = stale
-            # (conservatively due), else the earliest live event time.
-            horizon = self.events._horizon
-            if horizon is not None and horizon <= clock.cycles:
-                self.fire_due()
 
     def spend_cycles(self, cycles: int, fire: bool = True) -> None:
         """Charge a raw cycle amount."""

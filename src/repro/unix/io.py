@@ -123,7 +123,7 @@ class IoDevice:
             self.channel.complete(request)
             return
         cause = SigCause(kind="io", thread=request.requester, data=request)
-        self._world.spend(costs.INSN, fire=False)
+        self._world.spend(costs.INSN)
         self._kernel.post_signal(self._proc, SIGIO, cause)
 
     def __repr__(self) -> str:

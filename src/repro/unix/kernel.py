@@ -71,13 +71,14 @@ class UnixKernel:
 
     # -- syscall plumbing ------------------------------------------------------
 
-    def _enter(self, name: str, work_key: Optional[str] = None) -> None:
-        """Charge kernel enter/exit overhead plus in-kernel work."""
+    def _enter(self, name: str, path: str = costs.SYSCALL) -> None:
+        """Charge one kernel crossing: enter/exit overhead plus the
+        service's in-kernel work, as the single cost ``path``
+        (``costs.SYS_*``; bare ``SYSCALL`` for a service with no work
+        of its own).  Due events fire after the charge."""
         self.syscall_counts[name] += 1
         world = self.world
-        world.spend(costs.SYSCALL, fire=False)
-        if work_key is not None:
-            world.spend(work_key, fire=False)
+        world.spend(path)
         # fire_due's horizon gate, checked inline.
         horizon = world.events._horizon
         if horizon is not None and horizon <= world.clock.cycles:
@@ -91,29 +92,29 @@ class UnixKernel:
 
     def getpid(self, proc: "UnixProcessLike") -> int:
         """The paper's "enter and exit UNIX kernel" yardstick."""
-        self._enter("getpid", costs.GETPID_WORK)
+        self._enter("getpid", costs.SYS_GETPID)
         return proc.pid
 
     def sigaction(
         self, proc: "UnixProcessLike", sig: int, action: SigAction
     ) -> SigAction:
         check_signal(sig)
-        self._enter("sigaction", costs.SIGACTION_WORK)
+        self._enter("sigaction", costs.SYS_SIGACTION)
         return proc.signals.set_action(sig, action)
 
     def sigsetmask(self, proc: "UnixProcessLike", mask: SigSet) -> SigSet:
         """Replace the process signal mask; may release pending signals."""
-        self._enter("sigsetmask", costs.SIGSETMASK_WORK)
+        self._enter("sigsetmask", costs.SYS_SIGSETMASK)
         old = proc.signals.set_mask(mask)
         self._deliver_if_current(proc)
         return old
 
     def sigblock(self, proc: "UnixProcessLike", signals: SigSet) -> SigSet:
-        self._enter("sigblock", costs.SIGSETMASK_WORK)
+        self._enter("sigblock", costs.SYS_SIGSETMASK)
         return proc.signals.block(signals)
 
     def sigpending(self, proc: "UnixProcessLike") -> SigSet:
-        self._enter("sigpending", costs.SIGSETMASK_WORK)
+        self._enter("sigpending", costs.SYS_SIGSETMASK)
         return proc.signals.pending_set()
 
     def kill(
@@ -124,11 +125,11 @@ class UnixKernel:
     ) -> None:
         """Generate ``sig`` for ``target`` (also models external senders)."""
         check_signal(sig)
-        self._enter("kill", costs.KILL_WORK)
+        self._enter("kill", costs.SYS_KILL)
         self.post_signal(target, sig, cause or SigCause(kind="external"))
 
     def sbrk(self, proc: "UnixProcessLike", amount: int) -> None:
-        self._enter("sbrk", costs.SBRK_WORK)
+        self._enter("sbrk", costs.SYS_SBRK)
         del proc, amount  # accounting only; the Heap tracks sizes
 
     def make_heap(self, proc: "UnixProcessLike", **kwargs: Any) -> Heap:
@@ -192,7 +193,7 @@ class UnixKernel:
                 raise DefaultActionTerminate(sig)
             # Push the interrupt frame: the kernel blocks the signal
             # itself plus the action's mask for the handler's duration.
-            self.world.spend(costs.UNIX_SIGNAL_DELIVER, fire=False)
+            self.world.spend(costs.UNIX_SIGNAL_DELIVER)
             saved = proc.signals.mask.copy()
             extra = SigSet([sig]) | action.mask
             proc.signals.mask = saved | extra
@@ -211,7 +212,7 @@ class UnixKernel:
         self, proc: "UnixProcessLike", frame: InterruptFrame
     ) -> None:
         """Ordinary handler return: restore mask and global state."""
-        self.world.spend(costs.UNIX_SIGRETURN, fire=False)
+        self.world.spend(costs.UNIX_SIGRETURN)
         proc.signals.mask = frame.saved_mask
         self.world.fire_due()
 
@@ -225,7 +226,7 @@ class UnixKernel:
         that thread is redispatched; this is the charge-and-restore for
         that deferred path.
         """
-        self.world.spend(costs.UNIX_SIGRETURN, fire=False)
+        self.world.spend(costs.UNIX_SIGRETURN)
         proc.signals.mask = frame.saved_mask
         self.world.fire_due()
 
@@ -238,7 +239,7 @@ class UnixKernel:
         if not proc.interrupt_frames:
             raise RuntimeError("sigreturn with no pending interrupt frame")
         frame = proc.interrupt_frames.pop()
-        self.world.spend(costs.UNIX_SIGRETURN, fire=False)
+        self.world.spend(costs.UNIX_SIGRETURN)
         proc.signals.mask = frame.saved_mask
         self.world.fire_due()
         return frame

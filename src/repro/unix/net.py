@@ -281,12 +281,12 @@ class NetStack:
     # -- syscall surface (each charged like a unix/kernel.py service) --------
 
     def sys_socket(self) -> Socket:
-        self._kernel._enter("socket", costs.SOCKET_WORK)
+        self._kernel._enter("socket", costs.SYS_SOCKET)
         return Socket(self, self.rx_capacity)
 
     def sys_bind(self, sock: Socket, port: int) -> bool:
         """Bind to a port; False when the port is taken."""
-        self._kernel._enter("bind", costs.BIND_WORK)
+        self._kernel._enter("bind", costs.SYS_BIND)
         if port in self.listeners:
             return False
         sock.port = port
@@ -294,7 +294,7 @@ class NetStack:
         return True
 
     def sys_listen(self, sock: Socket, backlog: int) -> None:
-        self._kernel._enter("listen", costs.BIND_WORK)
+        self._kernel._enter("listen", costs.SYS_BIND)
         sock.backlog = max(1, backlog)
         sock.state = "listening"
         if sock.accept_queue is None:
@@ -304,7 +304,7 @@ class NetStack:
 
     def sys_accept(self, sock: Socket) -> Optional[Socket]:
         """Non-blocking accept: a connected socket, or None (would block)."""
-        self._kernel._enter("accept", costs.ACCEPT_WORK)
+        self._kernel._enter("accept", costs.SYS_ACCEPT)
         return self._accept_pop(sock)
 
     def sys_connect(self, sock: Socket, port: int) -> bool:
@@ -315,7 +315,7 @@ class NetStack:
         connection establishes after one link latency; the caller
         parks a ``"connect"`` request to learn when.
         """
-        self._kernel._enter("connect", costs.CONNECT_WORK)
+        self._kernel._enter("connect", costs.SYS_CONNECT)
         listener = self.listeners.get(port)
         if listener is None or not self._admit_connection(listener):
             self.connections_refused += 1
@@ -325,7 +325,7 @@ class NetStack:
         self._pair(sock, server_side, port)
         sock.state = "connecting"
         self._world.schedule_in(
-            self._link_delay(0),
+            self._fixed_delay or self._link_delay(0),
             lambda: self._establish(listener, server_side, sock),
             name="net-establish",
         )
@@ -334,7 +334,7 @@ class NetStack:
     def sys_send(self, sock: Socket, nbytes: int, meta: Optional[dict]) -> Optional[int]:
         """Non-blocking send: bytes queued on the link, or None (would
         block -- the peer's receive buffer is full)."""
-        self._kernel._enter("send", costs.SEND_WORK)
+        self._kernel._enter("send", costs.SYS_SEND)
         peer = sock.peer
         assert peer is not None
         if not self._rx_admit(peer, nbytes):
@@ -345,7 +345,7 @@ class NetStack:
     def sys_recv(self, sock: Socket) -> Any:
         """Non-blocking recv: a :class:`Message`, :data:`EOF`, or the
         string ``"block"`` when nothing is available yet."""
-        self._kernel._enter("recv", costs.RECV_WORK)
+        self._kernel._enter("recv", costs.SYS_RECV)
         if sock.rx:
             msg = self._rx_pop(sock)
             if sock.waiting_senders:
@@ -361,22 +361,20 @@ class NetStack:
         Charged as one syscall plus a per-descriptor probe, like the
         real thing; returns the ready fds (possibly empty).
         """
-        self._kernel._enter("select", costs.SELECT_WORK)
+        self._kernel._enter("select", costs.SYS_SELECT)
         if entries:
-            self._world.spend(
-                costs.SELECT_PER_FD, times=len(entries), fire=False
-            )
+            self._world.spend(costs.SELECT_PER_FD, times=len(entries))
         self.select_calls += 1
         return [fd for fd, sock in entries if sock.readable()]
 
     def sys_close(self, sock: Socket) -> None:
-        self._kernel._enter("net_close", costs.SOCKET_WORK)
+        self._kernel._enter("net_close", costs.SYS_SOCKET)
         self._close(sock)
 
     # -- epoll-style interest lists (O(ready) readiness) ---------------------
 
     def sys_epoll_create(self) -> EpollInstance:
-        self._kernel._enter("epoll_create", costs.EPOLL_WORK)
+        self._kernel._enter("epoll_create", costs.SYS_EPOLL_CREATE)
         self.epoll_instances += 1
         return EpollInstance(self)
 
@@ -385,7 +383,7 @@ class NetStack:
         sock: Optional[Socket] = None,
     ) -> bool:
         """Add or remove one registration; False on a bad op/fd."""
-        self._kernel._enter("epoll_ctl", costs.EPOLL_CTL_WORK)
+        self._kernel._enter("epoll_ctl", costs.SYS_EPOLL_CTL)
         self.epoll_ctl_calls += 1
         if ep.closed:
             return False
@@ -425,8 +423,12 @@ class NetStack:
         by an earlier wait, or closed) are dropped as stale here --
         cost is charged only per descriptor actually *reported*, which
         is the whole point versus select's per-registration probe.
+        ``maxevents`` caps the report and must be positive (Linux fails
+        the call with ``EINVAL`` otherwise; the library checks first).
         """
-        self._kernel._enter("epoll_wait", costs.EPOLL_WAIT_WORK)
+        if maxevents is not None and maxevents <= 0:
+            raise ValueError("maxevents must be positive: %r" % (maxevents,))
+        self._kernel._enter("epoll_wait", costs.SYS_EPOLL_WAIT)
         self.epoll_waits += 1
         ready_fds: List[int] = []
         if ep.ready:
@@ -445,15 +447,13 @@ class NetStack:
             return "block"
         if maxevents is not None and len(ready_fds) > maxevents:
             ready_fds = ready_fds[:maxevents]
-        self._world.spend(
-            costs.EPOLL_PER_READY, times=len(ready_fds), fire=False
-        )
+        self._world.spend(costs.EPOLL_PER_READY, times=len(ready_fds))
         self.epoll_ready_returned += len(ready_fds)
         return ready_fds
 
     def sys_epoll_close(self, ep: EpollInstance) -> None:
         """Close the interest list: every registration is dropped."""
-        self._kernel._enter("net_close", costs.SOCKET_WORK)
+        self._kernel._enter("net_close", costs.SYS_SOCKET)
         ep.closed = True
         for fd, sock in ep.interest.items():
             if sock.watchers is not None:
@@ -604,7 +604,7 @@ class NetStack:
         self._pair(client, server_side, port)
         client.state = "connecting"
         self._world.schedule_in(
-            self._link_delay(0),
+            self._fixed_delay or self._link_delay(0),
             lambda: self._establish(listener, server_side, client),
             name="net-establish",
         )
@@ -639,9 +639,8 @@ class NetStack:
         return len(listener.accept_queue) + listener.claims < listener.backlog
 
     def _link_delay(self, nbytes: int) -> int:
-        fixed = self._fixed_delay
-        if fixed is not None:
-            return fixed
+        """Per-message delay of a link without a fixed one (callers
+        take ``self._fixed_delay or self._link_delay(n)``)."""
         delay_us = self.latency_us
         if not self.deterministic:
             delay_us = self._world.rng.expovariate(self.latency_us)
@@ -652,7 +651,7 @@ class NetStack:
     def _establish(self, listener: Socket, server_side: Socket,
                    client: Socket) -> None:
         """Link event: the connection reaches the listener."""
-        self._world.spend(costs.NET_DELIVER, fire=False)
+        self._world.spend(costs.NET_DELIVER)
         listener.claims -= 1
         if listener.state != "listening":
             self.connections_refused += 1
@@ -669,7 +668,8 @@ class NetStack:
             conn = self._accept_pop(listener)
             self._complete(request, conn)
         else:
-            self._notify_selectors(listener)
+            if listener.selectors:
+                self._notify_selectors(listener)
             if listener.watchers:
                 self._epoll_edges(listener)
         # Tell the connecting side.
@@ -713,7 +713,7 @@ class NetStack:
     def _deliver(self, dst: Socket, msg: Message) -> None:
         """Link event: a message arrives at ``dst``."""
         world = self._world
-        world.spend(costs.NET_DELIVER, fire=False)
+        world.spend(costs.NET_DELIVER)
         dst.rx_inflight -= msg.nbytes
         if dst.state == "closed":
             return  # arrived after close: dropped on the floor
@@ -730,7 +730,7 @@ class NetStack:
             # occupy the buffer, so that space stays free -- re-admit
             # any sender parked on it before the handoff.
             request = dst.pending_recvs.popleft()
-            world.spend(costs.RECV_WORK, fire=False)
+            world.spend(costs.RECV_WORK)
             self._complete(request, msg)
             if dst.waiting_senders:
                 self._drain_senders(dst)
@@ -775,13 +775,13 @@ class NetStack:
         peer = sock.peer
         if peer is not None and peer.state not in ("closed",):
             self._world.schedule_in(
-                self._link_delay(0),
+                self._fixed_delay or self._link_delay(0),
                 lambda: self._deliver_eof(peer),
                 name="net-eof",
             )
 
     def _deliver_eof(self, sock: Socket) -> None:
-        self._world.spend(costs.NET_DELIVER, fire=False)
+        self._world.spend(costs.NET_DELIVER)
         if sock.state == "closed" or sock.rx_eof:
             return
         sock.rx_eof = True
@@ -795,7 +795,8 @@ class NetStack:
         if not sock.rx:
             while sock.pending_recvs:
                 self._complete(sock.pending_recvs.popleft(), EOF)
-        self._notify_selectors(sock)
+        if sock.selectors:
+            self._notify_selectors(sock)
         if sock.watchers:
             self._epoll_edges(sock)
 
@@ -818,12 +819,12 @@ class NetStack:
             return
         self.sigio_completions += 1
         cause = SigCause(kind="io", thread=request.requester, data=request)
-        self._world.spend(costs.INSN, fire=False)
+        self._world.spend(costs.INSN)
         self._kernel.post_signal(self._proc, SIGIO, cause)
 
     def _notify_selectors(self, sock: Socket) -> None:
-        if not sock.selectors:
-            return
+        """Complete the selects ``sock`` just made ready (callers check
+        ``sock.selectors`` first)."""
         for request in list(sock.selectors):
             if request.done or request.cancelled:
                 continue

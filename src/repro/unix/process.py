@@ -175,7 +175,7 @@ class UnixScheduler:
     def _dispatch(self, proc: UnixProcess) -> None:
         if self._last_running is not None and self._last_running is not proc:
             self.process_switches += 1
-            self.world.spend(costs.PROC_SWITCH, fire=False)
+            self.world.spend(costs.PROC_SWITCH)
         self._last_running = proc
         proc.state = ProcState.RUNNING
         self.kernel.current_proc = proc

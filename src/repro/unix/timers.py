@@ -67,7 +67,7 @@ class IntervalTimer:
         """
         if value_cycles <= 0:
             raise ValueError("timer value must be positive: %r" % value_cycles)
-        self._kernel._enter("setitimer", costs.SETITIMER_WORK)
+        self._kernel._enter("setitimer", costs.SYS_SETITIMER)
         self.disarm_quietly()
         self._interval = interval_cycles
         self._armer = armer
@@ -76,7 +76,7 @@ class IntervalTimer:
 
     def disarm(self) -> None:
         """``setitimer`` with zero value: cancel any pending expiry."""
-        self._kernel._enter("setitimer", costs.SETITIMER_WORK)
+        self._kernel._enter("setitimer", costs.SYS_SETITIMER)
         self.disarm_quietly()
 
     def disarm_quietly(self) -> None:

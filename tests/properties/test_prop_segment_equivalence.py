@@ -149,9 +149,9 @@ def test_timer_expiry_inside_formerly_straight_line_run():
 
     Replay computes a ``limit`` from the event horizon and refuses any
     window that reaches it, so the expiry lands in interpreted code,
-    which clamps work chunks to the horizon and fires due events
-    per-step (the ``spend(..., fire=True)`` boundary audited in
-    docs/INTERNALS.md).
+    which clamps work chunks to the horizon and fires due events at
+    kernel enter/leave and in compute bursts (``World.spend`` itself
+    only charges; see docs/INTERNALS.md).
     """
     def make(log):
         def sleeper(pt):

@@ -108,3 +108,60 @@ def test_smp_keys_resolve_on_every_model():
             costs.SMP_DISPATCH,
         ):
             assert table[key] > 0
+
+
+# -- cost paths (one charge for a fixed run of primitives) -----------------
+
+
+def _syscall_override_model():
+    return CostModel(
+        "slow-trap", 10.0, overrides={costs.SYSCALL: 1234, costs.RECV_WORK: 7}
+    )
+
+
+@pytest.mark.parametrize(
+    "model", [SPARC_IPX, SPARC_1PLUS, _syscall_override_model()],
+    ids=lambda m: m.name,
+)
+def test_every_path_is_the_sum_of_its_parts(model):
+    table = model.table()
+    assert costs.PATHS
+    for path, parts in costs.PATHS.items():
+        assert table[path] == sum(table[part] for part in parts)
+        assert model.cost(path) == table[path]
+
+
+def test_overrides_carry_through_paths():
+    model = _syscall_override_model()
+    assert model.cost(costs.SYS_RECV) == 1234 + 7
+    assert model.cost(costs.SYS_GETPID) == 1234 + model.cost(
+        costs.GETPID_WORK
+    )
+
+
+def test_every_syscall_path_is_syscall_plus_one_work_key():
+    for path, parts in costs.PATHS.items():
+        assert parts[0] == costs.SYSCALL and len(parts) == 2, path
+
+
+def test_all_cost_keys_lists_the_paths():
+    keys = all_cost_keys()
+    for path, parts in costs.PATHS.items():
+        assert keys[path] == sum(keys[part] for part in parts)
+
+
+def test_a_path_cannot_be_overridden():
+    with pytest.raises(ValueError):
+        CostModel("bad", 1.0, overrides={costs.SYS_RECV: 1})
+
+
+def test_a_path_spanning_two_categories_is_rejected(monkeypatch):
+    from repro.obs.profile import CATEGORY_OF_KEY, SYSCALLS, path_category
+
+    assert path_category(costs.SYS_RECV, CATEGORY_OF_KEY) == SYSCALLS
+    mixed = "syscall+mutex_fast_lock"
+    monkeypatch.setitem(
+        costs.PATHS, mixed, (costs.SYSCALL, costs.MUTEX_FAST_LOCK)
+    )
+    with pytest.raises(ValueError, match="spans categories"):
+        path_category(mixed, CATEGORY_OF_KEY)

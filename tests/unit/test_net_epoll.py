@@ -9,6 +9,9 @@ watching instance, and the close-time purge that keeps recycled fds
 from inheriting readiness.
 """
 
+import pytest
+
+from repro.core.errors import EBADF, EINVAL
 from repro.unix.net import EpollInstance
 from tests.conftest import make_runtime
 
@@ -111,6 +114,43 @@ class TestInterestList:
         assert len(first) == 3
         # The capped-out entry is still registered and still ready.
         assert set(stack.sys_epoll_wait(ep)) == {10, 11, 12, 13}
+
+    def _four_ready(self):
+        rt, stack = _stack()
+        ep = stack.sys_epoll_create()
+        pairs = [_connected_pair(stack) for _ in range(4)]
+        for fd, (a, b) in enumerate(pairs, start=10):
+            stack.sys_epoll_ctl(ep, "add", fd, b)
+            stack.sys_send(a, 32, None)
+        _drain(rt.world)
+        return rt, stack, ep
+
+    def test_non_positive_maxevents_is_rejected_before_the_kernel(self):
+        """Regression: ``maxevents=-1`` sliced off a ready fd
+        (``[:-1]``) and ``maxevents=0`` reported a successful empty
+        wait; Linux fails both with EINVAL."""
+        rt, stack, ep = self._four_ready()
+        waits = rt.unix.syscall_counts["epoll_wait"]
+        now = rt.world.now
+        for bad in (0, -1):
+            with pytest.raises(ValueError):
+                stack.sys_epoll_wait(ep, maxevents=bad)
+        assert rt.unix.syscall_counts["epoll_wait"] == waits
+        assert rt.world.now == now
+        assert stack.sys_epoll_wait(ep) == [10, 11, 12, 13]
+
+    def test_library_wait_returns_einval_for_non_positive_maxevents(self):
+        rt, stack, ep = self._four_ready()
+        epfd = rt.fds.alloc(ep)
+        waits = stack.epoll_waits
+        now = rt.world.now
+        for bad in (0, -1):
+            assert rt.net_ops.lib_epoll_wait(None, epfd, bad) == (EINVAL, [])
+        assert stack.epoll_waits == waits
+        assert rt.world.now == now
+        # A bad descriptor still reports EBADF first.
+        assert rt.net_ops.lib_epoll_wait(None, 99, 0) == (EBADF, [])
+        assert stack.sys_epoll_wait(ep, maxevents=4) == [10, 11, 12, 13]
 
     def test_eof_is_a_readiness_edge(self):
         rt, stack = _stack()

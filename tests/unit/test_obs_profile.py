@@ -150,7 +150,7 @@ class TestAttachDetach:
         assert "spend" not in world.__dict__
         assert "advance_to_next_event" not in world.__dict__
         assert not profiler.attached
-        world.spend(costs.INSN, 10, fire=False)
+        world.spend(costs.INSN, 10)
         assert profiler.total_cycles == total
 
     def test_detached_profiler_span_falls_back_to_total(self):

@@ -33,6 +33,26 @@ def test_schedule_in_and_fire_on_spend():
     assert hits == [100]
 
 
+def test_spend_only_charges_a_due_event_fires_at_the_next_fire_due():
+    world = World("sparc-ipx")
+    hits = []
+    cost = SPARC_IPX.cost("enter_kernel")
+    world.schedule_in(cost - 1, lambda: hits.append(world.now))
+    world.spend("enter_kernel")  # the event becomes due inside the charge
+    assert hits == []
+    assert world.next_event_time() == cost - 1  # still pending
+    assert world.fire_due() == 1
+    assert hits == [cost]  # fired at the post-charge clock
+
+
+def test_spend_cycles_still_fires():
+    world = World("sparc-ipx")
+    hits = []
+    world.schedule_in(10, lambda: hits.append(world.now))
+    world.spend_cycles(25)
+    assert hits == [25]
+
+
 def test_schedule_in_negative_rejected():
     world = World("sparc-ipx")
     with pytest.raises(ValueError):
