@@ -174,7 +174,7 @@ def test_records_file_round_trips(sweep):
 
 @pytest.mark.skipif(
     not os.environ.get("REPRO_NET_SF100"),
-    reason="opt-in (REPRO_NET_SF100=1): ~10^5 clients, minutes of host time",
+    reason="opt-in (REPRO_NET_SF100=1): ~10^5 clients, ~9-13 s and ~240 MB",
 )
 def test_sf100_holds_a_hundred_thousand_clients_concurrently():
     """The headline scale point: one epoll dispatcher thread owning
@@ -183,6 +183,9 @@ def test_sf100_holds_a_hundred_thousand_clients_concurrently():
     assert row["peak_clients"] == 100_000
     assert row["replies"] == 200_000
     assert row["throughput_rps"] > 0
+    # Exact virtual-time oracle at 10^5 clients, where the event
+    # horizon holds the most pending events.
+    assert row["elapsed_us"] == 19650868.9
 
 
 def test_every_cell_has_an_exact_elapsed_oracle(sweep):

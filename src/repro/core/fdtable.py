@@ -16,7 +16,8 @@ bit-identically to one built before this table existed (the legacy
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+import heapq
+from typing import Any, Dict, List, Optional
 
 #: First descriptor handed out (0-2 belong to stdin/stdout/stderr).
 FIRST_FD = 3
@@ -30,7 +31,11 @@ class FdTable:
         #: resolve (the socket calls do); change it only through
         #: :meth:`alloc` and :meth:`close`.
         self.entries: Dict[int, Any] = {}
-        self._next_fd = FIRST_FD
+        #: Every descriptor at or above this high-water mark is free.
+        self._high = FIRST_FD
+        #: Min-heap of the freed descriptors below ``_high``: with it,
+        #: ``alloc`` finds the lowest free fd without probing ``entries``.
+        self._freed: List[int] = []
         self.opened = 0
         self.closed = 0
 
@@ -42,11 +47,12 @@ class FdTable:
 
     def alloc(self, obj: Any) -> int:
         """Install ``obj`` under the lowest unused descriptor."""
-        fd = self._next_fd
-        while fd in self.entries:
-            fd += 1
+        if self._freed:
+            fd = heapq.heappop(self._freed)
+        else:
+            fd = self._high
+            self._high = fd + 1
         self.entries[fd] = obj
-        self._next_fd = fd + 1
         self.opened += 1
         return fd
 
@@ -63,8 +69,7 @@ class FdTable:
         obj = self.entries.pop(fd, None)
         if obj is not None:
             self.closed += 1
-            if fd < self._next_fd:
-                self._next_fd = fd if fd >= FIRST_FD else FIRST_FD
+            heapq.heappush(self._freed, fd)
         return obj
 
     def fds(self):

@@ -145,11 +145,13 @@ class Observability:
 
         events = world.events
         put("exec.events.batch_pops", events.batch_pops,
-            "event-horizon drains that popped a same-timestamp batch")
+            "same-timestamp runs of more than one event pop")
         put("exec.events.batched_events", events.batched_events,
-            "events retired through batched pops")
+            "event pops inside same-timestamp runs")
         put("exec.events.max_batch", events.max_batch,
-            "largest same-timestamp batch drained")
+            "longest same-timestamp run of event pops")
+        put("exec.events.heap_schedules", events.heap_schedules,
+            "events scheduled before their kind's lane tail (heap path)")
 
         segments = runtime._segments
         if segments is not None:

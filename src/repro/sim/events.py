@@ -10,18 +10,38 @@ Host-speed notes: this queue sits on the executor's hottest path (every
 ``World.spend`` asks "is anything due?"), so it caches the earliest
 pending event time (the *horizon*).  ``next_time``/``fire_due`` answer
 in O(1) while the horizon is ahead of the clock, and ``__len__`` is a
-pure counter read — no query mutates the heap.  Cancelled events stay
-in the heap as tombstones until they reach the top; the live count and
+pure counter read -- no query mutates the queue.  Cancelled events stay
+queued as tombstones until they reach the front; the live count and
 horizon are maintained incrementally by :meth:`Event.cancel` telling
 its queue.
+
+Lanes: almost every event is scheduled in time order *within its own
+kind* -- a fixed link delay, a constant think time, monotone client
+arrivals.  So each kind (the ``name`` a caller passes) gets a FIFO
+*lane*, and only the head of each non-empty lane sits on the binary
+heap.  An event whose time is at or after its lane's tail joins the
+lane; one that would land before the tail (a random-latency device, an
+SMP IPI scheduled behind a per-CPU queue's clock) goes on the heap as a
+lane-less entry and is counted in ``heap_schedules``.  Sequence numbers
+rise strictly, so every lane stays sorted by ``(time, seq)``; the heap
+minimum is therefore the global ``(time, seq)`` minimum and events fire
+in exactly the order a single heap of every event would give.  The heap
+holds a handful of lane heads instead of every pending event, so
+scheduling and firing cost O(1) in the number of pending events, up to
+the log of the number of kinds.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable, List, Optional, Tuple
+from collections import deque
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 Action = Callable[[], None]
+
+#: One queue entry: ``(time, seq, event)``.  Lanes and the heap hold the
+#: same tuple, so promoting a lane head to the heap allocates nothing.
+Entry = Tuple[int, int, "Event"]
 
 #: Sentinel horizon value: "stale, recompute from the heap on demand".
 #: Event times are >= 0, so -1 can never collide with a real time.
@@ -31,7 +51,10 @@ _STALE = -1
 class Event:
     """A scheduled action; cancellable until it fires."""
 
-    __slots__ = ("time", "seq", "action", "name", "cancelled", "fired", "queue")
+    __slots__ = (
+        "time", "seq", "action", "name", "cancelled", "fired", "queue",
+        "lane",
+    )
 
     def __init__(self, time: int, seq: int, action: Action, name: str) -> None:
         self.time = time
@@ -41,6 +64,9 @@ class Event:
         self.cancelled = False
         self.fired = False
         self.queue: Optional["EventQueue"] = None
+        #: The kind's FIFO lane this event sits in, or None for a
+        #: lane-less heap entry.
+        self.lane: Optional[Deque[Entry]] = None
 
     def cancel(self) -> None:
         """Prevent the event from firing (no-op if already fired)."""
@@ -58,10 +84,12 @@ class Event:
 
 
 class EventQueue:
-    """A deterministic min-heap of :class:`Event` objects.
+    """A deterministic priority queue of :class:`Event` objects.
 
     Invariants:
 
+    - every non-empty lane has exactly its head entry on ``_heap``;
+      every other heap entry is lane-less;
     - ``_live`` counts scheduled, unfired, uncancelled events;
     - ``_horizon`` is the earliest live event time, ``None`` when the
       queue is empty, or :data:`_STALE` when it must be recomputed by
@@ -69,19 +97,22 @@ class EventQueue:
     """
 
     __slots__ = (
-        "_heap", "_seq", "_live", "_horizon",
+        "_heap", "_lanes", "_seq", "_live", "_horizon", "heap_schedules",
         "batch_pops", "batched_events", "max_batch",
     )
 
     def __init__(self) -> None:
-        self._heap: List[Tuple[int, int, Event]] = []
+        self._heap: List[Entry] = []
+        self._lanes: Dict[str, Deque[Entry]] = {}
         self._seq = 0
         self._live = 0
         self._horizon: Optional[int] = None
-        #: Batched-pop telemetry (see :meth:`fire_due`): number of
-        #: multi-event same-timestamp batches, events fired through
-        #: them, and the largest batch seen.  Pure counters -- they
-        #: never influence behaviour.
+        #: Schedules that landed before their lane's tail and went on
+        #: the heap instead (see the module docstring).
+        self.heap_schedules = 0
+        #: Same-timestamp run telemetry (see :meth:`fire_due`): runs of
+        #: more than one pop, pops inside them, and the longest run.
+        #: Pure counters -- they never influence behaviour.
         self.batch_pops = 0
         self.batched_events = 0
         self.max_batch = 0
@@ -90,14 +121,35 @@ class EventQueue:
         return self._live
 
     def schedule(self, time: int, action: Action, name: str = "event") -> Event:
-        """Schedule ``action`` at absolute cycle ``time``."""
+        """Schedule ``action`` at absolute cycle ``time``.
+
+        ``name`` is the event's *kind*: it picks the FIFO lane the event
+        joins, so it must come from a small fixed set (``"net-deliver"``,
+        ``"client-think"``, ...), never carry a per-event id.  Kinds
+        whose events are scheduled in time order cost O(1); an event
+        that lands before its lane's tail still fires in order, through
+        the heap.
+        """
         if time < 0:
             raise ValueError("event time must be >= 0: %r" % time)
         seq = self._seq
         self._seq = seq + 1
         event = Event(time, seq, action, name)
         event.queue = self
-        heapq.heappush(self._heap, (time, seq, event))
+        entry = (time, seq, event)
+        lane = self._lanes.get(name)
+        if lane is None:
+            lane = self._lanes[name] = deque()
+        if not lane:
+            lane.append(entry)
+            event.lane = lane
+            heapq.heappush(self._heap, entry)
+        elif time >= lane[-1][0]:
+            lane.append(entry)
+            event.lane = lane
+        else:
+            self.heap_schedules += 1
+            heapq.heappush(self._heap, entry)
         self._live += 1
         horizon = self._horizon
         if horizon is None or (horizon != _STALE and time < horizon):
@@ -131,114 +183,122 @@ class EventQueue:
 
         Actions may schedule further events; those fire too if they are
         also due (a timer rearming itself in the past would otherwise
-        stall time).
+        stall time).  Events fire one at a time in ``(time, seq)`` order:
+        each pop takes the heap minimum and, when it is a lane head,
+        replaces it with the lane's next entry in the same sift.  An
+        action that schedules into the past (an SMP IPI on a per-CPU
+        queue) lands on the heap and simply fires next.  Cancelled
+        tombstones are dropped as they reach the top.
 
-        Completions that share a timestamp (the common case under mass
-        I/O at scale) are swept off the heap as one *batch*: a single
-        run of heap pops and one horizon recompute amortize the
-        per-event queue overhead.  Batching is observably equivalent to
-        one-at-a-time pops: every event scheduled by a batch member's
-        action carries a later time -- or the same time with a higher
-        sequence number -- than every unprocessed member, so it cannot
-        overtake them (the world clamps ``schedule_at`` to the current
-        instant).  The one exception is a cross-clock queue (SMP IPIs
-        land on per-CPU queues at the *source* clock's arrival time,
-        possibly behind this queue's batch); if an action schedules
-        before the batch timestamp, the unprocessed members are pushed
-        back and the sweep restarts, reproducing the one-at-a-time
-        order exactly.  Cancellation by a sibling is honoured at
-        process time: a member cancelled after the sweep already did
-        its live/horizon bookkeeping and is simply skipped.
-
-        A *lone* head -- neither heap child shares its timestamp, so by
-        the heap order no other entry does -- fires directly, without a
-        batch list: exactly what a batch of one would do.
+        The batch counters record *runs*: consecutive pops within one
+        call that share a timestamp.  A tombstone counts when it falls
+        inside a run; tombstones dropped before a run's first live
+        event do not.
         """
         horizon = self._horizon
         if horizon != _STALE and (horizon is None or horizon > now):
             return 0
         heap = self._heap
         pop = heapq.heappop
-        push = heapq.heappush
         fired = 0
-        while True:
-            while heap and heap[0][2].cancelled:
-                pop(heap)  # tombstone
-            if not heap:
-                break
-            t0 = heap[0][0]
-            if t0 > now:
-                break
-            size = len(heap)
-            if (size < 2 or heap[1][0] != t0) and (size < 3 or heap[2][0] != t0):
-                event = pop(heap)[2]
-                self._horizon = _STALE
-                event.fired = True
-                self._live -= 1
-                event.action()
-                fired += 1
+        run_time = -1
+        run = 0
+        while heap:
+            time, __, event = heap[0]
+            if event.cancelled:
+                if time == run_time:
+                    run += 1
+                else:
+                    if run > 1:
+                        self._count_run(run)
+                    run_time = -1
+                    run = 0
+                self._pop_top(event)
                 continue
-            batch: List[Event] = []
-            while heap and heap[0][0] == t0:
-                batch.append(pop(heap)[2])
+            if time > now:
+                break
+            if time == run_time:
+                run += 1
+            else:
+                if run > 1:
+                    self._count_run(run)
+                run_time = time
+                run = 1
+            # _pop_top, inlined: this is the per-event hot path.
+            lane = event.lane
+            if lane is None:
+                pop(heap)
+            else:
+                lane.popleft()
+                if lane:
+                    heapq.heapreplace(heap, lane[0])
+                else:
+                    pop(heap)
             self._horizon = _STALE
-            n = len(batch)
-            if n > 1:
-                self.batch_pops += 1
-                self.batched_events += n
-                if n > self.max_batch:
-                    self.max_batch = n
-            i = 0
-            try:
-                while i < n:
-                    event = batch[i]
-                    i += 1
-                    if event.cancelled:
-                        continue
-                    event.fired = True
-                    self._live -= 1
-                    event.action()
-                    fired += 1
-                    if i < n and heap and heap[0][0] < t0:
-                        # A cross-clock schedule landed before this
-                        # batch; fall back to heap order for the rest.
-                        break
-            finally:
-                if i < n:
-                    for later in batch[i:]:
-                        push(heap, (later.time, later.seq, later))
+            event.fired = True
+            self._live -= 1
+            event.action()
+            fired += 1
+        if run > 1:
+            self._count_run(run)
         self._horizon = heap[0][0] if heap else None
         return fired
 
+    def _count_run(self, run: int) -> None:
+        self.batch_pops += 1
+        self.batched_events += run
+        if run > self.max_batch:
+            self.max_batch = run
+
     def _cancelled(self, event: Event) -> None:
-        """Bookkeeping for :meth:`Event.cancel` (tombstone stays heaped)."""
+        """Bookkeeping for :meth:`Event.cancel` (the tombstone stays queued)."""
         self._live -= 1
         if self._live == 0:
-            # Every heap entry is a tombstone: drop them all at once.
+            # Every queued entry is a tombstone: drop them all at once.
             self._heap.clear()
+            for lane in self._lanes.values():
+                lane.clear()
             self._horizon = None
         elif self._horizon == event.time:
             # The cancelled event may have defined the horizon; another
             # live event could share its timestamp, so recompute lazily.
             self._horizon = _STALE
 
+    def _pop_top(self, event: Event) -> None:
+        """Pop the heap top ``event``, promoting its lane's next head."""
+        heap = self._heap
+        lane = event.lane
+        if lane is None:
+            heapq.heappop(heap)
+        else:
+            lane.popleft()
+            if lane:
+                heapq.heapreplace(heap, lane[0])
+            else:
+                heapq.heappop(heap)
+
     def _drop_cancelled(self) -> None:
         heap = self._heap
         while heap and heap[0][2].cancelled:
-            heapq.heappop(heap)
+            self._pop_top(heap[0][2])
 
     def signature(self) -> Tuple[Tuple[int, int, str], ...]:
         """The live events as a sorted ``(time, seq, name)`` tuple.
 
         Tombstones are excluded, so two queues that went through
         different cancel histories but hold the same pending work have
-        the same signature.  Used by the snapshot-integrity digests in
+        the same signature.  Each pending event is listed once: the
+        heap's lane-less entries plus every lane entry (a lane head is
+        in both).  Used by the snapshot-integrity digests in
         :mod:`repro.fleet`.
         """
+        entries = [entry for entry in self._heap if entry[2].lane is None]
+        for lane in self._lanes.values():
+            entries.extend(lane)
         return tuple(
             sorted(
-                (event.time, event.seq, event.name)
-                for (__, __, event) in self._heap
+                (time, seq, event.name)
+                for (time, seq, event) in entries
                 if not event.cancelled
             )
         )

@@ -108,7 +108,7 @@ class IoDevice:
         self._world.schedule_in(
             delay,
             lambda: self._complete(request),
-            name="io-complete#%d" % request.reqid,
+            name="io-complete",
         )
         return request
 

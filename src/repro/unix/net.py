@@ -887,6 +887,8 @@ class ResidentClient:
     # -- SEND ------------------------------------------------------------
 
     def send(self) -> None:
+        if self.sock.state == "closed":
+            return  # the server closed first while this client thought
         eng = self.engine
         world = eng.world
         meta = {

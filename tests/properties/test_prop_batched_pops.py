@@ -1,16 +1,19 @@
-"""Property: batched same-timestamp pops ≡ one-at-a-time pops.
+"""Property: the laned event queue fires exactly like one heap.
 
-``EventQueue.fire_due`` drains every event sharing the head timestamp
-in one sweep (amortizing the heap traffic).  The observable contract is
-that this is *pure mechanism*: against a reference queue that pops
-strictly one ``(time, seq)`` at a time, a randomized program of
-schedules, cancellations, mid-fire re-schedules (including into the
-past, the SMP cross-clock hazard) and sibling cancellations must
-produce the identical fire order, identical fired counts, and an
-identical surviving schedule.  A sparse-time program (mostly *lone*
-heads, which ``fire_due`` fires without building a batch) must match
-too, including cancelled tombstones that share a lone event's
-timestamp.
+``EventQueue`` keeps one FIFO lane per event kind with only the lane
+heads on its heap, and ``fire_due`` pops one event at a time.  The
+observable contract is that the lanes are *pure mechanism*: against a
+reference queue that keeps every event on one heap and pops strictly one
+``(time, seq)`` at a time, a randomized program of schedules under a few
+kinds, cancellations, mid-fire re-schedules (including into the past,
+the SMP cross-clock case) and sibling cancellations must produce the
+identical fire order, identical fired counts, and an identical surviving
+schedule.  Scripts schedule out of time order within a kind, and spawns
+with negative deltas land behind their lane's tail, so the programs
+exercise the lane append, the heap fallback, cancelled lane heads and
+the all-tombstones clear.  A sparse-time program (mostly lone events)
+must match too, including cancelled tombstones that share a live
+event's timestamp and kind.
 """
 
 import heapq
@@ -28,8 +31,9 @@ class OneAtATimeQueue:
         self._heap = []
         self._seq = itertools.count()
 
-    def schedule(self, time, action):
-        entry = [time, next(self._seq), action, False]  # [t, seq, fn, dead]
+    def schedule(self, time, action, name="event"):
+        # [t, seq, fn, dead, name]
+        entry = [time, next(self._seq), action, False, name]
         heapq.heappush(self._heap, entry)
         return entry
 
@@ -49,26 +53,34 @@ class OneAtATimeQueue:
 
     def remaining(self):
         return sorted(
-            (t, seq) for t, seq, __, dead in self._heap if not dead
+            (t, seq, name) for t, seq, __, dead, name in self._heap
+            if not dead
         )
 
 
-# One scripted event: a time slot plus what its action does when fired.
-# ``spawn_delta`` in [-3, 5] exercises scheduling into the past
-# mid-drain (the push-back safety valve) as well as same-timestamp and
-# future spawns; ``cancel_target`` points anywhere in the initial set,
-# covering cancellation of already-fired, sibling, and future events.
+#: The event kinds a script draws from (each is one lane).
+KINDS = st.sampled_from(["net", "think", "disk"])
+
+# One scripted event: a time slot, its kind, plus what its action does
+# when fired.  ``spawn_delta`` in [-3, 5] exercises scheduling into the
+# past mid-drain as well as same-timestamp and future spawns; a spawn
+# shares its parent's kind, so a negative delta lands behind that lane's
+# tail.  ``cancel_target`` points anywhere in the initial set, covering
+# cancellation of already-fired, sibling, lane-head and future events.
 EVENT = st.tuples(
-    st.integers(min_value=0, max_value=12),  # time (narrow: dense batches)
+    st.integers(min_value=0, max_value=12),  # time (narrow: dense runs)
+    KINDS,
     st.sampled_from(["plain", "spawn", "cancel"]),
     st.integers(min_value=-3, max_value=5),  # spawn delta / cancel index
 )
 
-# The same, spread over a wide time range so most heads are lone, plus
-# an optional cancelled twin at the same time, scheduled just before
-# (so the tombstone is the head) or just after (so it is a child).
+# The same, spread over a wide time range so most events are alone at
+# their timestamp, plus an optional cancelled twin of the same kind at
+# the same time, scheduled just before (so the tombstone fires first in
+# order) or just after.
 SPARSE_EVENT = st.tuples(
-    st.integers(min_value=0, max_value=200),  # time (wide: lone heads)
+    st.integers(min_value=0, max_value=200),  # time (wide: lone events)
+    KINDS,
     st.sampled_from(["plain", "spawn", "cancel"]),
     st.integers(min_value=-3, max_value=5),
     st.sampled_from([None, "before", "after"]),  # cancelled twin
@@ -87,14 +99,15 @@ def _run(queue, script, horizons):
     log = []
     handles = {}
 
-    def make_action(label, time, kind, param):
+    def make_action(label, time, name, kind, param):
         def action():
             log.append(label)
             if kind == "spawn":
                 child = "%s+spawn" % label
                 queue.schedule(
-                    max(0, time + param), make_action(child, time + param,
-                                                      "plain", 0)
+                    max(0, time + param),
+                    make_action(child, time + param, name, "plain", 0),
+                    name,
                 )
             elif kind == "cancel":
                 target = handles.get(param % max(1, len(handles)))
@@ -103,20 +116,21 @@ def _run(queue, script, horizons):
 
         return action
 
-    def twin(index, time):
+    def twin(index, time, name):
         _cancel(queue, queue.schedule(
-            time, make_action("e%d-twin" % index, time, "plain", 0)
+            time, make_action("e%d-twin" % index, time, name, "plain", 0),
+            name,
         ))
 
-    for index, (time, kind, param, *rest) in enumerate(script):
+    for index, (time, name, kind, param, *rest) in enumerate(script):
         twin_at = rest[0] if rest else None
         if twin_at == "before":
-            twin(index, time)
+            twin(index, time, name)
         handles[index] = queue.schedule(
-            time, make_action("e%d" % index, time, kind, param)
+            time, make_action("e%d" % index, time, name, kind, param), name
         )
         if twin_at == "after":
-            twin(index, time)
+            twin(index, time, name)
     total = 0
     for horizon in horizons:
         total += queue.fire_due(horizon)
@@ -130,6 +144,7 @@ def _run(queue, script, horizons):
              max_size=4),
 )
 def test_batched_drain_matches_one_at_a_time(script, raw_horizons):
+    """Dense timestamps: long same-time runs across several lanes."""
     _assert_matches_one_at_a_time(script, sorted(raw_horizons))
 
 
@@ -140,22 +155,28 @@ def test_batched_drain_matches_one_at_a_time(script, raw_horizons):
              max_size=4),
 )
 def test_sparse_lone_heads_match_one_at_a_time(script, raw_horizons):
+    """Sparse timestamps, with cancelled same-kind twins."""
     _assert_matches_one_at_a_time(script, sorted(raw_horizons))
 
 
 def _assert_matches_one_at_a_time(script, horizons):
     """``horizons`` ascend: fire_due is driven monotonically."""
-    batched = EventQueue()
+    laned = EventQueue()
     reference = OneAtATimeQueue()
-    batched_log, batched_fired = _run(batched, script, horizons)
+    laned_log, laned_fired = _run(laned, script, horizons)
     reference_log, reference_fired = _run(reference, script, horizons)
-    assert batched_log == reference_log  # identical wake order
-    assert batched_fired == reference_fired
-    # Identical surviving schedule (the signature digest excludes
-    # tombstones, and both queues number their events identically).
-    assert [
-        (t, seq) for t, seq, __ in batched.signature()
-    ] == reference.remaining()
+    assert laned_log == reference_log  # identical wake order
+    assert laned_fired == reference_fired
+    # Identical surviving schedule (the signature excludes tombstones
+    # and lists each pending event once; both queues number their
+    # events identically).
+    assert list(laned.signature()) == reference.remaining()
+    assert len(laned) == len(reference.remaining())
+    # The lane-head invariant survives every program.
+    lane_heads = [entry for entry in laned._heap if entry[2].lane is not None]
+    assert sorted(map(id, lane_heads)) == sorted(
+        id(lane[0]) for lane in laned._lanes.values() if lane
+    )
 
 
 @settings(max_examples=100, deadline=None)

@@ -55,3 +55,28 @@ def test_len_contains_and_fds_listing():
     assert a in table and b in table
     assert (b + 1) not in table
     assert table.fds() == [a, b]
+
+
+class _CountingDict(dict):
+    """An ``entries`` dict that counts membership probes."""
+
+    probes = 0
+
+    def __contains__(self, key):
+        self.probes += 1
+        return super().__contains__(key)
+
+
+def test_alloc_after_reuse_does_not_scan_open_descriptors():
+    """Close one, alloc two, over many open fds: each alloc finds the
+    lowest free descriptor without walking the live entries."""
+    table = FdTable()
+    table.entries = counting = _CountingDict()
+    fds = [table.alloc(i) for i in range(2_000)]
+    allocs = len(fds)
+    for fd in fds[:200:2]:
+        table.close(fd)
+        assert table.alloc("reuse") == fd
+        table.alloc("next")
+        allocs += 2
+    assert counting.probes <= allocs

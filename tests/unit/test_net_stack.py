@@ -313,3 +313,23 @@ class TestResidentClient:
         assert client.sock.state == "closed"
         assert engine.active == 0
         assert engine.completed == 0
+
+    def test_no_request_counted_after_the_server_closed_first(self):
+        """A reply arms the think timer; the server then closes.  When
+        the timer fires the client is closed, so it sends nothing and
+        counts nothing."""
+        rt, stack = _stack()
+        listener = _listener(stack)
+        engine = ResidentClientEngine(
+            stack, 80, requests_per_client=4, req_bytes=64, think_us=100.0
+        )
+        client = engine.client(0)
+        client.arrive()
+        _drain(rt.world)  # connects and sends its first request
+        server = stack.sys_accept(listener)
+        stack.sys_send(server, 128, {"t0": 0.0})
+        stack.sys_close(server)
+        _drain(rt.world)
+        assert engine.replies == 1
+        assert client.sock.state == "closed"
+        assert engine.requests_sent == client.sent == 1

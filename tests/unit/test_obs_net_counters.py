@@ -80,6 +80,13 @@ def test_harvest_exposes_event_batch_counters():
     assert snap["exec.events.max_batch"] >= 0
 
 
+def test_harvest_exposes_heap_schedules():
+    """A fixed-latency link schedules every kind in time order, so no
+    event takes the heap path."""
+    __, snap = _observed_scenario()
+    assert snap["exec.events.heap_schedules"] == 0
+
+
 def test_harvest_exposes_pool_counters():
     __, snap = _observed_scenario()
     # The acceptor plus two workers all came from the cache, and every
