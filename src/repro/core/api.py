@@ -47,11 +47,11 @@ def _work_op(cycles: int) -> Work:
 class PT:
     """Op builder handed to every simulated thread body."""
 
-    __slots__ = ("runtime", "_seg_self_op")
+    __slots__ = ("runtime", "_self_op")
 
     def __init__(self, runtime: "PthreadsRuntime") -> None:
         self.runtime = runtime
-        self._seg_self_op = LibCall("self")
+        self._self_op = LibCall("self")
 
     # -- computation and structure ---------------------------------------------
 
@@ -92,7 +92,7 @@ class PT:
         return LibCall("exit", (value,))
 
     def self_id(self) -> LibCall:
-        return self._seg_self_op
+        return self._self_op
 
     def equal(self, a: Any, b: Any) -> LibCall:
         return LibCall("equal", (a, b))

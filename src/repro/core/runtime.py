@@ -47,12 +47,6 @@ from repro.unix.sigset import NSIG, SIGCANCEL, UNMASKABLE, SigSet
 from repro.unix.timers import IntervalTimer
 
 
-def _unknown_libcall(frame: Frame, op: LibCall) -> ProgramCrash:
-    return ProgramCrash(
-        frame.name, NameError("unknown library call: %r" % op.name)
-    )
-
-
 class HostProcess:
     """The UNIX process hosting the Pthreads library."""
 
@@ -515,67 +509,75 @@ class PthreadsRuntime:
             return True
         return False  # only terminated / embryonic threads remain
 
-    def _step_current(self) -> None:
+    def _step_current(self, op: Any = None) -> Any:
+        """Perform one executor step for the current thread.
+
+        With ``op`` None this is the whole step: continue a compute
+        burst, or try the segment cache, or resume the top frame and
+        perform the op it yields.  The segment cache passes an op it
+        already took from the generator; only the dispatch half then
+        remains.  Returns the op performed, or None when the frame
+        returned, raised or was served by replay.
+        """
         tcb = self.current
         assert tcb is not None
         frame = tcb.frames._frames[-1]
-        if frame.remaining_work > 0:
+        if op is None:
+            if frame.remaining_work > 0:
+                self.steps += 1
+                self._do_work(tcb, frame)
+                return None
+            segments = self._segments
+            if segments is not None:
+                # Segment guard: the frame keeps its code object's
+                # location table, so the common answer -- a blacklisted
+                # location, as at every location of a stream that never
+                # certifies -- costs one int-keyed dict hit and no
+                # try_step call.
+                gi = frame.gen.gi_frame
+                if gi is not None:
+                    table = frame.seg_table
+                    if table is None:
+                        table = frame.seg_table = segments.table_for(
+                            frame.gen.gi_code
+                        )
+                    if (
+                        table.get(gi.f_lasti) is not _SEG_BLACKLISTED
+                        and segments.try_step(tcb, frame, table)
+                    ):
+                        return None  # step(s) performed, bookkeeping included
             self.steps += 1
-            self._do_work(tcb, frame)
-            return
-        segments = self._segments
-        if segments is not None:
-            # Segment guard: the frame keeps its code object's location
-            # table, so the common answer -- a blacklisted location, as
-            # at every location of a stream that never certifies --
-            # costs one int-keyed dict hit and no try_step call.
-            gi = frame.gen.gi_frame
-            if gi is not None:
-                table = frame.seg_table
-                if table is None:
-                    table = frame.seg_table = segments.table_for(
-                        frame.gen.gi_code
-                    )
-                if (
-                    table.get(gi.f_lasti) is not _SEG_BLACKLISTED
-                    and segments.try_step(tcb, frame, table)
-                ):
-                    return  # step(s) performed, bookkeeping included
-        self.steps += 1
-        clock = self.world.clock
-        started = clock.cycles
-        # Frame.resume inlined: one generator step per executor step
-        # makes the extra call (and tuple) measurable.
-        try:
-            exc = frame.pending_exc
-            if exc is not None:
-                frame.pending_exc = None
-                op = frame.gen.throw(exc)
-            else:
-                value = frame.pending_value
-                frame.pending_value = None
-                op = frame.gen.send(value)
-        except StopIteration as stop:
-            self._frame_returned(tcb, frame, stop.value)
-            tcb.cpu_cycles += clock.cycles - started
-            return
-        except SimException as sim_exc:
-            self._frame_raised(tcb, frame, sim_exc)
-            tcb.cpu_cycles += clock.cycles - started
-            return
-        except ProgramCrash:
-            raise
-        except BaseException as crash:  # noqa: BLE001 - simulated fault
-            raise ProgramCrash(frame.name, crash) from crash
+            clock = self.world.clock
+            started = clock.cycles
+            # Frame.resume inlined: one generator step per executor step
+            # makes the extra call (and tuple) measurable.
+            try:
+                exc = frame.pending_exc
+                if exc is not None:
+                    frame.pending_exc = None
+                    op = frame.gen.throw(exc)
+                else:
+                    value = frame.pending_value
+                    frame.pending_value = None
+                    op = frame.gen.send(value)
+            except BaseException as ended:  # noqa: BLE001 - see _resume_ended
+                self._resume_ended(tcb, frame, ended, started)
+                return None
+        else:
+            self.steps += 1
+            clock = self.world.clock
+            started = clock.cycles
+        # Dispatch by exact class, LibCall first: most steps of a server
+        # are library calls.  The registry is read per call, since an
+        # entry may be replaced after construction.
         op_class = op.__class__
         if op_class is LibCall:
-            # _libcall inlined, tested first: most steps of a server
-            # are library calls.  The registry is read per call, since
-            # an entry may be replaced after construction.
             try:
                 entry = self.registry[op.name]
             except KeyError:
-                raise _unknown_libcall(frame, op) from None
+                raise ProgramCrash(
+                    frame.name, NameError("unknown library call: %r" % op.name)
+                ) from None
             if op.kwargs:
                 result = entry(tcb, *op.args, **op.kwargs)
             else:
@@ -592,60 +594,30 @@ class PthreadsRuntime:
         elif op_class is Invoke:
             self._push_invoke(tcb, op)
             tcb.cpu_cycles += clock.cycles - started
-        elif isinstance(op, (Work, LibCall, SysCall, Invoke)):
-            # Subclassed ops take the generic (slower) dispatch.
-            self._step_op_subclass(tcb, frame, op, started)
         else:
             raise ProgramCrash(
                 frame.name, TypeError("bad op yielded: %r" % (op,))
             )
+        return op
 
-    def _dispatch_op(self, tcb: Tcb, frame: Frame, op: Any) -> None:
-        """Dispatch an op already obtained from the generator.
-
-        The segment cache lands here when a replayed send yields an op
-        no compiled variant covers: the resume already happened, so
-        only the dispatch half of :meth:`_step_current` remains.
-        """
-        self.steps += 1
-        clock = self.world.clock
-        started = clock.cycles
-        op_class = op.__class__
-        if op_class is Work:
-            frame.remaining_work = op.cycles
-            self._do_work(tcb, frame)
-        elif op_class is LibCall:
-            self._libcall(tcb, frame, op)
-            tcb.cpu_cycles += clock.cycles - started
-        elif op_class is SysCall:
-            self._unix_syscall(tcb, frame, op)
-            tcb.cpu_cycles += clock.cycles - started
-        elif op_class is Invoke:
-            self._push_invoke(tcb, op)
-            tcb.cpu_cycles += clock.cycles - started
-        elif isinstance(op, (Work, LibCall, SysCall, Invoke)):
-            self._step_op_subclass(tcb, frame, op, started)
-        else:
-            raise ProgramCrash(
-                frame.name, TypeError("bad op yielded: %r" % (op,))
-            )
-
-    def _step_op_subclass(
-        self, tcb: Tcb, frame: Frame, op: Any, started: int
+    def _resume_ended(
+        self, tcb: Tcb, frame: Frame, exc: BaseException, started: int
     ) -> None:
-        clock = self.world.clock
-        if isinstance(op, Work):
-            frame.remaining_work = op.cycles
-            self._do_work(tcb, frame)
-        elif isinstance(op, LibCall):
-            self._libcall(tcb, frame, op)
-            tcb.cpu_cycles += clock.cycles - started
-        elif isinstance(op, SysCall):
-            self._unix_syscall(tcb, frame, op)
-            tcb.cpu_cycles += clock.cycles - started
+        """Resuming ``frame`` raised ``exc`` instead of yielding an op.
+
+        A return pops the frame and a :class:`SimException` unwinds into
+        the caller, charging the thread for the step; anything else is
+        a fault in the simulated program and ends the run.
+        """
+        if isinstance(exc, StopIteration):
+            self._frame_returned(tcb, frame, exc.value)
+        elif isinstance(exc, SimException):
+            self._frame_raised(tcb, frame, exc)
+        elif isinstance(exc, ProgramCrash):
+            raise exc
         else:
-            self._push_invoke(tcb, op)
-            tcb.cpu_cycles += clock.cycles - started
+            raise ProgramCrash(frame.name, exc) from exc
+        tcb.cpu_cycles += self.world.clock.cycles - started
 
     def _do_work(self, tcb: Tcb, frame: Frame) -> None:
         """Burn a compute burst, splitting it at asynchronous events."""
@@ -675,17 +647,6 @@ class PthreadsRuntime:
                 world.fire_due()
         if self.current is tcb and frames[-1] is frame:
             frame.pending_value = None
-
-    def _libcall(self, tcb: Tcb, frame: Frame, op: LibCall) -> None:
-        entry = self.registry.get(op.name)
-        if entry is None:
-            raise _unknown_libcall(frame, op)
-        if op.kwargs:
-            result = entry(tcb, *op.args, **op.kwargs)
-        else:
-            result = entry(tcb, *op.args)
-        if result is not BLOCKED:
-            frame.pending_value = result
 
     def _unix_syscall(self, tcb: Tcb, frame: Frame, op: SysCall) -> None:
         if op.name == "getpid":

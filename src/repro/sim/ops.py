@@ -5,8 +5,11 @@ executor one *op* and suspends the program at that instruction boundary.
 The executor charges virtual time, performs the op, and resumes the
 program with the op's result.
 
-Ops are plain immutable descriptors.  User code never constructs them
-directly -- the :class:`repro.core.api.PT` facade builds them, e.g.::
+Ops are plain immutable descriptors.  The executor dispatches them by
+exact class, so these four classes are the whole op set: an instance
+of a subclass is rejected as a bad op.  User code never constructs
+them directly -- the :class:`repro.core.api.PT` facade builds them,
+e.g.::
 
     def body(pt):
         yield pt.work(500)              # Work: 500 cycles of computation

@@ -13,10 +13,11 @@ interpreter loop.
 Correctness model
 -----------------
 
-A segment is recorded by interpreting ops normally (through the exact
-same runtime entry points the plain executor uses) while a *certifier*
-checks, after each op, that the op's entire observable effect is
-captured by a closed-form template:
+A segment is recorded by performing each op with the executor's own
+step (``PthreadsRuntime._step_current``; :meth:`SegmentSpace.try_step`
+answers False while a recording runs, so nothing nests) while a
+*certifier* checks, after each op, that the op's entire observable
+effect is captured by a closed-form template:
 
 - the op object is the canonical cached instance (so replay can match
   it with a single ``is``);
@@ -34,11 +35,22 @@ window -- any rule that would fire mid-segment (timer expiry, watcher)
 either splits the segment at record time (the event fired while
 recording, so certification stopped there) or forces interpretation at
 replay time (the horizon bound fails, the step budget fails, or a
-clock watcher is attached).  Simulated time, ``Runtime.steps``,
-per-thread ``cpu_cycles`` and every library counter advance
-bit-identically to interpretation; the property tests in
-``tests/properties/test_prop_segment_equivalence.py`` assert digest
-equality against forced interpretation (``RuntimeConfig(segments=False)``).
+clock watcher is attached).  Replay hands back to the interpreter
+through the same executor step: an op no variant takes goes to
+``_step_current(op)``, and a resume that raised goes to the runtime's
+``_resume_ended``.
+
+The replay contract: ``world.now`` is exact at every resume of a
+generator body (replay publishes the clock before each send).
+Simulated time, ``Runtime.steps``, per-thread ``cpu_cycles`` and every
+library field (owners, lock cells, held lists, counters) are exact at
+every op where replay hands back to the interpreter, and at run end.
+Between two replayed ops they are not: loop segments defer their state
+effects to segment exit, so a generator body that reads a library
+object mid-segment sees its segment-entry values.  The property tests
+in ``tests/properties/test_prop_segment_equivalence.py`` assert
+equality against forced interpretation
+(``RuntimeConfig(segments=False)``).
 
 Bypass rules (checked before any replay or recording):
 
@@ -73,8 +85,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core import config as cfg
 from repro.hw import costs
-from repro.sim.frames import ProgramCrash, SimException
-from repro.sim.ops import Invoke, LibCall, SysCall, Work
+from repro.sim.ops import LibCall, Work
 
 #: Location states (``table[lasti]``) besides a variant list.
 _BLACKLISTED = object()
@@ -137,7 +148,7 @@ class _SegStep:
 
     def __init__(self, op, result, cycles, guards, effects) -> None:
         self.op = op
-        self.result = result  # "none" | "zero" | "tcb"
+        self.result = result  # "none" | "zero"
         self.cycles = cycles
         self.guards = guards  # tuple of guard IR tuples
         self.effects = effects  # tuple of effect IR tuples
@@ -178,7 +189,9 @@ class SegmentSpace:
             table[costs.ENTER_KERNEL] + table[costs.COND_SIGNAL_WORK]
             + table[costs.LEAVE_KERNEL]
         )
-        self._c_self = 2 * insn
+        #: Set while :meth:`_record` interprets: the executor steps it
+        #: drives must not nest a replay or another recording.
+        self._recording = False
         # exec.segment.* counters (harvested into the host bench records
         # and ``python -m repro.obs report``).
         self.segments_compiled = 0
@@ -226,8 +239,10 @@ class SegmentSpace:
         the frame's generator must be suspended (``gi_frame`` set).
         Returns True when the step (and possibly many following steps)
         was fully performed -- bookkeeping included -- and False when
-        the caller must interpret normally.
+        the caller must interpret normally (always, while recording).
         """
+        if self._recording:
+            return False
         lasti = frame.gen.gi_frame.f_lasti
         entry = table.get(lasti)
         if entry is _BLACKLISTED:
@@ -329,28 +344,18 @@ class SegmentSpace:
                     return False
                 value = None
                 continue
-            # Terminal resume outcomes: mirror _step_current exactly.
+            # The resume raised (code 1): the interpreter's own step.
             if total:
                 self.hits += 1
                 self.steps_replayed += total
             rt.steps += 1
-            started = clock.cycles
-            if code == 2:
-                rt._frame_returned(tcb, frame, val)
-                tcb.cpu_cycles += clock.cycles - started
-                return True
-            if code == 3:
-                rt._frame_raised(tcb, frame, val)
-                tcb.cpu_cycles += clock.cycles - started
-                return True
-            if code == 4:
-                raise val
-            raise ProgramCrash(frame.name, val) from val
+            rt._resume_ended(tcb, frame, val, clock.cycles)
+            return True
         if op is not None:
-            # No variant takes the in-hand op: interpret it here (the
-            # send already happened).  Repeated mismatches grow a new
-            # variant recorded from the in-hand op, until _MAX_FAILS
-            # such recordings have failed here.
+            # No variant takes the in-hand op: the interpreter performs
+            # it (the send already happened).  Repeated mismatches grow
+            # a new variant recorded from the in-hand op, until
+            # _MAX_FAILS such recordings have failed here.
             self.misses += 1
             if total:
                 self.hits += 1
@@ -364,7 +369,7 @@ class SegmentSpace:
             ):
                 variants.mismatches = 0
                 return self._record(tcb, frame, table, lasti, op)
-            rt._dispatch_op(tcb, frame, op)
+            rt._step_current(op)
             return True
         frame.pending_value = value
         if total:
@@ -377,8 +382,8 @@ class SegmentSpace:
     # -- recording ---------------------------------------------------------
 
     def _record(self, tcb, frame, table, lasti, inhand) -> bool:
-        """Interpret ops (through the normal runtime entry points),
-        certifying each; compile the certified run into a segment.
+        """Interpret ops through the executor's own step, certifying
+        each; compile the certified run into a segment.
 
         The steps are *performed* regardless of whether certification
         succeeds, so this is always a complete executor step (or
@@ -394,73 +399,40 @@ class SegmentSpace:
         steps: List[_SegStep] = []
         closed = False
         op = inhand
-        while len(steps) < _MAX_OPS:
-            pre_clock = clock.cycles
-            pre_seq = events._seq
-            pre_live = events._live
-            pre_enters = kern.enters
-            pre_dispatch = rt.dispatcher.dispatch_calls
-            rt.steps += 1
-            if op is None:
-                try:
-                    value = frame.pending_value
-                    frame.pending_value = None
-                    op = frame.gen.send(value)
-                except StopIteration as stop:
-                    rt._frame_returned(tcb, frame, stop.value)
-                    tcb.cpu_cycles += clock.cycles - pre_clock
+        self._recording = True
+        try:
+            while len(steps) < _MAX_OPS:
+                pre_clock = clock.cycles
+                pre_seq = events._seq
+                pre_live = events._live
+                pre_enters = kern.enters
+                pre_dispatch = rt.dispatcher.dispatch_calls
+                op = rt._step_current(op)
+                if (
+                    op is None
+                    or rt.current is not tcb
+                    or not frames
+                    or frames[-1] is not frame
+                    or frame.pending_exc is not None
+                    or frame.remaining_work
+                    or kern.kernel_flag
+                    or kern.dispatcher_flag
+                ):
                     break
-                except SimException as exc:
-                    rt._frame_raised(tcb, frame, exc)
-                    tcb.cpu_cycles += clock.cycles - pre_clock
-                    break
-                except ProgramCrash:
-                    raise
-                except BaseException as crash:  # noqa: BLE001
-                    raise ProgramCrash(frame.name, crash) from crash
-            op_class = op.__class__
-            if op_class is Work:
-                frame.remaining_work = op.cycles
-                rt._do_work(tcb, frame)
-            elif op_class is LibCall:
-                rt._libcall(tcb, frame, op)
-                tcb.cpu_cycles += clock.cycles - pre_clock
-            elif op_class is SysCall:
-                rt._unix_syscall(tcb, frame, op)
-                tcb.cpu_cycles += clock.cycles - pre_clock
-            elif op_class is Invoke:
-                rt._push_invoke(tcb, op)
-                tcb.cpu_cycles += clock.cycles - pre_clock
-            elif isinstance(op, (Work, LibCall, SysCall, Invoke)):
-                rt._step_op_subclass(tcb, frame, op, pre_clock)
-                break  # subclassed ops are never certified
-            else:
-                raise ProgramCrash(
-                    frame.name, TypeError("bad op yielded: %r" % (op,))
+                step = self._certify(
+                    tcb, frame, op,
+                    pre_clock, pre_seq, pre_live, pre_enters, pre_dispatch,
                 )
-            done = op
-            op = None
-            if (
-                rt.current is not tcb
-                or not frames
-                or frames[-1] is not frame
-                or frame.pending_exc is not None
-                or frame.remaining_work
-                or kern.kernel_flag
-                or kern.dispatcher_flag
-            ):
-                break
-            step = self._certify(
-                tcb, frame, done,
-                pre_clock, pre_seq, pre_live, pre_enters, pre_dispatch,
-            )
-            if step is None:
-                break
-            steps.append(step)
-            gi = frame.gen.gi_frame
-            if gi is not None and gi.f_lasti == lasti:
-                closed = True
-                break
+                if step is None:
+                    break
+                steps.append(step)
+                op = None
+                gi = frame.gen.gi_frame
+                if gi is not None and gi.f_lasti == lasti:
+                    closed = True
+                    break
+        finally:
+            self._recording = False
         if len(steps) >= _MIN_OPS:
             seg = self._compile(steps, closed)
             if seg is not None:
@@ -590,16 +562,6 @@ class SegmentSpace:
                     ("inc", c, "signals_sent", 1),
                 ),
             )
-        if name == "self":
-            if getattr(rt._pt, "_seg_self_op", None) is not op:
-                return None
-            if (
-                result is not tcb
-                or rt.kern.enters != pre_enters
-                or delta != self._c_self
-            ):
-                return None
-            return _SegStep(op, "tcb", delta, (), ())
         return None
 
     # -- compilation -------------------------------------------------------
@@ -629,7 +591,7 @@ class SegmentSpace:
 
         n_ops = len(steps)
         total = sum(s.cycles for s in steps)
-        lit = {"none": "None", "zero": "0", "tcb": "tcb"}
+        lit = {"none": "None", "zero": "0"}
 
         # Pass 1: entry guards, symbolic state, aggregated effects, and
         # a per-site snapshot of the prefix state (for loop fix-ups).
@@ -776,20 +738,15 @@ class SegmentSpace:
 
         def t_expr(i: int) -> str:
             p = prefix_cycles[i]
-            if loops:
-                return "t + %d" % p if p else "t"
             return "t + %d" % p if p else "t"
 
         def classify(indent: int, i: int) -> None:
+            # The resume raised: the runtime's _resume_ended takes it.
             fixup(indent, i)
-            n_s, t_s = n_expr(i), t_expr(i)
-            emit(indent, "if isinstance(exc, StopIteration):")
-            emit(indent + 1, "return (2, %s, %s, exc.value, None)" % (n_s, t_s))
-            emit(indent, "if isinstance(exc, SimException):")
-            emit(indent + 1, "return (3, %s, %s, exc, None)" % (n_s, t_s))
-            emit(indent, "if isinstance(exc, ProgramCrash):")
-            emit(indent + 1, "return (4, %s, %s, exc, None)" % (n_s, t_s))
-            emit(indent, "return (5, %s, %s, exc, None)" % (n_s, t_s))
+            emit(
+                indent,
+                "return (1, %s, %s, exc, None)" % (n_expr(i), t_expr(i)),
+            )
 
         def op_block(indent: int, i: int) -> None:
             # The generator body runs inside each send and may read
@@ -883,10 +840,7 @@ class SegmentSpace:
         emit(1, "return _replay")
 
         code = "\n".join("    " * ind + text for ind, text in out) + "\n"
-        namespace = {
-            "SimException": SimException,
-            "ProgramCrash": ProgramCrash,
-        }
+        namespace: Dict[str, Any] = {}
         # The generated source depends only on segment *structure*
         # (op kinds, costs, guard constants) -- captured objects enter
         # through the _make(env) closure.  Identical workloads therefore

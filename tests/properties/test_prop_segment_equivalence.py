@@ -2,11 +2,17 @@
 interpretation.
 
 The segment compiler (:mod:`repro.sim.segments`) replays recorded
-straight-line op runs as batched clock spends.  Its contract is that a
-run with the cache enabled is *observably indistinguishable* from one
-with the cache disabled (``RuntimeConfig(segments=False)``): same
-state digest, same simulated clock, same step count, same context
-switches -- and the same clock value at every point a generator body happens to read ``world.now``.
+straight-line op runs as batched clock spends.  Its contract against a
+run with the cache disabled (``RuntimeConfig(segments=False)``): the
+same state digest, simulated clock, step count, context switches and
+library counters (mutex, condvar, kernel-entry and held-mutex counts)
+at run end, and at every op where replay hands back to the
+interpreter; the same ``world.now`` at every resume of a generator
+body; and the same exception, at the same cycle, when a body raises
+out of a replayed loop.  Library-object fields are *not* exact between
+two replayed ops: loop segments defer their effects to segment exit,
+so a body that reads, say, ``m.owner`` right after an unlock inside a
+compiled loop sees the segment-entry value.
 
 Hypothesis drives random workload shapes and scheduling parameters;
 two deterministic regression tests pin down specific historical bugs:
@@ -21,6 +27,7 @@ two deterministic regression tests pin down specific historical bugs:
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bench.workloads import (
@@ -30,25 +37,65 @@ from repro.bench.workloads import (
     signal_storm,
 )
 from repro.core.attr import ThreadAttr
+from repro.core.mutex import Mutex
+from repro.sim.frames import ProgramCrash, SimException
 from tests.conftest import make_runtime
 
 
-def _run(main_fn, *, segments, seed=0, timeslice_us=None, priority=64):
+def _runtime(main_fn, *, segments, seed=0, timeslice_us=None, priority=64):
     rt = make_runtime(
         seed=seed, timeslice_us=timeslice_us, segments=segments
     )
+    _track_sync_objects(rt)
     rt.main(main_fn, priority=priority)
+    return rt
+
+
+def _run(main_fn, **kwargs):
+    rt = _runtime(main_fn, **kwargs)
     rt.run(max_steps=5_000_000)
     return rt
 
 
+def _track_sync_objects(rt):
+    """Keep every mutex and condvar the program initialises on
+    ``rt.sync_objects``, so the fingerprint can compare their counters."""
+    created = rt.sync_objects = []
+    for name in ("mutex_init", "cond_init"):
+
+        def init(tcb, *args, _entry=rt.registry[name], **kwargs):
+            obj = _entry(tcb, *args, **kwargs)
+            created.append(obj)
+            return obj
+
+        rt.registry[name] = init
+
+
+def _sync_state(obj):
+    if isinstance(obj, Mutex):
+        return (
+            obj.acquisitions,
+            obj.contentions,
+            obj.handoffs,
+            obj.lock_sequence.runs,
+            obj.cell.value,
+            obj.owner.name if obj.owner is not None else None,
+        )
+    return (obj.signals_sent, obj.broadcasts_sent)
+
+
 def _fingerprint(rt):
+    # The library counters are the fields loop segments apply as
+    # ``full * iterations + prefix`` fix-ups at segment exit.
     return (
         rt.state_digest(),
         rt.world.clock.cycles,
         rt.steps,
         rt.dispatcher.context_switches,
         rt.dispatcher.dispatch_calls,
+        rt.kern.enters,
+        tuple(_sync_state(obj) for obj in rt.sync_objects),
+        tuple(len(tcb.held_mutexes) for tcb in rt.threads.values()),
     )
 
 
@@ -274,3 +321,93 @@ def test_signal_into_hot_loop_is_exact():
     assert on._segments.steps_replayed > 0
     assert log_on == log_off
     assert _fingerprint(on) == _fingerprint(off)
+
+
+class _Boom(SimException):
+    """A simulated exception raised from inside a compiled loop."""
+
+
+def test_sim_exception_out_of_a_replayed_loop_unwinds_exactly():
+    """A called helper raises a SimException mid-loop while the loop is
+    served by replay: the raise reaches the runtime's resume-ended
+    handler and unwinds into the catching caller at the interpreted
+    cycle, with every counter the loop deferred applied."""
+
+    def make(log):
+        def helper(pt, m):
+            world = pt.runtime.world
+            lock = pt.mutex_lock(m)
+            unlock = pt.mutex_unlock(m)
+            burn = pt.work(70)
+            for i in range(400):
+                yield lock
+                yield burn
+                yield unlock
+                if i == 300:
+                    log.append(("raise", world.now))
+                    raise _Boom(i)
+
+        def main(pt):
+            world = pt.runtime.world
+            m = yield pt.mutex_init()
+            try:
+                yield pt.call(helper, m)
+            except _Boom as exc:
+                log.append(("caught", exc.args, world.now, m.acquisitions))
+            yield pt.work(10)
+
+        return main
+
+    log_on: list = []
+    log_off: list = []
+    on = _run(make(log_on), segments=True)
+    off = _run(make(log_off), segments=False)
+    assert on._segments.steps_replayed > 0
+    assert log_on == log_off
+    assert log_on[-1][1] == (300,)
+    assert _fingerprint(on) == _fingerprint(off)
+
+
+def test_program_crash_out_of_a_replayed_loop_is_exact():
+    """A main loop raises a plain Python exception while served by
+    replay: the run ends in the same ProgramCrash, at the same cycle,
+    with the same state as interpretation."""
+
+    def make(log):
+        def main(pt):
+            world = pt.runtime.world
+            m = yield pt.mutex_init()
+            lock = pt.mutex_lock(m)
+            unlock = pt.mutex_unlock(m)
+            burn = pt.work(70)
+            for i in range(400):
+                yield lock
+                yield burn
+                yield unlock
+                if i == 300:
+                    log.append(world.now)
+                    raise ValueError("iteration %d" % i)
+
+        return main
+
+    outcomes = []
+    for segments in (True, False):
+        log: list = []
+        rt = _runtime(make(log), segments=segments)
+        with pytest.raises(ProgramCrash) as info:
+            rt.run(max_steps=5_000_000)
+        crash = info.value
+        outcomes.append(
+            (
+                log,
+                crash.frame_name,
+                type(crash.original),
+                crash.original.args,
+                _fingerprint(rt),
+            )
+        )
+        if segments:
+            assert rt._segments.steps_replayed > 0
+    on, off = outcomes
+    assert on == off
+    assert on[1] == "main" and on[2] is ValueError
