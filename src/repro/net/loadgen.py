@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.unix.net import NetStack, ResidentClientEngine
+from repro.unix.net import NetStack, ResidentClient, ResidentClientEngine
 
 ARRIVALS = ("poisson", "bursty", "uniform")
 
@@ -94,8 +94,7 @@ class LoadGenerator:
         """Compile every client arrival to one pre-scheduled event.
 
         Costs zero cycles: the fleet exists purely as event-horizon
-        entries whose actions are the records' bound ``arrive``
-        methods.
+        entries, each the callout ``ResidentClient.arrive(record)``.
         """
         world = self._world
         engine = self._engine
@@ -108,10 +107,9 @@ class LoadGenerator:
                     t += self.mean_gap_us * self.burst
             else:  # uniform
                 t += self.mean_gap_us
-            world.schedule_in(
+            world.post_in(
                 max(1, world.cycles_for_us(t - world.now_us)),
-                engine.client(i).arrive,
-                name="client-arrive",
+                ResidentClient.arrive, engine.client(i), "client-arrive",
             )
 
     # -- results (all owned by the kernel-resident engine) ---------------------

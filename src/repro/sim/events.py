@@ -1,33 +1,47 @@
-"""The virtual-time event queue.
+"""The virtual-time event queue: a callout table.
 
 Events are the simulator's asynchrony: interval-timer expirations,
-signals sent from outside the process, and I/O completions.  Each event
-carries an absolute virtual time (in cycles) and an action callback.
-Events with equal timestamps fire in scheduling order (a stable sequence
-number breaks ties), which keeps every run deterministic.
+signals sent from outside the process, link messages and I/O
+completions.  Like the 4.3BSD kernel's ``timeout(fn, arg, ticks)``
+table, each queue entry is a *callout*: an absolute virtual time (in
+cycles), a function and its one argument, fired as ``fn(arg)``.  Entries
+with equal timestamps fire in posting order (a stable sequence number
+breaks ties), which keeps every run deterministic.
+
+Two ways in, one insertion path:
+
+- :meth:`EventQueue.post` queues a callout and returns nothing.  The
+  hot callers (link messages, client think timers, arrivals, connection
+  set-up and EOF, disk completions, IPIs) never cancel what they post,
+  so they pass a function they already hold and the object it acts on
+  -- no handle, closure or bound method is built per event.
+- :meth:`EventQueue.schedule` is for the few callers that keep a
+  cancellation handle (the interval timers, tests, examples).  It
+  builds an :class:`Event` and posts ``_fire_event(event)``.  A
+  cancelled handle stays queued as a *tombstone* -- an entry whose
+  ``fn`` is :func:`_fire_event` and whose ``arg`` is cancelled -- until
+  it reaches the front; the live count and horizon are maintained
+  incrementally by :meth:`Event.cancel` telling its queue.
 
 Host-speed notes: this queue sits on the executor's hottest path (every
-``World.spend`` asks "is anything due?"), so it caches the earliest
+kernel crossing asks "is anything due?"), so it caches the earliest
 pending event time (the *horizon*).  ``next_time``/``fire_due`` answer
 in O(1) while the horizon is ahead of the clock, and ``__len__`` is a
-pure counter read -- no query mutates the queue.  Cancelled events stay
-queued as tombstones until they reach the front; the live count and
-horizon are maintained incrementally by :meth:`Event.cancel` telling
-its queue.
+pure counter read -- no query mutates the queue.
 
-Lanes: almost every event is scheduled in time order *within its own
+Lanes: almost every event is posted in time order *within its own
 kind* -- a fixed link delay, a constant think time, monotone client
 arrivals.  So each kind (the ``name`` a caller passes) gets a FIFO
 *lane*, and only the head of each non-empty lane sits on the binary
-heap.  An event whose time is at or after its lane's tail joins the
+heap.  An entry whose time is at or after its lane's tail joins the
 lane; one that would land before the tail (a random-latency device, an
-SMP IPI scheduled behind a per-CPU queue's clock) goes on the heap as a
+SMP IPI posted behind a per-CPU queue's clock) goes on the heap as a
 lane-less entry and is counted in ``heap_schedules``.  Sequence numbers
 rise strictly, so every lane stays sorted by ``(time, seq)``; the heap
 minimum is therefore the global ``(time, seq)`` minimum and events fire
 in exactly the order a single heap of every event would give.  The heap
 holds a handful of lane heads instead of every pending event, so
-scheduling and firing cost O(1) in the number of pending events, up to
+posting and firing cost O(1) in the number of pending events, up to
 the log of the number of kinds.
 """
 
@@ -35,13 +49,17 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 Action = Callable[[], None]
 
-#: One queue entry: ``(time, seq, event)``.  Lanes and the heap hold the
-#: same tuple, so promoting a lane head to the heap allocates nothing.
-Entry = Tuple[int, int, "Event"]
+#: One queue entry, a callout: ``(time, seq, fn, arg, lane, name)``,
+#: fired as ``fn(arg)``.  ``lane`` is the kind's FIFO lane the entry
+#: sits in, or None for a lane-less heap entry.  Lanes and the heap hold
+#: the same tuple, so promoting a lane head to the heap allocates
+#: nothing; ``(time, seq)`` is unique, so heap order never compares
+#: further fields.
+Entry = Tuple[int, int, Callable[[Any], None], Any, Optional[Deque], str]
 
 #: Sentinel horizon value: "stale, recompute from the heap on demand".
 #: Event times are >= 0, so -1 can never collide with a real time.
@@ -49,11 +67,10 @@ _STALE = -1
 
 
 class Event:
-    """A scheduled action; cancellable until it fires."""
+    """A cancellation handle for one scheduled action."""
 
     __slots__ = (
         "time", "seq", "action", "name", "cancelled", "fired", "queue",
-        "lane",
     )
 
     def __init__(self, time: int, seq: int, action: Action, name: str) -> None:
@@ -64,9 +81,6 @@ class Event:
         self.cancelled = False
         self.fired = False
         self.queue: Optional["EventQueue"] = None
-        #: The kind's FIFO lane this event sits in, or None for a
-        #: lane-less heap entry.
-        self.lane: Optional[Deque[Entry]] = None
 
     def cancel(self) -> None:
         """Prevent the event from firing (no-op if already fired)."""
@@ -83,15 +97,22 @@ class Event:
         return "Event(%s @%d, %s)" % (self.name, self.time, state)
 
 
+def _fire_event(event: Event) -> None:
+    """The callout of a :meth:`EventQueue.schedule` handle."""
+    event.fired = True
+    event.action()
+
+
 class EventQueue:
-    """A deterministic priority queue of :class:`Event` objects.
+    """A deterministic priority queue of callouts.
 
     Invariants:
 
     - every non-empty lane has exactly its head entry on ``_heap``;
       every other heap entry is lane-less;
-    - ``_live`` counts scheduled, unfired, uncancelled events;
-    - ``_horizon`` is the earliest live event time, ``None`` when the
+    - ``_live`` counts posted entries that have neither fired nor been
+      cancelled;
+    - ``_horizon`` is the earliest live entry time, ``None`` when the
       queue is empty, or :data:`_STALE` when it must be recomputed by
       popping tombstones off the heap top.
     """
@@ -107,8 +128,8 @@ class EventQueue:
         self._seq = 0
         self._live = 0
         self._horizon: Optional[int] = None
-        #: Schedules that landed before their lane's tail and went on
-        #: the heap instead (see the module docstring).
+        #: Posts that landed before their lane's tail and went on the
+        #: heap instead (see the module docstring).
         self.heap_schedules = 0
         #: Same-timestamp run telemetry (see :meth:`fire_due`): runs of
         #: more than one pop, pops inside them, and the longest run.
@@ -120,40 +141,44 @@ class EventQueue:
     def __len__(self) -> int:
         return self._live
 
-    def schedule(self, time: int, action: Action, name: str = "event") -> Event:
-        """Schedule ``action`` at absolute cycle ``time``.
+    def post(self, time: int, fn: Callable[[Any], None], arg: Any,
+             name: str = "event") -> None:
+        """Queue the callout ``fn(arg)`` at absolute cycle ``time``.
 
-        ``name`` is the event's *kind*: it picks the FIFO lane the event
+        The only code that puts an entry on a lane or on the heap.
+        ``name`` is the entry's *kind*: it picks the FIFO lane the entry
         joins, so it must come from a small fixed set (``"net-deliver"``,
         ``"client-think"``, ...), never carry a per-event id.  Kinds
-        whose events are scheduled in time order cost O(1); an event
-        that lands before its lane's tail still fires in order, through
-        the heap.
+        posted in time order cost O(1); an entry that lands before its
+        lane's tail still fires in order, through the heap.
         """
         if time < 0:
             raise ValueError("event time must be >= 0: %r" % time)
         seq = self._seq
         self._seq = seq + 1
-        event = Event(time, seq, action, name)
-        event.queue = self
-        entry = (time, seq, event)
         lane = self._lanes.get(name)
         if lane is None:
             lane = self._lanes[name] = deque()
         if not lane:
+            entry = (time, seq, fn, arg, lane, name)
             lane.append(entry)
-            event.lane = lane
             heapq.heappush(self._heap, entry)
         elif time >= lane[-1][0]:
-            lane.append(entry)
-            event.lane = lane
+            lane.append((time, seq, fn, arg, lane, name))
         else:
             self.heap_schedules += 1
-            heapq.heappush(self._heap, entry)
+            heapq.heappush(self._heap, (time, seq, fn, arg, None, name))
         self._live += 1
         horizon = self._horizon
         if horizon is None or (horizon != _STALE and time < horizon):
             self._horizon = time
+
+    def schedule(self, time: int, action: Action, name: str = "event") -> Event:
+        """Schedule ``action`` at absolute cycle ``time``; returns its
+        cancellation handle.  Same lane rule as :meth:`post`."""
+        event = Event(time, self._seq, action, name)
+        event.queue = self
+        self.post(time, _fire_event, event, name)
         return event
 
     def next_time(self) -> Optional[int]:
@@ -181,14 +206,14 @@ class EventQueue:
     def fire_due(self, now: int) -> int:
         """Fire every event due at or before ``now``; returns the count.
 
-        Actions may schedule further events; those fire too if they are
+        Callouts may post further events; those fire too if they are
         also due (a timer rearming itself in the past would otherwise
         stall time).  Events fire one at a time in ``(time, seq)`` order:
         each pop takes the heap minimum and, when it is a lane head,
-        replaces it with the lane's next entry in the same sift.  An
-        action that schedules into the past (an SMP IPI on a per-CPU
-        queue) lands on the heap and simply fires next.  Cancelled
-        tombstones are dropped as they reach the top.
+        replaces it with the lane's next entry in the same sift.  A
+        callout that posts into the past (an SMP IPI on a per-CPU queue)
+        lands on the heap and simply fires next.  Cancelled tombstones
+        are dropped as they reach the top.
 
         The batch counters record *runs*: consecutive pops within one
         call that share a timestamp.  A tombstone counts when it falls
@@ -204,8 +229,9 @@ class EventQueue:
         run_time = -1
         run = 0
         while heap:
-            time, __, event = heap[0]
-            if event.cancelled:
+            entry = heap[0]
+            time, __, fn, arg, lane, __ = entry
+            if fn is _fire_event and arg.cancelled:
                 if time == run_time:
                     run += 1
                 else:
@@ -213,7 +239,7 @@ class EventQueue:
                         self._count_run(run)
                     run_time = -1
                     run = 0
-                self._pop_top(event)
+                self._pop_top(entry)
                 continue
             if time > now:
                 break
@@ -225,7 +251,6 @@ class EventQueue:
                 run_time = time
                 run = 1
             # _pop_top, inlined: this is the per-event hot path.
-            lane = event.lane
             if lane is None:
                 pop(heap)
             else:
@@ -235,9 +260,8 @@ class EventQueue:
                 else:
                     pop(heap)
             self._horizon = _STALE
-            event.fired = True
             self._live -= 1
-            event.action()
+            fn(arg)
             fired += 1
         if run > 1:
             self._count_run(run)
@@ -264,10 +288,10 @@ class EventQueue:
             # live event could share its timestamp, so recompute lazily.
             self._horizon = _STALE
 
-    def _pop_top(self, event: Event) -> None:
-        """Pop the heap top ``event``, promoting its lane's next head."""
+    def _pop_top(self, entry: Entry) -> None:
+        """Pop the heap top ``entry``, promoting its lane's next head."""
         heap = self._heap
-        lane = event.lane
+        lane = entry[4]
         if lane is None:
             heapq.heappop(heap)
         else:
@@ -279,26 +303,26 @@ class EventQueue:
 
     def _drop_cancelled(self) -> None:
         heap = self._heap
-        while heap and heap[0][2].cancelled:
-            self._pop_top(heap[0][2])
+        while heap and heap[0][2] is _fire_event and heap[0][3].cancelled:
+            self._pop_top(heap[0])
 
     def signature(self) -> Tuple[Tuple[int, int, str], ...]:
-        """The live events as a sorted ``(time, seq, name)`` tuple.
+        """The live entries as a sorted ``(time, seq, name)`` tuple.
 
         Tombstones are excluded, so two queues that went through
         different cancel histories but hold the same pending work have
-        the same signature.  Each pending event is listed once: the
+        the same signature.  Each pending entry is listed once: the
         heap's lane-less entries plus every lane entry (a lane head is
         in both).  Used by the snapshot-integrity digests in
         :mod:`repro.fleet`.
         """
-        entries = [entry for entry in self._heap if entry[2].lane is None]
+        entries = [entry for entry in self._heap if entry[4] is None]
         for lane in self._lanes.values():
             entries.extend(lane)
         return tuple(
             sorted(
-                (time, seq, event.name)
-                for (time, seq, event) in entries
-                if not event.cancelled
+                (time, seq, name)
+                for (time, seq, fn, arg, __, name) in entries
+                if not (fn is _fire_event and arg.cancelled)
             )
         )

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import dataclasses
 from collections import deque
-from typing import Any, Callable, Dict, List, Optional, TYPE_CHECKING
+from typing import Any, Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.hw import costs
 from repro.hw.atomic import (
@@ -308,21 +308,21 @@ class SmpExtension:
         src.ipis_sent += 1
         self.ipis_sent += 1
         arrive = src.clock.cycles + self.table[costs.IPI_LATENCY]
-        world = self.world
+        # CPU 0's queue is the world's: never post behind its clock.
+        floor = self.world.clock.cycles if dst.index == 0 else 0
+        dst.events.post(max(arrive, floor), self._ipi_arrive, (dst, action),
+                        name)
 
-        def deliver() -> None:
-            self.ipis_delivered += 1
-            dst.ipis_received += 1
-            if dst.index == 0:
-                world.spend(costs.IPI_RECEIVE)
-            else:
-                dst.clock.advance(self.table[costs.IPI_RECEIVE])
-            action()
-
+    def _ipi_arrive(self, ipi: Tuple["Cpu", Callable[[], None]]) -> None:
+        """Callout of :meth:`send_ipi`: the interrupt reaches ``dst``."""
+        dst, action = ipi
+        self.ipis_delivered += 1
+        dst.ipis_received += 1
         if dst.index == 0:
-            world.schedule_at(arrive, deliver, name=name)
+            self.world.spend(costs.IPI_RECEIVE)
         else:
-            dst.events.schedule(max(arrive, 0), deliver, name=name)
+            dst.clock.advance(self.table[costs.IPI_RECEIVE])
+        action()
 
     def route_signal(self, kernel: Any, proc: Any, sig: int, cause: Any) -> bool:
         """IPI-route an asynchronous signal when it must cross CPUs.

@@ -171,6 +171,13 @@ class World:
             raise ValueError("cannot schedule in the past: %r" % cycles)
         return self.events.schedule(self.clock.cycles + cycles, action, name)
 
+    def post_in(self, cycles: int, fn, arg, name: str = "event") -> None:
+        """Post the callout ``fn(arg)`` ``cycles`` from now (no handle;
+        see :meth:`EventQueue.post`)."""
+        if cycles < 0:
+            raise ValueError("cannot schedule in the past: %r" % cycles)
+        self.events.post(self.clock.cycles + cycles, fn, arg, name)
+
     def fire_due(self) -> int:
         """Fire every event due at the current instant.
 

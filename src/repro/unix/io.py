@@ -105,11 +105,7 @@ class IoDevice:
         if not self._deterministic:
             delay_us = self._world.rng.expovariate(self._latency_us)
         delay = max(self._world.cycles_for_us(delay_us), 1)
-        self._world.schedule_in(
-            delay,
-            lambda: self._complete(request),
-            name="io-complete",
-        )
+        self._world.post_in(delay, self._complete, request, "io-complete")
         return request
 
     def _complete(self, request: IoRequest) -> None:

@@ -51,8 +51,9 @@ class Message:
     """One application message (bookkeeping only, no payload bytes).
 
     A message in flight carries its destination socket ``dst``, so the
-    link event that lands it is the message's own bound :meth:`deliver`
-    -- no closure per message.
+    link event that lands it is the callout ``NetStack._deliver(msg)``:
+    the stack's cached bound ``_deliver`` plus the message itself -- no
+    handle, closure or bound method per message.
     """
 
     __slots__ = ("nbytes", "meta", "sent_at", "delivered_at", "dst")
@@ -65,11 +66,6 @@ class Message:
         self.sent_at = sent_at
         self.delivered_at = 0
         self.dst = dst
-
-    def deliver(self) -> None:
-        """Link event: land on ``dst`` through its stack."""
-        dst = self.dst
-        dst.stack._deliver(dst, self)
 
     def __repr__(self) -> str:
         return "Message(%d bytes, sent_at=%d, delivered_at=%d)" % (
@@ -249,6 +245,8 @@ class NetStack:
         self._fixed_delay: Optional[int] = None
         if deterministic and bandwidth_bytes_per_us <= 0:
             self._fixed_delay = max(world.cycles_for_us(latency_us), 1)
+        #: ``self._deliver``, bound once: the callout of every message.
+        self._deliver_msg = self._deliver
         self._req_ids = itertools.count(1)
         self._sock_ids = itertools.count(1)
         self._epoll_ids = itertools.count(1)
@@ -324,10 +322,9 @@ class NetStack:
         server_side = Socket(self, self.rx_capacity)
         self._pair(sock, server_side, port)
         sock.state = "connecting"
-        self._world.schedule_in(
+        self._world.post_in(
             self._fixed_delay or self._link_delay(0),
-            lambda: self._establish(listener, server_side, sock),
-            name="net-establish",
+            self._establish, (listener, server_side, sock), "net-establish",
         )
         return True
 
@@ -603,10 +600,9 @@ class NetStack:
         server_side = Socket(self, self.rx_capacity)
         self._pair(client, server_side, port)
         client.state = "connecting"
-        self._world.schedule_in(
+        self._world.post_in(
             self._fixed_delay or self._link_delay(0),
-            lambda: self._establish(listener, server_side, client),
-            name="net-establish",
+            self._establish, (listener, server_side, client), "net-establish",
         )
         return client
 
@@ -648,9 +644,10 @@ class NetStack:
             delay_us += nbytes / self.bandwidth_bytes_per_us
         return max(self._world.cycles_for_us(delay_us), 1)
 
-    def _establish(self, listener: Socket, server_side: Socket,
-                   client: Socket) -> None:
-        """Link event: the connection reaches the listener."""
+    def _establish(self, conn: Tuple[Socket, Socket, Socket]) -> None:
+        """Link event: the connection ``(listener, server_side,
+        client)`` reaches the listener."""
+        listener, server_side, client = conn
         self._world.spend(costs.NET_DELIVER)
         listener.claims -= 1
         if listener.state != "listening":
@@ -701,17 +698,17 @@ class NetStack:
         """Put one message on the link.  ``meta`` is copied here, once,
         so a sender may reuse or change its dict after the call."""
         dst.rx_inflight += nbytes
-        world = self._world
-        msg = Message(nbytes, dict(meta) if meta else {},
-                      world.clock.cycles, dst)
-        world.schedule_in(
-            self._fixed_delay or self._link_delay(nbytes),
-            msg.deliver,
+        now = self._world.clock.cycles
+        self._world.events.post(
+            now + (self._fixed_delay or self._link_delay(nbytes)),
+            self._deliver_msg,
+            Message(nbytes, dict(meta) if meta else {}, now, dst),
             "net-deliver",
         )
 
-    def _deliver(self, dst: Socket, msg: Message) -> None:
-        """Link event: a message arrives at ``dst``."""
+    def _deliver(self, msg: Message) -> None:
+        """Link event: ``msg`` arrives at its ``dst``."""
+        dst = msg.dst
         world = self._world
         world.spend(costs.NET_DELIVER)
         dst.rx_inflight -= msg.nbytes
@@ -774,10 +771,9 @@ class NetStack:
             del sock.selectors[:]
         peer = sock.peer
         if peer is not None and peer.state not in ("closed",):
-            self._world.schedule_in(
+            self._world.post_in(
                 self._fixed_delay or self._link_delay(0),
-                lambda: self._deliver_eof(peer),
-                name="net-eof",
+                self._deliver_eof, peer, "net-eof",
             )
 
     def _deliver_eof(self, sock: Socket) -> None:
@@ -917,7 +913,10 @@ class ResidentClient:
             eng.completed += 1
             eng.active -= 1
             return
-        world.schedule_in(eng.think_cycles, self.send, "client-think")
+        world.events.post(
+            world.clock.cycles + eng.think_cycles,
+            ResidentClient.send, self, "client-think",
+        )
 
     def eof(self, sock: Socket) -> None:
         """Server closed first: close this end and leave the active set.
@@ -936,10 +935,10 @@ class ResidentClientEngine:
     Holds everything common to the records (stack, protocol parameters,
     result counters) so each :class:`ResidentClient` is four slots.
     The front-end (:class:`repro.net.loadgen.LoadGenerator`) compiles
-    the arrival process into pre-scheduled events whose actions are the
-    records' bound ``arrive`` methods, and reads results back through
-    this object.  Registers itself on ``stack.resident`` so the
-    observability layer can harvest ``loadgen.resident.*`` counters.
+    the arrival process into pre-posted ``ResidentClient.arrive(record)``
+    callouts, and reads results back through this object.  Registers
+    itself on ``stack.resident`` so the observability layer can harvest
+    ``loadgen.resident.*`` counters.
     """
 
     __slots__ = (

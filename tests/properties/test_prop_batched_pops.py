@@ -1,19 +1,22 @@
 """Property: the laned event queue fires exactly like one heap.
 
 ``EventQueue`` keeps one FIFO lane per event kind with only the lane
-heads on its heap, and ``fire_due`` pops one event at a time.  The
-observable contract is that the lanes are *pure mechanism*: against a
-reference queue that keeps every event on one heap and pops strictly one
-``(time, seq)`` at a time, a randomized program of schedules under a few
-kinds, cancellations, mid-fire re-schedules (including into the past,
-the SMP cross-clock case) and sibling cancellations must produce the
-identical fire order, identical fired counts, and an identical surviving
-schedule.  Scripts schedule out of time order within a kind, and spawns
-with negative deltas land behind their lane's tail, so the programs
-exercise the lane append, the heap fallback, cancelled lane heads and
-the all-tombstones clear.  A sparse-time program (mostly lone events)
-must match too, including cancelled tombstones that share a live
-event's timestamp and kind.
+heads on its heap, and ``fire_due`` pops one event at a time.  Each
+entry is a callout: most are *posted* (``fn(arg)``, no handle) and a few
+are *scheduled* (an ``Event`` handle that can be cancelled).  The
+observable contract is that the lanes and the two ways in are *pure
+mechanism*: against a reference queue that keeps every event on one
+heap and pops strictly one ``(time, seq)`` at a time, a randomized
+program of posts and schedules under a few kinds, cancellations of the
+handles, mid-fire re-posts (including into the past, the SMP
+cross-clock case) and sibling cancellations must produce the identical
+fire order, identical fired counts, and an identical surviving schedule.
+Scripts post out of time order within a kind, and spawns with negative
+deltas land behind their lane's tail, so the programs exercise the lane
+append, the heap fallback, cancelled lane heads among posted entries
+and the all-tombstones clear.  A sparse-time program (mostly lone
+events) must match too, including cancelled tombstones that share a
+live event's timestamp and kind.
 """
 
 import heapq
@@ -21,7 +24,7 @@ import itertools
 
 from hypothesis import given, settings, strategies as st
 
-from repro.sim.events import EventQueue
+from repro.sim.events import EventQueue, _fire_event
 
 
 class OneAtATimeQueue:
@@ -62,16 +65,19 @@ class OneAtATimeQueue:
 KINDS = st.sampled_from(["net", "think", "disk"])
 
 # One scripted event: a time slot, its kind, plus what its action does
-# when fired.  ``spawn_delta`` in [-3, 5] exercises scheduling into the
-# past mid-drain as well as same-timestamp and future spawns; a spawn
-# shares its parent's kind, so a negative delta lands behind that lane's
-# tail.  ``cancel_target`` points anywhere in the initial set, covering
-# cancellation of already-fired, sibling, lane-head and future events.
+# when fired, and whether it keeps a handle.  ``spawn_delta`` in [-3, 5]
+# exercises posting into the past mid-drain as well as same-timestamp
+# and future spawns; a spawn shares its parent's kind and way in, so a
+# negative delta lands behind that lane's tail.  ``cancel_target``
+# points anywhere in the initial set, covering cancellation of
+# already-fired, sibling, lane-head and future handles (a target that
+# was posted has no handle and is left alone).
 EVENT = st.tuples(
     st.integers(min_value=0, max_value=12),  # time (narrow: dense runs)
     KINDS,
     st.sampled_from(["plain", "spawn", "cancel"]),
     st.integers(min_value=-3, max_value=5),  # spawn delta / cancel index
+    st.booleans(),  # True: scheduled with a handle; False: posted
 )
 
 # The same, spread over a wide time range so most events are alone at
@@ -83,6 +89,7 @@ SPARSE_EVENT = st.tuples(
     KINDS,
     st.sampled_from(["plain", "spawn", "cancel"]),
     st.integers(min_value=-3, max_value=5),
+    st.booleans(),
     st.sampled_from([None, "before", "after"]),  # cancelled twin
 )
 
@@ -94,20 +101,39 @@ def _cancel(queue, handle):
         handle.cancel()
 
 
+def _call(action):
+    """The callout of a posted script event: run its action."""
+    action()
+
+
+def _add(queue, time, action, name, handle):
+    """Schedule ``action`` (returning its handle) or post it (None).
+
+    The one-heap reference has no posts: it schedules every event and
+    the script simply keeps no handle for a posted one.
+    """
+    if handle or isinstance(queue, OneAtATimeQueue):
+        entry = queue.schedule(time, action, name)
+        return entry if handle else None
+    queue.post(time, _call, action, name)
+    return None
+
+
 def _run(queue, script, horizons):
     """Drive one queue through the script; return the fire log."""
     log = []
     handles = {}
 
-    def make_action(label, time, name, kind, param):
+    def make_action(label, time, name, kind, param, handle):
         def action():
             log.append(label)
             if kind == "spawn":
                 child = "%s+spawn" % label
-                queue.schedule(
-                    max(0, time + param),
-                    make_action(child, time + param, name, "plain", 0),
-                    name,
+                _add(
+                    queue, max(0, time + param),
+                    make_action(child, time + param, name, "plain", 0,
+                                handle),
+                    name, handle,
                 )
             elif kind == "cancel":
                 target = handles.get(param % max(1, len(handles)))
@@ -118,16 +144,19 @@ def _run(queue, script, horizons):
 
     def twin(index, time, name):
         _cancel(queue, queue.schedule(
-            time, make_action("e%d-twin" % index, time, name, "plain", 0),
+            time,
+            make_action("e%d-twin" % index, time, name, "plain", 0, True),
             name,
         ))
 
-    for index, (time, name, kind, param, *rest) in enumerate(script):
+    for index, (time, name, kind, param, handle, *rest) in enumerate(script):
         twin_at = rest[0] if rest else None
         if twin_at == "before":
             twin(index, time, name)
-        handles[index] = queue.schedule(
-            time, make_action("e%d" % index, time, name, kind, param), name
+        handles[index] = _add(
+            queue, time,
+            make_action("e%d" % index, time, name, kind, param, handle),
+            name, handle,
         )
         if twin_at == "after":
             twin(index, time, name)
@@ -170,13 +199,24 @@ def _assert_matches_one_at_a_time(script, horizons):
     # Identical surviving schedule (the signature excludes tombstones
     # and lists each pending event once; both queues number their
     # events identically).
-    assert list(laned.signature()) == reference.remaining()
+    signature = laned.signature()
+    assert list(signature) == reference.remaining()
     assert len(laned) == len(reference.remaining())
-    # The lane-head invariant survives every program.
-    lane_heads = [entry for entry in laned._heap if entry[2].lane is not None]
+    # Lane-less heap entries -- posted or scheduled -- are named too.
+    laneless = {
+        (time, seq, name)
+        for time, seq, fn, arg, lane, name in laned._heap
+        if lane is None and not (fn is _fire_event and arg.cancelled)
+    }
+    assert laneless <= set(signature)
+    # The lane-head invariant survives every program: the entry names
+    # the lane it sits in.
+    lane_heads = [entry for entry in laned._heap if entry[4] is not None]
     assert sorted(map(id, lane_heads)) == sorted(
         id(lane[0]) for lane in laned._lanes.values() if lane
     )
+    assert all(entry[4] is lane
+               for lane in laned._lanes.values() for entry in lane)
 
 
 @settings(max_examples=100, deadline=None)

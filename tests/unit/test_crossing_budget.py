@@ -5,7 +5,10 @@ work, leave (Table 2's ``getpid`` yardstick).  The simulator charges it
 the same way -- ``UnixKernel._enter`` makes exactly one ``World.spend``
 per syscall, with the service's ``costs.SYS_*`` path key -- and the
 executor's segment guard resolves a frame's location table once, not
-once per step.  Both are host-cost properties that leave every
+once per step.  The event horizon is a callout table like the BSD
+kernel's ``timeout(fn, arg, ticks)``: events nobody cancels (link
+messages, think timers, arrivals, connection set-up) are posted without
+an ``Event`` handle.  All are host-cost properties that leave every
 simulated result unchanged, so only a count can pin them.
 """
 
@@ -14,6 +17,7 @@ import sys
 import pytest
 
 from repro.net.scenario import run_scenario
+from repro.sim.events import Event, EventQueue
 from repro.sim.frames import Frame
 from repro.sim.segments import SegmentSpace
 from repro.sim.world import World
@@ -37,6 +41,11 @@ REPLIES = SCENARIO["clients"] * SCENARIO["requests_per_client"]
 SPENDS = 6_929
 #: ...of which made by ``UnixKernel._enter``: one per syscall.
 ENTER_SPENDS = 1_848
+#: Entries the scenario posts to the event horizon (``EventQueue._seq``).
+POSTED = 1_602
+#: ``Event`` handles among them: only interval-timer arms keep one
+#: (every entry built an ``Event`` before the queue took callouts).
+EVENT_HANDLES = 2
 
 
 class _CountingDict(dict):
@@ -57,9 +66,12 @@ def measured():
     orig_spend = World.spend
     orig_space_init = SegmentSpace.__init__
     orig_frame_init = Frame.__init__
-    counts = {"spend": 0, "enter": 0}
+    orig_event_init = Event.__init__
+    orig_queue_init = EventQueue.__init__
+    counts = {"spend": 0, "enter": 0, "event": 0}
     spaces = []
     frames = []
+    queues = []
 
     def spend(self, key, *args, **kwargs):
         counts["spend"] += 1
@@ -76,14 +88,25 @@ def measured():
         orig_frame_init(self, *args, **kwargs)
         frames.append(self)
 
+    def event_init(self, *args, **kwargs):
+        orig_event_init(self, *args, **kwargs)
+        counts["event"] += 1
+
+    def queue_init(self):
+        orig_queue_init(self)
+        queues.append(self)
+
     mp = pytest.MonkeyPatch()
     mp.setattr(World, "spend", spend)
     mp.setattr(SegmentSpace, "__init__", space_init)
     mp.setattr(Frame, "__init__", frame_init)
+    mp.setattr(Event, "__init__", event_init)
+    mp.setattr(EventQueue, "__init__", queue_init)
     try:
         report = run_scenario(**SCENARIO)
     finally:
         mp.undo()
+    counts["posted"] = [queue._seq for queue in queues]
     return report, counts, spaces, frames
 
 
@@ -115,3 +138,11 @@ def test_location_table_is_resolved_once_per_stepped_frame(measured):
     assert space._by_code.gets == len(stepped)
     for frame in stepped:
         assert frame.seg_table is space._by_code[frame.gen.gi_code]
+
+
+def test_uncancelled_events_build_no_handle(measured):
+    """Every entry is still posted; only the cancellable ones (interval
+    timers) allocate an ``Event``."""
+    __, counts, __, __ = measured
+    assert counts["posted"] == [POSTED]
+    assert counts["event"] <= EVENT_HANDLES

@@ -1,6 +1,6 @@
 """The event queue's per-kind FIFO lanes.
 
-Each event kind (the ``name`` a caller schedules under) gets a FIFO
+Each event kind (the ``name`` a caller posts under) gets a FIFO
 lane, and only lane heads sit on the heap.  These tests pin the host
 property the lanes exist for -- the heap stays as small as the number
 of kinds, on a real net scenario and on a random-latency disk -- plus
@@ -26,18 +26,19 @@ from repro.unix.sigset import SIGIO
 
 def test_net_scenario_keeps_the_heap_to_one_entry_per_kind(monkeypatch):
     """200 resident clients x 2 requests on epoll with think time: the
-    heap never holds more entries than there are event kinds."""
-    orig = EventQueue.schedule
+    heap never holds more entries than there are event kinds.  The hook
+    sits on ``post``, the one insertion path (``schedule`` goes through
+    it too)."""
+    orig = EventQueue.post
     kinds = set()
     sizes = []
 
-    def schedule(self, time, action, name="event"):
-        event = orig(self, time, action, name)
+    def post(self, time, fn, arg, name="event"):
+        orig(self, time, fn, arg, name)
         kinds.add(name)
         sizes.append((len(self._heap), len(kinds)))
-        return event
 
-    monkeypatch.setattr(EventQueue, "schedule", schedule)
+    monkeypatch.setattr(EventQueue, "post", post)
     report = run_scenario(
         arch="epoll", clients=200, requests_per_client=2, mean_gap_us=15.0,
         think_us=2_000.0, service_cycles=100, latency_us=60.0, seed=1,

@@ -3,6 +3,12 @@
 import pytest
 
 from repro.sim.events import EventQueue
+from repro.sim.world import World
+from repro.unix.kernel import UnixKernel
+from repro.unix.process import UnixProcess
+from repro.unix.signals import SigAction
+from repro.unix.sigset import SIGALRM
+from repro.unix.timers import IntervalTimer
 
 
 def test_schedule_and_fire():
@@ -111,3 +117,83 @@ def test_three_events_at_one_time_are_one_batch_of_three():
     assert queue.batch_pops == 1
     assert queue.batched_events == 3
     assert queue.max_batch == 3
+
+
+# -- posted callouts mixed with cancellable handles ---------------------------
+
+
+def _program(queue, hits, use_posts):
+    """Four events at t=4 around one handle, plus a lone one at t=9.
+
+    With ``use_posts`` the four are callouts (no handle); otherwise every
+    event is a handle, the queue's behaviour before it took callouts.
+    Returns the handle to cancel.
+    """
+    def add(time, label):
+        if use_posts:
+            queue.post(time, hits.append, label, "k")
+        else:
+            queue.schedule(time, lambda: hits.append(label), "k")
+
+    add(4, "a")
+    add(4, "b")
+    handle = queue.schedule(4, lambda: hits.append("cancelled"), "k")
+    add(4, "c")
+    add(4, "d")
+    add(9, "late")
+    return handle
+
+
+def test_handle_cancelled_inside_a_run_of_posts_does_not_fire():
+    queue = EventQueue()
+    hits = []
+    _program(queue, hits, use_posts=True).cancel()
+    reference = EventQueue()
+    _program(reference, [], use_posts=False).cancel()
+    assert queue.fire_due(10) == reference.fire_due(10) == 5
+    assert hits == ["a", "b", "c", "d", "late"]
+    # The tombstone sits inside the t=4 run and counts there, exactly as
+    # it does among handles.
+    counters = ("batch_pops", "batched_events", "max_batch")
+    assert [getattr(queue, c) for c in counters] == [1, 5, 5]
+    assert [getattr(queue, c) for c in counters] == [
+        getattr(reference, c) for c in counters
+    ]
+
+
+def test_cancelling_the_last_live_handle_clears_every_lane():
+    queue = EventQueue()
+    hits = []
+    queue.post(1, hits.append, "posted", "a")
+    handles = [queue.schedule(t, lambda: hits.append("handle"), k)
+               for t, k in ((2, "a"), (0, "a"), (3, "b"))]
+    assert queue.fire_due(1) == 2  # the t=0 handle, then the post
+    assert hits == ["handle", "posted"]
+    for handle in handles:
+        handle.cancel()
+    assert len(queue) == 0
+    assert queue.next_time() is None
+    assert not queue._heap and not any(queue._lanes.values())
+    # A post after the clear fires at its own time, not before.
+    queue.post(6, hits.append, "after", "a")
+    assert queue.next_time() == 6
+    assert queue.fire_due(5) == 0
+    assert queue.fire_due(6) == 1
+    assert hits == ["handle", "posted", "after"]
+
+
+def test_interval_timer_stays_armed_across_expire_and_rearm():
+    world = World("sparc-ipx")
+    kernel = UnixKernel(world)
+    proc = UnixProcess(kernel, None, name="p")
+    proc.auto_deliver = True
+    kernel.sigaction(proc, SIGALRM, SigAction(handler=lambda s, c: None))
+    recurring = IntervalTimer(world, kernel, proc)
+    one_shot = IntervalTimer(world, kernel, proc)
+    recurring.arm(50_000, interval_cycles=50_000)
+    one_shot.arm(50_000)
+    assert recurring.armed and one_shot.armed
+    world.spend_cycles(50_000)
+    assert recurring.expirations == one_shot.expirations == 1
+    assert recurring.armed  # the expiry rearmed it with a fresh handle
+    assert not one_shot.armed  # its handle fired
