@@ -8,13 +8,14 @@ memory, miscellaneous library work, idle) and to the thread that was
 current when it was spent.
 
 Mechanism: the profiler registers a clock *watcher*, so it sees every
-advance, and shadows ``World.spend``/``spend_cycles`` with
-instance-level wrappers that set the ambient category (derived from
-the cost key being charged) around the original call.  Direct
-``clock.advance`` calls -- user work bursts, the restartable atomic
-sequences -- land in the ambient category, which defaults to
-``compute``.  The register-window methods and the idle advance are
-wrapped the same way so trap and idle cycles are labelled precisely.
+advance, and shadows ``World.spend`` with an instance-level wrapper
+that sets the ambient category (derived from the cost key being
+charged) around the original call.  Raw charges -- ``spend_cycles``
+and direct ``clock.advance`` calls: user work bursts, loop overhead,
+the restartable atomic sequences -- land in the ambient category,
+which defaults to ``compute``.  The register-window methods and the
+idle advance are wrapped the same way so trap and idle cycles are
+labelled precisely.
 
 Two invariants make this admissible instrumentation:
 
@@ -257,7 +258,6 @@ class CycleProfiler:
 
     def _wrap_spend(self, world: "World") -> None:
         orig_spend = world.spend
-        orig_spend_cycles = world.spend_cycles
         category_of = CATEGORY_OF_KEY
 
         def spend(key: str, times: int = 1) -> None:
@@ -268,15 +268,8 @@ class CycleProfiler:
             finally:
                 self._category = prev
 
-        def spend_cycles(cycles: int, fire: bool = True) -> None:
-            # Raw charges (work bursts, loop overhead) stay in the
-            # ambient category -- compute unless inside a wrapped scope.
-            orig_spend_cycles(cycles, fire)
-
         world.spend = spend  # type: ignore[method-assign]
-        world.spend_cycles = spend_cycles  # type: ignore[method-assign]
         self._saved["spend"] = (world, "spend")
-        self._saved["spend_cycles"] = (world, "spend_cycles")
 
     def _wrap_windows(self, windows) -> None:
         """Label the register-window trap cycles.

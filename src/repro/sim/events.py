@@ -10,24 +10,23 @@ breaks ties), which keeps every run deterministic.
 
 Two ways in, one insertion path:
 
-- :meth:`EventQueue.post` queues a callout and returns nothing.  The
-  hot callers (link messages, client think timers, arrivals, connection
-  set-up and EOF, disk completions, IPIs) never cancel what they post,
-  so they pass a function they already hold and the object it acts on
-  -- no handle, closure or bound method is built per event.
+- :meth:`EventQueue.post` queues a callout.  The hot callers (link
+  messages, client think timers, arrivals, connection set-up and EOF,
+  disk completions, IPIs) never cancel what they post, so they pass a
+  function they already hold and the object it acts on -- no handle,
+  closure or bound method is built per event.
 - :meth:`EventQueue.schedule` is for the few callers that keep a
   cancellation handle (the interval timers, tests, examples).  It
-  builds an :class:`Event` and posts ``_fire_event(event)``.  A
-  cancelled handle stays queued as a *tombstone* -- an entry whose
-  ``fn`` is :func:`_fire_event` and whose ``arg`` is cancelled -- until
-  it reaches the front; the live count and horizon are maintained
-  incrementally by :meth:`Event.cancel` telling its queue.
+  builds an :class:`Event` and posts ``_fire_event(event)``.  Like
+  4.3BSD's ``untimeout``, :meth:`Event.cancel` unlinks the handle's
+  entry at once, so every queued entry is live.
 
 Host-speed notes: this queue sits on the executor's hottest path (every
 kernel crossing asks "is anything due?"), so it caches the earliest
-pending event time (the *horizon*).  ``next_time``/``fire_due`` answer
-in O(1) while the horizon is ahead of the clock, and ``__len__`` is a
-pure counter read -- no query mutates the queue.
+pending event time (the *horizon*), kept exact by every post, pop and
+cancel.  ``next_time``/``fire_due`` answer in O(1) while the horizon is
+ahead of the clock, and ``__len__`` is a pure counter read -- no query
+mutates the queue.
 
 Lanes: almost every event is posted in time order *within its own
 kind* -- a fixed link delay, a constant think time, monotone client
@@ -61,16 +60,13 @@ Action = Callable[[], None]
 #: further fields.
 Entry = Tuple[int, int, Callable[[Any], None], Any, Optional[Deque], str]
 
-#: Sentinel horizon value: "stale, recompute from the heap on demand".
-#: Event times are >= 0, so -1 can never collide with a real time.
-_STALE = -1
-
 
 class Event:
     """A cancellation handle for one scheduled action."""
 
     __slots__ = (
         "time", "seq", "action", "name", "cancelled", "fired", "queue",
+        "entry",
     )
 
     def __init__(self, time: int, seq: int, action: Action, name: str) -> None:
@@ -81,14 +77,15 @@ class Event:
         self.cancelled = False
         self.fired = False
         self.queue: Optional["EventQueue"] = None
+        self.entry: Optional[Entry] = None
 
     def cancel(self) -> None:
-        """Prevent the event from firing (no-op if already fired)."""
+        """Unlink the event from its queue (no-op if already fired)."""
         if self.cancelled or self.fired:
             return
         self.cancelled = True
         if self.queue is not None:
-            self.queue._cancelled(self)
+            self.queue._remove(self.entry)
 
     def __repr__(self) -> str:
         state = "fired" if self.fired else (
@@ -110,11 +107,10 @@ class EventQueue:
 
     - every non-empty lane has exactly its head entry on ``_heap``;
       every other heap entry is lane-less;
-    - ``_live`` counts posted entries that have neither fired nor been
-      cancelled;
-    - ``_horizon`` is the earliest live entry time, ``None`` when the
-      queue is empty, or :data:`_STALE` when it must be recomputed by
-      popping tombstones off the heap top.
+    - every queued entry is live: firing pops it and cancelling
+      unlinks it, and ``_live`` counts the queued entries;
+    - ``_horizon`` is the earliest queued entry time (the heap
+      minimum's), or ``None`` when the queue is empty.
     """
 
     __slots__ = (
@@ -142,8 +138,9 @@ class EventQueue:
         return self._live
 
     def post(self, time: int, fn: Callable[[Any], None], arg: Any,
-             name: str = "event") -> None:
-        """Queue the callout ``fn(arg)`` at absolute cycle ``time``.
+             name: str = "event") -> Entry:
+        """Queue the callout ``fn(arg)`` at absolute cycle ``time``;
+        returns the queued entry (hot callers ignore it).
 
         The only code that puts an entry on a lane or on the heap.
         ``name`` is the entry's *kind*: it picks the FIFO lane the entry
@@ -164,43 +161,33 @@ class EventQueue:
             lane.append(entry)
             heapq.heappush(self._heap, entry)
         elif time >= lane[-1][0]:
-            lane.append((time, seq, fn, arg, lane, name))
+            entry = (time, seq, fn, arg, lane, name)
+            lane.append(entry)
         else:
             self.heap_schedules += 1
-            heapq.heappush(self._heap, (time, seq, fn, arg, None, name))
+            entry = (time, seq, fn, arg, None, name)
+            heapq.heappush(self._heap, entry)
         self._live += 1
         horizon = self._horizon
-        if horizon is None or (horizon != _STALE and time < horizon):
+        if horizon is None or time < horizon:
             self._horizon = time
+        return entry
 
     def schedule(self, time: int, action: Action, name: str = "event") -> Event:
         """Schedule ``action`` at absolute cycle ``time``; returns its
         cancellation handle.  Same lane rule as :meth:`post`."""
         event = Event(time, self._seq, action, name)
         event.queue = self
-        self.post(time, _fire_event, event, name)
+        event.entry = self.post(time, _fire_event, event, name)
         return event
 
     def next_time(self) -> Optional[int]:
         """Virtual time of the earliest pending event, or None."""
-        horizon = self._horizon
-        if horizon != _STALE:
-            return horizon
-        self._drop_cancelled()
-        heap = self._heap
-        horizon = heap[0][0] if heap else None
-        self._horizon = horizon
-        return horizon
+        return self._horizon
 
     def due_before(self, now: int) -> bool:
-        """O(1) in the common case: could anything be due at ``now``?
-
-        May return True conservatively when the horizon is stale; the
-        caller's :meth:`fire_due` then resolves it exactly.
-        """
+        """O(1): is anything due at ``now``?"""
         horizon = self._horizon
-        if horizon == _STALE:
-            return self.next_time() is not None and self._horizon <= now
         return horizon is not None and horizon <= now
 
     def fire_due(self, now: int) -> int:
@@ -212,16 +199,13 @@ class EventQueue:
         each pop takes the heap minimum and, when it is a lane head,
         replaces it with the lane's next entry in the same sift.  A
         callout that posts into the past (an SMP IPI on a per-CPU queue)
-        lands on the heap and simply fires next.  Cancelled tombstones
-        are dropped as they reach the top.
+        lands on the heap and simply fires next.
 
         The batch counters record *runs*: consecutive pops within one
-        call that share a timestamp.  A tombstone counts when it falls
-        inside a run; tombstones dropped before a run's first live
-        event do not.
+        call that share a timestamp.
         """
         horizon = self._horizon
-        if horizon != _STALE and (horizon is None or horizon > now):
+        if horizon is None or horizon > now:
             return 0
         heap = self._heap
         pop = heapq.heappop
@@ -229,18 +213,7 @@ class EventQueue:
         run_time = -1
         run = 0
         while heap:
-            entry = heap[0]
-            time, __, fn, arg, lane, __ = entry
-            if fn is _fire_event and arg.cancelled:
-                if time == run_time:
-                    run += 1
-                else:
-                    if run > 1:
-                        self._count_run(run)
-                    run_time = -1
-                    run = 0
-                self._pop_top(entry)
-                continue
+            time, __, fn, arg, lane, __ = heap[0]
             if time > now:
                 break
             if time == run_time:
@@ -250,7 +223,6 @@ class EventQueue:
                     self._count_run(run)
                 run_time = time
                 run = 1
-            # _pop_top, inlined: this is the per-event hot path.
             if lane is None:
                 pop(heap)
             else:
@@ -259,13 +231,12 @@ class EventQueue:
                     heapq.heapreplace(heap, lane[0])
                 else:
                     pop(heap)
-            self._horizon = _STALE
+            self._horizon = heap[0][0] if heap else None
             self._live -= 1
             fn(arg)
             fired += 1
         if run > 1:
             self._count_run(run)
-        self._horizon = heap[0][0] if heap else None
         return fired
 
     def _count_run(self, run: int) -> None:
@@ -274,55 +245,39 @@ class EventQueue:
         if run > self.max_batch:
             self.max_batch = run
 
-    def _cancelled(self, event: Event) -> None:
-        """Bookkeeping for :meth:`Event.cancel` (the tombstone stays queued)."""
-        self._live -= 1
-        if self._live == 0:
-            # Every queued entry is a tombstone: drop them all at once.
-            self._heap.clear()
-            for lane in self._lanes.values():
-                lane.clear()
-            self._horizon = None
-        elif self._horizon == event.time:
-            # The cancelled event may have defined the horizon; another
-            # live event could share its timestamp, so recompute lazily.
-            self._horizon = _STALE
+    def _remove(self, entry: Entry) -> None:
+        """Unlink a queued ``entry`` (:meth:`Event.cancel`).
 
-    def _pop_top(self, entry: Entry) -> None:
-        """Pop the heap top ``entry``, promoting its lane's next head."""
+        An entry behind its lane's head is not on the heap, so only its
+        lane changes; a lane head or lane-less entry leaves the heap,
+        and a lane head's successor takes its place there.  Only
+        interval timers cancel, and each timer kind has its own lane,
+        so lanes and heap are short where this runs.
+        """
         heap = self._heap
         lane = entry[4]
-        if lane is None:
-            heapq.heappop(heap)
+        if lane is not None and lane[0] is not entry:
+            lane.remove(entry)
         else:
-            lane.popleft()
-            if lane:
-                heapq.heapreplace(heap, lane[0])
-            else:
-                heapq.heappop(heap)
-
-    def _drop_cancelled(self) -> None:
-        heap = self._heap
-        while heap and heap[0][2] is _fire_event and heap[0][3].cancelled:
-            self._pop_top(heap[0])
+            heap.remove(entry)
+            if lane is not None:
+                lane.popleft()
+                if lane:
+                    heap.append(lane[0])
+            heapq.heapify(heap)
+        self._live -= 1
+        self._horizon = heap[0][0] if heap else None
 
     def signature(self) -> Tuple[Tuple[int, int, str], ...]:
-        """The live entries as a sorted ``(time, seq, name)`` tuple.
+        """The queued entries as a sorted ``(time, seq, name)`` tuple.
 
-        Tombstones are excluded, so two queues that went through
-        different cancel histories but hold the same pending work have
-        the same signature.  Each pending entry is listed once: the
-        heap's lane-less entries plus every lane entry (a lane head is
-        in both).  Used by the snapshot-integrity digests in
-        :mod:`repro.fleet`.
+        Each entry is listed once: the heap's lane-less entries plus
+        every lane entry (a lane head is in both).  Used by the
+        snapshot-integrity digests in :mod:`repro.fleet`.
         """
         entries = [entry for entry in self._heap if entry[4] is None]
         for lane in self._lanes.values():
             entries.extend(lane)
         return tuple(
-            sorted(
-                (time, seq, name)
-                for (time, seq, fn, arg, __, name) in entries
-                if not (fn is _fire_event and arg.cancelled)
-            )
+            sorted((time, seq, name) for (time, seq, __, __, __, name) in entries)
         )

@@ -8,7 +8,9 @@ a small set of guards (mutex ownership, empty waiter queues, no event
 due inside the window), so after interpreting it once the executor can
 *replay* it -- one compiled Python function per segment, one clock
 store per batch -- instead of re-dispatching every op through the
-interpreter loop.
+interpreter loop.  One emitter writes every segment as a loop: a run
+that closes back on its own location repeats while the bounds allow,
+and any other run is a one-iteration segment.
 
 Correctness model
 -----------------
@@ -45,7 +47,7 @@ generator body (replay publishes the clock before each send).
 Simulated time, ``Runtime.steps``, per-thread ``cpu_cycles`` and every
 library field (owners, lock cells, held lists, counters) are exact at
 every op where replay hands back to the interpreter, and at run end.
-Between two replayed ops they are not: loop segments defer their state
+Between two replayed ops they are not: every segment defers its state
 effects to segment exit, so a generator body that reads a library
 object mid-segment sees its segment-entry values.  The property tests
 in ``tests/properties/test_prop_segment_equivalence.py`` assert
@@ -155,16 +157,13 @@ class _SegStep:
 
 
 class _Segment:
-    """A compiled segment: replay function plus metadata."""
+    """A compiled segment: its replay function, keyed by its first op."""
 
-    __slots__ = ("fn", "first_op", "n_ops", "total_cycles", "loops")
+    __slots__ = ("fn", "first_op")
 
-    def __init__(self, fn, first_op, n_ops, total_cycles, loops) -> None:
+    def __init__(self, fn, first_op) -> None:
         self.fn = fn
         self.first_op = first_op
-        self.n_ops = n_ops
-        self.total_cycles = total_cycles
-        self.loops = loops
 
 
 class SegmentSpace:
@@ -569,14 +568,19 @@ class SegmentSpace:
     def _compile(self, steps: List[_SegStep], closed: bool):
         """Generate and exec the replay function for a certified run.
 
-        The generated code keeps no per-op bookkeeping: every exit site
-        (op mismatch, exception, clean stop) statically knows how many
-        ops completed and how many cycles they cost, so the hot loop is
-        just sends, identity checks, and -- for loop segments -- one
-        add per iteration.  Loop segments whose per-iteration effects
-        net-restore every guarded field defer all effect application:
-        counters are applied once at exit (``delta * iterations``) and
-        mid-iteration exits carry statically-known fix-up assignments.
+        Every segment is one emitted form, a ``while it < k`` loop.
+        A closed run whose per-iteration effects net-restore every
+        guarded field iterates while the step budget, the event horizon
+        and the run's end allow; any other run is a one-iteration
+        segment (``k`` capped at 1).  The generated code keeps no per-op
+        bookkeeping: every exit site (op mismatch, exception, clean
+        stop) statically knows how many ops completed and how many
+        cycles they cost, so the hot loop is just sends, identity
+        checks and one add per iteration.  Effects are deferred:
+        counters are applied once at exit (``delta * iterations``),
+        mid-iteration exits carry statically-known fix-up assignments,
+        and a one-iteration segment stores its final state as its
+        iteration ends.
         """
         env_names: Dict[int, str] = {}
         env_objs: List[Any] = []
@@ -591,10 +595,12 @@ class SegmentSpace:
 
         n_ops = len(steps)
         total = sum(s.cycles for s in steps)
+        if not total:
+            return None  # the horizon cannot bound a zero-cycle run
         lit = {"none": "None", "zero": "0"}
 
         # Pass 1: entry guards, symbolic state, aggregated effects, and
-        # a per-site snapshot of the prefix state (for loop fix-ups).
+        # a per-site snapshot of the prefix state (for exit fix-ups).
         entry_guards: List[str] = []
         guard_expect: Dict[Tuple[str, str], Any] = {}
         sym: Dict[Tuple[str, str], Any] = {}
@@ -606,7 +612,6 @@ class SegmentSpace:
         prefix_cycles: List[int] = []
         snapshots = []
         op_refs: List[str] = []
-        effect_lines: List[List[str]] = []
         cycles_so_far = 0
 
         for step in steps:
@@ -637,7 +642,6 @@ class SegmentSpace:
                 elif var not in guard_expect:
                     guard_expect[var] = expect
                     entry_guards.append(expr)
-            lines: List[str] = []
             for e in step.effects:
                 kind, obj = e[0], e[1]
                 nm = ref(obj)
@@ -645,40 +649,33 @@ class SegmentSpace:
                     uses_held = True
                     held_now.append(("append", nm))
                     held_balance[nm] = held_balance.get(nm, 0) + 1
-                    lines.append("held.append(%s)" % nm)
                     continue
                 if kind == "held_remove":
                     uses_held = True
                     held_now.append(("remove", nm))
                     held_balance[nm] = held_balance.get(nm, 0) - 1
-                    lines.append("held.remove(%s)" % nm)
                     continue
                 attr = e[2]
                 var = (nm, attr)
                 if kind == "inc":
                     counter_now[var] = counter_now.get(var, 0) + e[3]
                     sym[var] = "opaque"
-                    lines.append("%s.%s += %r" % (nm, attr, e[3]))
                 elif kind == "set_const":
                     state_now[var] = e[3]
                     sym[var] = e[3]
-                    lines.append("%s.%s = %r" % (nm, attr, e[3]))
                 elif kind == "set_tcb":
                     state_now[var] = "tcb"
                     sym[var] = "tcb"
-                    lines.append("%s.%s = tcb" % (nm, attr))
                 elif kind == "set_none":
                     state_now[var] = "none"
                     sym[var] = "none"
-                    lines.append("%s.%s = None" % (nm, attr))
                 else:  # pragma: no cover - unknown effect kind
                     return None
-            effect_lines.append(lines)
             cycles_so_far += step.cycles
 
         # A closed run compiles to a loop only when every guarded field
         # is provably restored by one full iteration (then guards hoist
-        # out of the loop and effects defer to the exits).
+        # out of the loop).  Any other run is a one-iteration segment.
         loops = closed
         if loops:
             for var, expect in guard_expect.items():
@@ -703,15 +700,16 @@ class SegmentSpace:
                 return "None"
             return repr(tok)
 
-        def fixup(indent: int, i: int) -> None:
-            """State/counter/held repair for 'i ops completed'."""
-            if not loops:
-                return  # linear mode applies effects inline
-            state, cnt, held_ops = snapshots[i]
+        def restore(indent: int, state, held_ops) -> None:
             for (nm, attr), tok in state.items():
                 emit(indent, "%s.%s = %s" % (nm, attr, render_tok(tok)))
             for verb, nm in held_ops:
                 emit(indent, "held.%s(%s)" % (verb, nm))
+
+        def fixup(indent: int, i: int) -> None:
+            """State/counter/held repair for 'i ops completed'."""
+            state, cnt, held_ops = snapshots[i]
+            restore(indent, state, held_ops)
             for (nm, attr), prefix in cnt.items():
                 full = counter_now.get((nm, attr), 0)
                 if full and prefix:
@@ -730,11 +728,9 @@ class SegmentSpace:
                     emit(indent, "%s.%s += %d * it" % (nm, attr, full))
 
         def n_expr(i: int) -> str:
-            if loops:
-                if i:
-                    return "%d * it + %d" % (n_ops, i)
-                return "%d * it" % n_ops
-            return "%d" % i
+            if i:
+                return "%d * it + %d" % (n_ops, i)
+            return "%d * it" % n_ops
 
         def t_expr(i: int) -> str:
             p = prefix_cycles[i]
@@ -773,9 +769,6 @@ class SegmentSpace:
                 indent + 1,
                 "return (0, %s, %s, None, op)" % (n_expr(i), t_expr(i)),
             )
-            if not loops:
-                for line in effect_lines[i]:
-                    emit(indent, line)
 
         emit(0, "def _make(env):")
         if env_objs:
@@ -795,48 +788,37 @@ class SegmentSpace:
             emit(3, "return (0, 0, t, value, op)")
         if loops:
             emit(2, "k = budget // %d" % n_ops)
-            emit(2, "if limit is not None:")
-            emit(3, "k2 = (limit - t - 1) // %d" % total)
-            emit(3, "if k2 < k:")
-            emit(4, "k = k2")
-            emit(2, "if until != %d:" % _NO_BOUND)
-            emit(3, "k2 = (until - t - 1) // %d" % total)
-            emit(3, "if k2 < k:")
-            emit(4, "k = k2")
-            emit(2, "if k <= 0:")
-            emit(3, "return (0, 0, t, value, op)")
         else:
-            emit(
-                2,
-                "if %d > budget or (limit is not None and t + %d >= limit)"
-                " or (until != %d and t + %d >= until):"
-                % (n_ops, total, _NO_BOUND, total),
-            )
-            emit(3, "return (0, 0, t, value, op)")
+            emit(2, "k = min(budget // %d, 1)" % n_ops)
+        emit(2, "if limit is not None:")
+        emit(3, "k2 = (limit - t - 1) // %d" % total)
+        emit(3, "if k2 < k:")
+        emit(4, "k = k2")
+        emit(2, "if until != %d:" % _NO_BOUND)
+        emit(3, "k2 = (until - t - 1) // %d" % total)
+        emit(3, "if k2 < k:")
+        emit(4, "k = k2")
+        emit(2, "if k <= 0:")
+        emit(3, "return (0, 0, t, value, op)")
         emit(2, "send = frame.gen.send")
         if uses_held:
             emit(2, "held = tcb.held_mutexes")
-        if loops:
-            emit(2, "it = 0")
-            emit(2, "while it < k:")
-            for i in range(n_ops):
-                op_block(3, i)
-            emit(3, "value = %s" % lit[steps[-1].result])
-            emit(3, "op = None")
-            emit(3, "t += %d" % total)
-            emit(3, "it += 1")
-            for (nm, attr), full in counter_now.items():
-                if full:
-                    emit(2, "%s.%s += %d * it" % (nm, attr, full))
-            emit(2, "return (0, %d * it, t, value, None)" % n_ops)
-        else:
-            for i in range(n_ops):
-                op_block(2, i)
-            emit(
-                2,
-                "return (0, %d, t + %d, %s, None)"
-                % (n_ops, total, lit[steps[-1].result]),
-            )
+        emit(2, "it = 0")
+        emit(2, "while it < k:")
+        for i in range(n_ops):
+            op_block(3, i)
+        emit(3, "value = %s" % lit[steps[-1].result])
+        emit(3, "op = None")
+        emit(3, "t += %d" % total)
+        if not loops:
+            # The one iteration leaves the run's final state behind
+            # (a loop's iteration restores its entry state instead).
+            restore(3, state_now, held_now)
+        emit(3, "it += 1")
+        for (nm, attr), full in counter_now.items():
+            if full:
+                emit(2, "%s.%s += %d * it" % (nm, attr, full))
+        emit(2, "return (0, %d * it, t, value, None)" % n_ops)
         emit(1, "return _replay")
 
         code = "\n".join("    " * ind + text for ind, text in out) + "\n"
@@ -860,4 +842,4 @@ class SegmentSpace:
                 _SOURCE_CACHE[code] = code_obj
         exec(code_obj, namespace)  # noqa: S102
         fn = namespace["_make"](tuple(env_objs))
-        return _Segment(fn, steps[0].op, n_ops, total, loops)
+        return _Segment(fn, steps[0].op)

@@ -191,7 +191,7 @@ class World:
         now = self.clock.cycles
         horizon = self.events._horizon
         if horizon is None or horizon > now:
-            return 0  # nothing can be due (stale horizon is -1: falls through)
+            return 0  # nothing can be due (the horizon is exact)
         if self._defer_depth or self._firing:
             return 0
         self._firing = True

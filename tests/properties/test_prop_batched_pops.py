@@ -14,9 +14,9 @@ fire order, identical fired counts, and an identical surviving schedule.
 Scripts post out of time order within a kind, and spawns with negative
 deltas land behind their lane's tail, so the programs exercise the lane
 append, the heap fallback, cancelled lane heads among posted entries
-and the all-tombstones clear.  A sparse-time program (mostly lone
-events) must match too, including cancelled tombstones that share a
-live event's timestamp and kind.
+and cancelling every queued event.  A sparse-time program (mostly lone
+events) must match too, including cancelled handles that share a live
+event's timestamp and kind.
 """
 
 import heapq
@@ -82,8 +82,8 @@ EVENT = st.tuples(
 
 # The same, spread over a wide time range so most events are alone at
 # their timestamp, plus an optional cancelled twin of the same kind at
-# the same time, scheduled just before (so the tombstone fires first in
-# order) or just after.
+# the same time, scheduled just before (so it would fire first in order)
+# or just after.
 SPARSE_EVENT = st.tuples(
     st.integers(min_value=0, max_value=200),  # time (wide: lone events)
     KINDS,
@@ -196,9 +196,9 @@ def _assert_matches_one_at_a_time(script, horizons):
     reference_log, reference_fired = _run(reference, script, horizons)
     assert laned_log == reference_log  # identical wake order
     assert laned_fired == reference_fired
-    # Identical surviving schedule (the signature excludes tombstones
-    # and lists each pending event once; both queues number their
-    # events identically).
+    # Identical surviving schedule (a cancel unlinks its entry, the
+    # signature lists each pending event once, and both queues number
+    # their events identically).
     signature = laned.signature()
     assert list(signature) == reference.remaining()
     assert len(laned) == len(reference.remaining())

@@ -10,9 +10,9 @@ at run end, and at every op where replay hands back to the
 interpreter; the same ``world.now`` at every resume of a generator
 body; and the same exception, at the same cycle, when a body raises
 out of a replayed loop.  Library-object fields are *not* exact between
-two replayed ops: loop segments defer their effects to segment exit,
+two replayed ops: every segment defers its effects to segment exit,
 so a body that reads, say, ``m.owner`` right after an unlock inside a
-compiled loop sees the segment-entry value.
+compiled segment sees the segment-entry value.
 
 Hypothesis drives random workload shapes and scheduling parameters;
 two deterministic regression tests pin down specific historical bugs:
@@ -237,6 +237,39 @@ def test_timer_expiry_inside_formerly_straight_line_run():
     assert _fingerprint(on) == _fingerprint(off)
 
 
+def test_zero_cycle_run_is_left_to_the_interpreter():
+    """A run of zero-cycle ops cannot be bounded by the event horizon
+    (its iteration count is the cycles left divided by its cost), so it
+    is never compiled; replaying it used to raise ZeroDivisionError
+    while a timer was pending."""
+    def make(log):
+        def sleeper(pt):
+            world = pt.runtime.world
+            for _ in range(5):
+                yield pt.delay_us(200.0)
+                log.append(world.now)
+
+        def main(pt):
+            t = yield pt.create(
+                sleeper, attr=ThreadAttr(priority=120), name="sleeper"
+            )
+            idle = pt.work(0)
+            for _ in range(200):
+                yield idle
+                yield idle
+            yield pt.join(t)
+
+        return main
+
+    log_on: list = []
+    log_off: list = []
+    on = _run(make(log_on), segments=True, priority=50)
+    off = _run(make(log_off), segments=False, priority=50)
+    assert on._segments.segments_compiled == 0
+    assert log_on == log_off
+    assert _fingerprint(on) == _fingerprint(off)
+
+
 def test_failed_variant_recordings_are_capped():
     """A compiled location whose in-hand op keeps missing records a new
     variant every few mismatches; once those recordings have failed
@@ -245,6 +278,21 @@ def test_failed_variant_recordings_are_capped():
     counters = on._segments.counters()
     assert counters["exec.segment.recordings"] <= 20
     assert counters["exec.segment.steps_replayed"] == 68927
+
+
+def test_one_shot_segments_hold_locations_for_later_loops():
+    """A run that does not close into a loop still compiles, as a
+    one-iteration segment.  It replays few steps itself, but holding its
+    location lets later variants there compile as loops: with one-shot
+    runs left uncompiled, this pipeline replays 183,784 steps out of 19
+    recordings instead."""
+    on = assert_equivalent(
+        lambda: pipeline(4, 8000, 500), seed=1, timeslice_us=20_000.0,
+        priority=100,
+    )
+    counters = on._segments.counters()
+    assert counters["exec.segment.steps_replayed"] == 191786
+    assert counters["exec.segment.recordings"] == 12
 
 
 def test_dfs_exploration_identical_with_segments_disabled(monkeypatch):

@@ -4,7 +4,7 @@ Each event kind (the ``name`` a caller posts under) gets a FIFO
 lane, and only lane heads sit on the heap.  These tests pin the host
 property the lanes exist for -- the heap stays as small as the number
 of kinds, on a real net scenario and on a random-latency disk -- plus
-the lane rule's heap fallback, the all-tombstones clear and the
+the lane rule's heap fallback, cancelling every event and the
 same-timestamp run counters over two kinds.  Fire order against a
 one-heap reference is property-checked in
 ``tests/properties/test_prop_batched_pops.py``.

@@ -152,13 +152,60 @@ def test_handle_cancelled_inside_a_run_of_posts_does_not_fire():
     _program(reference, [], use_posts=False).cancel()
     assert queue.fire_due(10) == reference.fire_due(10) == 5
     assert hits == ["a", "b", "c", "d", "late"]
-    # The tombstone sits inside the t=4 run and counts there, exactly as
-    # it does among handles.
+    # The cancel unlinked the handle, so the t=4 run is the four live
+    # events, exactly as among handles.
     counters = ("batch_pops", "batched_events", "max_batch")
-    assert [getattr(queue, c) for c in counters] == [1, 5, 5]
+    assert [getattr(queue, c) for c in counters] == [1, 4, 4]
     assert [getattr(queue, c) for c in counters] == [
         getattr(reference, c) for c in counters
     ]
+
+
+def _assert_unlinked(queue, handle):
+    """``handle`` is gone from every lane and the heap, and the live
+    count and horizon describe exactly what is left queued."""
+    entries = list(queue._heap)
+    for lane in queue._lanes.values():
+        entries.extend(lane)
+    assert all(entry[3] is not handle for entry in entries)
+    assert len(queue) == len(queue.signature())
+    assert queue._horizon == min((entry[0] for entry in entries),
+                                 default=None)
+
+
+def test_cancel_unlinks_its_entry_at_once():
+    queue = EventQueue()
+    hits = []
+    a5 = queue.schedule(5, lambda: hits.append("a5"), "a")
+    a6 = queue.schedule(6, lambda: hits.append("a6"), "a")
+    a7 = queue.schedule(7, lambda: hits.append("a7"), "a")
+    queue.post(8, hits.append, "a8", "a")
+    queue.schedule(9, lambda: hits.append("b9"), "b")
+    b3 = queue.schedule(3, lambda: hits.append("b3"), "b")  # lane-less
+    c2 = queue.schedule(2, lambda: hits.append("c2"), "c")
+    queue.post(2, hits.append, "d2", "d")
+    assert queue.heap_schedules == 1
+    assert len(queue) == 8 and queue._horizon == 2
+
+    a6.cancel()  # mid-lane: only its lane changes
+    _assert_unlinked(queue, a6)
+    assert [entry[3] for entry in queue._lanes["a"]] == [a5, a7, "a8"]
+
+    a5.cancel()  # lane head: the next lane entry takes its heap place
+    _assert_unlinked(queue, a5)
+    assert queue._lanes["a"][0] is a7.entry
+    assert any(entry is a7.entry for entry in queue._heap)
+
+    b3.cancel()  # lane-less heap entry
+    _assert_unlinked(queue, b3)
+
+    c2.cancel()  # defined the horizon; the t=2 post of kind "d" survives
+    _assert_unlinked(queue, c2)
+    assert len(queue) == 4 and queue._horizon == 2
+
+    assert queue.fire_due(10) == 4
+    assert hits == ["d2", "a7", "a8", "b9"]
+    assert len(queue) == 0 and queue._horizon is None
 
 
 def test_cancelling_the_last_live_handle_clears_every_lane():
