@@ -174,7 +174,7 @@ def test_records_file_round_trips(sweep):
 
 @pytest.mark.skipif(
     not os.environ.get("REPRO_NET_SF100"),
-    reason="opt-in (REPRO_NET_SF100=1): ~10^5 clients, ~9-13 s and ~240 MB",
+    reason="opt-in (REPRO_NET_SF100=1): ~10^5 clients, ~10-15 s and ~150 MB",
 )
 def test_sf100_holds_a_hundred_thousand_clients_concurrently():
     """The headline scale point: one epoll dispatcher thread owning

@@ -294,7 +294,7 @@ NET_SF_FIXTURES: Dict[str, Dict[str, Any]] = {
         mean_gap_us=15.0,
         archs=("epoll",),
     ),
-    "sf100": dict(  # opt-in: ~10^5 concurrent clients, ~9-13 s, ~240 MB
+    "sf100": dict(  # opt-in: ~10^5 concurrent clients, ~10-15 s, ~150 MB
         clients=100000,
         requests_per_client=2,
         mean_gap_us=1.5,

@@ -118,6 +118,6 @@ class IoOps(LibraryOps):
             or wait.data.get("request") is not request
         ):
             return  # already woken (interrupted or cancelled)
-        wait.deliver((0, request.result))
+        wait.deliver((request.err, request.result))
         rt.sched.make_ready(tcb)
         rt.world.emit("io-fc-wake", thread=tcb.name)

@@ -224,7 +224,10 @@ class NetOps(LibraryOps):
         if not issued:
             rt.kern.leave()
             return (ECONNREFUSED, -1)
-        request = rt.net.wait_connect(sock, tcb, finisher=lambda c: fd)
+        # The kernel completes with None when refused in flight.
+        request = rt.net.wait_connect(
+            sock, tcb, finisher=lambda c: -1 if c is None else fd
+        )
         self._park(tcb, sock, request, "connect", fd)
         rt.kern.leave()
         return BLOCKED

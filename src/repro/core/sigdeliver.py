@@ -186,7 +186,7 @@ class SignalDelivery:
         request = cause.data
         if wait.data.get("request") is not request:
             return False
-        wait.deliver((OK, request.result))
+        wait.deliver((request.err, request.result))
         self.rt.sched.make_ready(tcb)
         return True
 

@@ -4,7 +4,9 @@ Clients live *in the kernel* (remote peers), not in the library: each
 one is a kernel-resident :class:`~repro.unix.net.ResidentClient` state
 record -- no thread, no generator, no stack -- advanced directly by
 event-horizon entries (its pre-scheduled arrival, link deliveries, and
-think-time wakeups).  This front-end only *compiles* the arrival
+think-time wakeups).  The record is also the client's end of its
+connection (a :class:`~repro.unix.net.RemoteEndpoint`), so a connection
+costs the record plus one server-side socket.  This front-end only *compiles* the arrival
 process: arrival times, and nothing else, come from a salted fork of
 the world RNG -- the same seed always produces the same arrival
 schedule, byte counts, and therefore the same run.  The per-client

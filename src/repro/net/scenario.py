@@ -278,7 +278,7 @@ def run_scenario(
     accept_waits_us = [rt.world.us(c) for c in stack.accept_waits]
     report.accept_wait_p50_us = percentile(accept_waits_us, 50)
     report.accept_wait_p99_us = percentile(accept_waits_us, 99)
-    report.accept_depth_max = max(stack.accept_depths, default=0)
+    report.accept_depth_max = stack.accept_depth_max
     report.queue_wait_p50_us = percentile(collector.queue_waits_us, 50)
     report.queue_wait_p99_us = percentile(collector.queue_waits_us, 99)
     report.syscalls = rt.unix.total_syscalls

@@ -36,6 +36,7 @@ class IoRequest:
     issue_time: int
     done: bool = False
     result: int = 0
+    err: int = 0  # the error number returned with ``result``
     complete_time: int = 0
     meta: Dict[str, Any] = field(default_factory=dict)
 

@@ -40,6 +40,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.core.errors import ECONNREFUSED
 from repro.hw import costs
 from repro.sim.world import World
 from repro.unix.kernel import UnixKernel
@@ -50,22 +51,25 @@ from repro.unix.signals import SigCause
 class Message:
     """One application message (bookkeeping only, no payload bytes).
 
-    A message in flight carries its destination socket ``dst``, so the
+    A message in flight carries its destination endpoint ``dst``, so the
     link event that lands it is the callout ``NetStack._deliver(msg)``:
     the stack's cached bound ``_deliver`` plus the message itself -- no
-    handle, closure or bound method per message.
+    handle, closure or bound method per message.  A buffered message is
+    also a link of its socket's receive queue: ``next`` is the message
+    behind it (see :class:`Socket`).
     """
 
-    __slots__ = ("nbytes", "meta", "sent_at", "delivered_at", "dst")
+    __slots__ = ("nbytes", "meta", "sent_at", "delivered_at", "dst", "next")
 
     def __init__(
-        self, nbytes: int, meta: Dict[str, Any], sent_at: int, dst: "Socket"
+        self, nbytes: int, meta: Dict[str, Any], sent_at: int, dst: Any
     ) -> None:
         self.nbytes = nbytes
         self.meta = meta
         self.sent_at = sent_at
         self.delivered_at = 0
         self.dst = dst
+        self.next: Optional[Message] = None
 
     def __repr__(self) -> str:
         return "Message(%d bytes, sent_at=%d, delivered_at=%d)" % (
@@ -83,7 +87,8 @@ class NetRequest:
     ``finisher`` lets the library map the raw kernel object to the
     caller-visible value (e.g. allocate an fd for an accepted socket)
     at completion time, with the kernel flag protection the waker
-    already holds.
+    already holds.  ``err`` is the error number the call returns with
+    its result (``ECONNREFUSED`` for a connection refused in flight).
     """
 
     reqid: int
@@ -99,50 +104,50 @@ class NetRequest:
     done: bool = False
     cancelled: bool = False
     result: Any = None
+    err: int = 0
     complete_time: int = 0
 
 
 class Socket:
-    """One simulated socket (listening, connected, or kernel-owned).
+    """One simulated socket of this machine (listening or connected).
 
-    ``kernel_owned`` marks remote endpoints driven by the load
-    generator: they live entirely inside the kernel, consume arriving
-    messages through their ``owner`` record immediately -- no
-    buffering, no library thread.
+    A remote host's end of a connection is not a socket of this kernel:
+    it is a :class:`RemoteEndpoint` record.
 
-    Memory discipline: at the sf100 scale fixture one run holds a few
+    Memory discipline: at the sf100 scale fixture one run holds about a
     hundred thousand live sockets, so the class is ``__slots__``-based
-    and its per-role queues are *lazy*.  Kernel-owned endpoints never
-    allocate queues at all; ordinary sockets allocate ``rx``/
-    ``pending_recvs``/``waiting_senders`` on first use, and the
-    listening-side queues appear when ``listen()`` is called.  Every
-    reader treats ``None`` as the empty queue.
+    and allocates no container it does not need.  The receive buffer is
+    an intrusive queue: ``rx_head`` and ``rx_tail`` are its first and
+    last :class:`Message`, linked through ``Message.next``, and
+    ``rx_head is None`` is the empty buffer.  The other queues are lazy:
+    ``pending_recvs``/``waiting_senders`` appear on first use and the
+    listening-side queues when ``listen()`` is called.  Every reader
+    treats ``None`` as the empty queue.
     """
 
     __slots__ = (
-        "sid", "stack", "state", "port", "kernel_owned",
+        "sid", "stack", "state", "port",
         "backlog", "claims", "accept_queue", "pending_accepts",
-        "peer", "rx", "rx_bytes", "rx_inflight", "rx_capacity", "rx_eof",
+        "peer", "rx_head", "rx_tail", "rx_bytes", "rx_inflight",
+        "rx_capacity", "rx_eof",
         "pending_recvs", "waiting_senders", "pending_connect",
-        "selectors", "watchers", "owner",
+        "selectors", "watchers",
     )
 
-    def __init__(
-        self, stack: "NetStack", rx_capacity: int, kernel_owned: bool = False
-    ) -> None:
+    def __init__(self, stack: "NetStack", rx_capacity: int) -> None:
         self.sid = next(stack._sock_ids)
         self.stack = stack
         self.state = "new"  # new | bound | listening | connecting | connected | closed
         self.port: Optional[int] = None
-        self.kernel_owned = kernel_owned
         # Listening side (queues allocated by sys_listen).
         self.backlog = 0
         self.claims = 0  # connections admitted but still in flight
         self.accept_queue: Optional[deque] = None  # (Socket, enqueued_at)
         self.pending_accepts: Optional[deque] = None  # NetRequests
         # Connected side (queues allocated on first use).
-        self.peer: Optional["Socket"] = None
-        self.rx: Optional[deque] = None  # Messages
+        self.peer: Any = None  # a Socket or a RemoteEndpoint
+        self.rx_head: Optional[Message] = None
+        self.rx_tail: Optional[Message] = None
         self.rx_bytes = 0
         self.rx_inflight = 0  # bytes transmitted but not yet delivered
         self.rx_capacity = rx_capacity
@@ -153,19 +158,59 @@ class Socket:
         # select/poll watchers and epoll registrations ((epoll, fd)).
         self.selectors: Optional[List[NetRequest]] = None
         self.watchers: Optional[List[Tuple["EpollInstance", int]]] = None
-        # Kernel-resident state record of a kernel-owned endpoint.
-        self.owner: Optional[Any] = None
 
     def readable(self) -> bool:
         """select()'s readiness rule for this socket."""
         if self.state == "listening":
             return bool(self.accept_queue)
-        return bool(self.rx) or self.rx_eof
+        return self.rx_head is not None or self.rx_eof
 
     def __repr__(self) -> str:
         return "Socket(#%d, %s, port=%s, rx=%d)" % (
             self.sid, self.state, self.port, self.rx_bytes,
         )
+
+
+class RemoteEndpoint:
+    """A remote host's end of one connection: a kernel-resident record.
+
+    The load generator's clients live on other machines, so their ends
+    of a connection are not sockets of this kernel -- no buffer, no
+    queues, no descriptor.  The record holds only what the stack reads
+    (``peer``, ``state``, ``rx_eof`` and the bytes on the link toward
+    it), and the stack tells it of its connection's events through four
+    upcalls made straight from link events: ``connected()``,
+    ``refused()`` (the listener closed while the connection was on the
+    link), ``rx(msg)`` and ``eof()``.  A remote host consumes each
+    message on arrival, so its receive window never fills: ``rx_bytes``
+    is always 0 and ``rx_capacity`` unbounded.
+
+    This base record ignores every event; :class:`ResidentClient` is the
+    record the load generator runs.
+    """
+
+    __slots__ = ("peer", "state", "rx_eof", "rx_inflight")
+
+    rx_bytes = 0
+    rx_capacity = float("inf")
+
+    def __init__(self) -> None:
+        self.peer: Optional[Socket] = None
+        self.state = "new"  # new | connecting | connected | closed
+        self.rx_eof = False
+        self.rx_inflight = 0
+
+    def connected(self) -> None:
+        pass
+
+    def refused(self) -> None:
+        pass
+
+    def rx(self, msg: Message) -> None:
+        pass
+
+    def eof(self) -> None:
+        pass
 
 
 class EpollInstance:
@@ -274,7 +319,7 @@ class NetStack:
         self.epoll_stale_dropped = 0  # ready entries found unreadable
         # Accept-path measurements (cycles; the scenario layer converts).
         self.accept_waits: List[int] = []
-        self.accept_depths: List[int] = []
+        self.accept_depth_max = 0
 
     # -- syscall surface (each charged like a unix/kernel.py service) --------
 
@@ -343,7 +388,7 @@ class NetStack:
         """Non-blocking recv: a :class:`Message`, :data:`EOF`, or the
         string ``"block"`` when nothing is available yet."""
         self._kernel._enter("recv", costs.SYS_RECV)
-        if sock.rx:
+        if sock.rx_head is not None:
             msg = self._rx_pop(sock)
             if sock.waiting_senders:
                 self._drain_senders(sock)
@@ -581,45 +626,53 @@ class NetStack:
     def remote_connect(
         self,
         port: int,
-        owner: Optional[Any] = None,
-    ) -> Optional[Socket]:
+        endpoint: Optional[RemoteEndpoint] = None,
+    ) -> Optional[RemoteEndpoint]:
         """A remote host connects: no syscall charge (it is not this
         machine's kernel entering), same admission and latency rules.
 
-        ``owner`` attaches a kernel-resident state record (an object
-        with ``connected``/``rx``/``eof`` methods, see
-        :class:`ResidentClient`) that receives the endpoint's events.
+        ``endpoint`` is the remote end's record (a :class:`ResidentClient`
+        for the load generator); without one a bare
+        :class:`RemoteEndpoint` is made.  Returns the endpoint, or None
+        when refused at issue.
         """
         listener = self.listeners.get(port)
         if listener is None or not self._admit_connection(listener):
             self.connections_refused += 1
             return None
         listener.claims += 1
-        client = Socket(self, self.rx_capacity, kernel_owned=True)
-        client.owner = owner
+        if endpoint is None:
+            endpoint = RemoteEndpoint()
         server_side = Socket(self, self.rx_capacity)
-        self._pair(client, server_side, port)
-        client.state = "connecting"
+        server_side.port = port
+        server_side.peer = endpoint
+        endpoint.peer = server_side
+        endpoint.state = "connecting"
         self._world.post_in(
             self._fixed_delay or self._link_delay(0),
-            self._establish, (listener, server_side, client), "net-establish",
+            self._establish, (listener, server_side, endpoint),
+            "net-establish",
         )
-        return client
+        return endpoint
 
-    def remote_send(self, sock: Socket, nbytes: int,
+    def remote_send(self, endpoint: RemoteEndpoint, nbytes: int,
                     meta: Optional[dict] = None) -> None:
         """A remote host sends (no syscall charge).  Remote senders are
         never backpressured mid-simulation: over-admission queues on
         the link and counts as a stall."""
-        peer = sock.peer
+        peer = endpoint.peer
         if peer is None or peer.state == "closed":
             return
         if not self._rx_admit(peer, nbytes):
             self.backpressure_stalls += 1
         self._transmit(peer, nbytes, meta)
 
-    def remote_close(self, sock: Socket) -> None:
-        self._close(sock)
+    def remote_close(self, endpoint: RemoteEndpoint) -> None:
+        """A remote host closes its end: EOF travels to this machine."""
+        if endpoint.state == "closed":
+            return
+        endpoint.state = "closed"
+        self._post_eof(endpoint.peer)
 
     # -- kernel-internal machinery -------------------------------------------
 
@@ -644,22 +697,32 @@ class NetStack:
             delay_us += nbytes / self.bandwidth_bytes_per_us
         return max(self._world.cycles_for_us(delay_us), 1)
 
-    def _establish(self, conn: Tuple[Socket, Socket, Socket]) -> None:
+    def _establish(self, conn: Tuple[Socket, Socket, Any]) -> None:
         """Link event: the connection ``(listener, server_side,
-        client)`` reaches the listener."""
+        client)`` reaches the listener.  ``client`` is a library
+        :class:`Socket` or a :class:`RemoteEndpoint`."""
         listener, server_side, client = conn
         self._world.spend(costs.NET_DELIVER)
         listener.claims -= 1
         if listener.state != "listening":
+            # The listener closed while the connection was on the link.
             self.connections_refused += 1
             client.state = "closed"
             server_side.state = "closed"
+            if type(client) is not Socket:
+                client.refused()
+            elif client.pending_connect is not None:
+                request, client.pending_connect = client.pending_connect, None
+                request.err = ECONNREFUSED
+                self._complete(request, None)
             return
         server_side.state = "connected"
         client.state = "connected"
         self.connections_opened += 1
-        listener.accept_queue.append((server_side, self._world.now))
-        self.accept_depths.append(len(listener.accept_queue))
+        queue = listener.accept_queue
+        queue.append((server_side, self._world.now))
+        if len(queue) > self.accept_depth_max:
+            self.accept_depth_max = len(queue)
         if listener.pending_accepts:
             request = listener.pending_accepts.popleft()
             conn = self._accept_pop(listener)
@@ -670,8 +733,8 @@ class NetStack:
             if listener.watchers:
                 self._epoll_edges(listener)
         # Tell the connecting side.
-        if client.owner is not None:
-            client.owner.connected(client)
+        if type(client) is not Socket:
+            client.connected()
         elif client.pending_connect is not None:
             request, client.pending_connect = client.pending_connect, None
             self._complete(request, client)
@@ -683,17 +746,21 @@ class NetStack:
         self.accept_waits.append(self._world.now - enqueued_at)
         return conn
 
-    def _rx_admit(self, sock: Socket, nbytes: int) -> bool:
-        if sock.kernel_owned:
-            return True  # remote endpoints consume on arrival
+    def _rx_admit(self, sock: Any, nbytes: int) -> bool:
         return sock.rx_bytes + sock.rx_inflight + nbytes <= sock.rx_capacity
 
     def _rx_pop(self, sock: Socket) -> Message:
-        msg = sock.rx.popleft()
+        msg = sock.rx_head
+        behind = msg.next
+        if behind is None:
+            sock.rx_tail = None
+        else:
+            msg.next = None
+        sock.rx_head = behind
         sock.rx_bytes -= msg.nbytes
         return msg
 
-    def _transmit(self, dst: Socket, nbytes: int,
+    def _transmit(self, dst: Any, nbytes: int,
                   meta: Optional[dict]) -> None:
         """Put one message on the link.  ``meta`` is copied here, once,
         so a sender may reuse or change its dict after the call."""
@@ -717,10 +784,8 @@ class NetStack:
         msg.delivered_at = world.clock.cycles
         self.messages_delivered += 1
         self.bytes_delivered += msg.nbytes
-        if dst.kernel_owned:
-            owner = dst.owner
-            if owner is not None:
-                owner.rx(dst, msg)
+        if type(dst) is not Socket:
+            dst.rx(msg)  # a remote host consumes on arrival
             return
         if dst.pending_recvs:
             # Direct handoff to the parked receiver: the bytes never
@@ -732,9 +797,11 @@ class NetStack:
             if dst.waiting_senders:
                 self._drain_senders(dst)
             return
-        if dst.rx is None:
-            dst.rx = deque()
-        dst.rx.append(msg)
+        if dst.rx_head is None:
+            dst.rx_head = msg
+        else:
+            dst.rx_tail.next = msg
+        dst.rx_tail = msg
         dst.rx_bytes += msg.nbytes
         if dst.selectors:
             self._notify_selectors(dst)
@@ -756,8 +823,14 @@ class NetStack:
             return
         was_listening = sock.state == "listening"
         sock.state = "closed"
-        if was_listening and self.listeners.get(sock.port) is sock:
-            del self.listeners[sock.port]
+        if was_listening:
+            if self.listeners.get(sock.port) is sock:
+                del self.listeners[sock.port]
+            # Connections established but never accepted are reset:
+            # each queued socket closes, so its peer gets EOF.
+            queue = sock.accept_queue
+            while queue:
+                self._close(queue.popleft()[0])
         # Purge readiness state *now*, before the fd is recycled: a
         # stale interest-list or selector entry matching a reused fd
         # would wake a dispatcher for the wrong socket.
@@ -769,26 +842,27 @@ class NetStack:
             del sock.watchers[:]
         if sock.selectors:
             del sock.selectors[:]
-        peer = sock.peer
-        if peer is not None and peer.state not in ("closed",):
+        self._post_eof(sock.peer)
+
+    def _post_eof(self, peer: Any) -> None:
+        """Put an EOF on the link toward ``peer`` unless it closed."""
+        if peer is not None and peer.state != "closed":
             self._world.post_in(
                 self._fixed_delay or self._link_delay(0),
                 self._deliver_eof, peer, "net-eof",
             )
 
-    def _deliver_eof(self, sock: Socket) -> None:
+    def _deliver_eof(self, sock: Any) -> None:
         self._world.spend(costs.NET_DELIVER)
         if sock.state == "closed" or sock.rx_eof:
             return
         sock.rx_eof = True
         self.eof_delivered += 1
-        if sock.kernel_owned:
-            owner = sock.owner
-            if owner is not None:
-                owner.eof(sock)
+        if type(sock) is not Socket:
+            sock.eof()  # a remote host's end
             return
         # Buffered data drains first; EOF only wakes an *empty* socket.
-        if not sock.rx:
+        if sock.rx_head is None:
             while sock.pending_recvs:
                 self._complete(sock.pending_recvs.popleft(), EOF)
         if sock.selectors:
@@ -842,40 +916,39 @@ class NetStack:
         )
 
 
-class ResidentClient:
+class ResidentClient(RemoteEndpoint):
     """One kernel-resident simulated client: an O(1) state record.
 
     The paper's thesis applied to the load generator: a client needs
     no thread, no generator, no stack -- just kernel state advanced by
-    event-horizon entries.  The record *is* the socket's owner; the
-    kernel calls its ``connected``/``rx``/``eof`` methods directly from
-    link events, and the only other entries it touches are its
-    pre-scheduled arrival and its think-time wakeups.
+    event-horizon entries.  The record *is* the client's end of its
+    connection (a :class:`RemoteEndpoint`): the kernel calls its
+    ``connected``/``refused``/``rx``/``eof`` upcalls directly from link
+    events, and the only other entries it touches are its pre-scheduled
+    arrival and its think-time wakeups.
 
-    Lifecycle (the states are implicit in ``sock``/``sent``):
+    Lifecycle (the states are implicit in ``state``/``sent``):
 
     ``CONNECT``(arrive) -> ``SEND`` -> ``AWAIT_REPLY``(rx) ->
     ``THINK``(timer) -> ``SEND`` ... -> ``CLOSE`` after
     ``requests_per_client`` replies.
     """
 
-    __slots__ = ("engine", "cid", "sock", "sent")
+    __slots__ = ("engine", "cid", "sent")
 
     def __init__(self, engine: "ResidentClientEngine", cid: int) -> None:
+        RemoteEndpoint.__init__(self)
         self.engine = engine
         self.cid = cid
-        self.sock: Optional[Socket] = None
         self.sent = 0
 
     # -- CONNECT: the pre-scheduled arrival event ------------------------
 
     def arrive(self) -> None:
         eng = self.engine
-        sock = eng.stack.remote_connect(eng.port, owner=self)
-        if sock is None:
+        if eng.stack.remote_connect(eng.port, self) is None:
             eng.refused += 1
             return
-        self.sock = sock
         eng.active += 1
         if eng.active > eng.peak_active:
             eng.peak_active = eng.active
@@ -883,7 +956,7 @@ class ResidentClient:
     # -- SEND ------------------------------------------------------------
 
     def send(self) -> None:
-        if self.sock.state == "closed":
+        if self.state == "closed":
             return  # the server closed first while this client thought
         eng = self.engine
         world = eng.world
@@ -894,14 +967,21 @@ class ResidentClient:
         }
         self.sent += 1
         eng.requests_sent += 1
-        eng.stack.remote_send(self.sock, eng.req_bytes, meta)
+        eng.stack.remote_send(self, eng.req_bytes, meta)
 
-    # -- kernel upcalls (socket owner protocol) --------------------------
+    # -- kernel upcalls (the RemoteEndpoint protocol) --------------------
 
-    def connected(self, sock: Socket) -> None:
+    def connected(self) -> None:
         self.send()
 
-    def rx(self, sock: Socket, msg: Message) -> None:
+    def refused(self) -> None:
+        """The listener closed while this connection was on the link:
+        leave the active set as a refused client."""
+        eng = self.engine
+        eng.refused += 1
+        eng.active -= 1
+
+    def rx(self, msg: Message) -> None:
         """AWAIT_REPLY satisfied: sample latency, then THINK or CLOSE."""
         eng = self.engine
         world = eng.world
@@ -909,7 +989,7 @@ class ResidentClient:
         latency = world.clock.cycles / world.model.mhz - msg.meta["t0"]
         eng.latencies_us.append(latency)
         if self.sent >= eng.requests_per_client:
-            eng.stack.remote_close(self.sock)
+            eng.stack.remote_close(self)
             eng.completed += 1
             eng.active -= 1
             return
@@ -918,14 +998,14 @@ class ResidentClient:
             ResidentClient.send, self, "client-think",
         )
 
-    def eof(self, sock: Socket) -> None:
+    def eof(self) -> None:
         """Server closed first: close this end and leave the active set.
 
         The client did not finish its requests, so it is not counted
         as ``completed``.
         """
         eng = self.engine
-        eng.stack.remote_close(sock)
+        eng.stack.remote_close(self)
         eng.active -= 1
 
 
@@ -933,7 +1013,8 @@ class ResidentClientEngine:
     """The shared half of a kernel-resident client fleet.
 
     Holds everything common to the records (stack, protocol parameters,
-    result counters) so each :class:`ResidentClient` is four slots.
+    result counters) so each :class:`ResidentClient` is its connection's
+    endpoint plus three slots.
     The front-end (:class:`repro.net.loadgen.LoadGenerator`) compiles
     the arrival process into pre-posted ``ResidentClient.arrive(record)``
     callouts, and reads results back through this object.  Registers

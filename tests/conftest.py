@@ -14,6 +14,7 @@ import pytest
 from repro.core.config import RuntimeConfig
 from repro.core.runtime import PthreadsRuntime
 from repro.debug.trace import Tracer
+from repro.unix.net import RemoteEndpoint
 
 
 def make_runtime(
@@ -48,20 +49,17 @@ def run_program(
     return rt
 
 
-class RxLog:
-    """A kernel-owned socket's ``owner`` that records what arrives."""
+class RxLog(RemoteEndpoint):
+    """A remote host's endpoint that records what arrives."""
+
+    __slots__ = ("got",)
 
     def __init__(self) -> None:
+        super().__init__()
         self.got: list = []  # delivered Messages, in arrival order
 
-    def connected(self, sock: Any) -> None:
-        pass
-
-    def rx(self, sock: Any, msg: Any) -> None:
+    def rx(self, msg: Any) -> None:
         self.got.append(msg)
-
-    def eof(self, sock: Any) -> None:
-        pass
 
 
 @pytest.fixture

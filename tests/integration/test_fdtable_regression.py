@@ -72,7 +72,7 @@ def test_disk_fd_and_socket_fd_share_one_descriptor_space():
         assert err == OK
         err = yield pt.listen(sock_fd, 2)
         assert err == OK
-        rt.net.remote_connect(80, owner=RxLog())
+        rt.net.remote_connect(80, RxLog())
         err, conn_fd = yield pt.accept(sock_fd)
         assert err == OK
         out["sock"] = yield pt.write(conn_fd, 77)  # socket: send

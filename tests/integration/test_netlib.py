@@ -111,6 +111,34 @@ def test_completion_wakes_exactly_the_requester():
     assert log == [("b", 222), ("a", 111)]
 
 
+@pytest.mark.parametrize("first_class", [False, True])
+def test_connect_refused_in_flight_wakes_with_econnrefused(first_class):
+    """The listener closes while the connection is on the link: the
+    thread parked in connect wakes with ECONNREFUSED."""
+    out = {}
+
+    def connector(pt):
+        fd = yield pt.socket()
+        out["connect"] = yield pt.connect(fd, 80)
+        yield pt.close(fd)
+
+    def main(pt):
+        lfd = yield from _listening(pt)
+        tid = yield pt.create(connector)
+        yield pt.delay_us(100)  # connector parks; its attempt is on the link
+        out["in_flight"] = pt.runtime.net.listeners[80].claims
+        yield pt.close(lfd)
+        yield pt.join(tid)
+
+    rt = make_runtime()
+    stack = rt.add_net_stack(latency_us=500.0, first_class=first_class)
+    rt.main(main, priority=100)
+    rt.run()
+    assert out == {"in_flight": 1, "connect": (ECONNREFUSED, -1)}
+    assert stack.connections_refused == 1
+    assert stack.connections_opened == 0
+
+
 def test_select_times_out_on_an_idle_listener():
     out = {}
 
@@ -182,7 +210,7 @@ def test_cancel_of_blocked_recv_runs_the_teardown():
         assert not sock.pending_recvs
         rt.net.remote_send(remote, 64)
         yield pt.delay_us(300)
-        assert len(sock.rx) == 1
+        assert sock.rx_head is not None and sock.rx_head is sock.rx_tail
         yield pt.close(cfd)
         yield pt.close(lfd)
 
@@ -244,7 +272,7 @@ def test_read_write_route_to_sockets_through_the_fd_table():
         rt = pt.runtime
         lfd = yield from _listening(pt)
         log = RxLog()
-        remote = rt.net.remote_connect(80, owner=log)
+        remote = rt.net.remote_connect(80, log)
         err, cfd = yield pt.accept(lfd)
         assert err == OK
         # write on a socket fd is send; read is recv.

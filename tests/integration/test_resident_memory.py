@@ -1,0 +1,55 @@
+"""What a kernel-resident client costs in host memory.
+
+The paper's argument is that a client of the library needs only a
+small kernel-resident record -- no thread, no stack.  This pins that
+for the load generator: the sf10 fixture's shape (perfbench's
+``NET_SF10``) at 2,000 clients, seed 1, under ``tracemalloc``.  A
+client is one :class:`~repro.unix.net.ResidentClient` record that is
+its own end of the connection, plus one server-side socket whose
+receive buffer allocates no container.
+"""
+
+import tracemalloc
+
+from perfbench.workloads import NET_SF10
+from repro.net import scenario
+from repro.unix.net import RemoteEndpoint, ResidentClient, Socket
+
+CLIENTS = 2_000
+#: Peak traced bytes per client.  A kernel-owned client socket plus a
+#: deque per receive buffer read 2,371; the intrusive queue with the
+#: client as its own endpoint reads about 1,580.
+MAX_BYTES_PER_CLIENT = 1_700
+
+
+def test_resident_client_peak_memory_per_client(monkeypatch):
+    stacks = []
+    add_net_stack = scenario.PthreadsRuntime.add_net_stack
+
+    def capture(rt, *args, **kwargs):
+        stacks.append(add_net_stack(rt, *args, **kwargs))
+        return stacks[-1]
+
+    monkeypatch.setattr(scenario.PthreadsRuntime, "add_net_stack", capture)
+    params = dict(NET_SF10, clients=CLIENTS)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        report = scenario.run_scenario(seed=1, **params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.replies == CLIENTS * params["requests_per_client"]
+    assert report.peak_clients == CLIENTS
+    per_client = (peak - base) / CLIENTS
+    assert per_client <= MAX_BYTES_PER_CLIENT, per_client
+    # One socket per connection (the server side) plus the listener:
+    # the client record is its own end, so no socket is made for it.
+    (stack,) = stacks
+    assert next(stack._sock_ids) - 1 == CLIENTS + 1
+    assert issubclass(ResidentClient, RemoteEndpoint)
+    assert not issubclass(RemoteEndpoint, Socket)
+    assert "kernel_owned" not in Socket.__slots__
+    # The accept depth is a running maximum, not an O(connections) list.
+    assert not hasattr(stack, "accept_depths")
+    assert stack.accept_depth_max == report.accept_depth_max > 0

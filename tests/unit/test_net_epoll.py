@@ -70,7 +70,7 @@ class TestInterestList:
         rt, stack = _stack()
         a, b = _connected_pair(stack)
         assert stack.sys_send(a, 100, None) == 100
-        _drain(rt.world)  # message lands in b.rx before any registration
+        _drain(rt.world)  # message lands in b's buffer before any registration
         ep = stack.sys_epoll_create()
         assert stack.sys_epoll_ctl(ep, "add", 7, b)
         assert stack.sys_epoll_wait(ep) == [7]

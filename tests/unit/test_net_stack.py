@@ -131,7 +131,7 @@ class TestEstablishAndAccept:
         assert stack.sys_accept(listener) is None  # queue empty
         assert len(stack.accept_waits) == 2
         assert all(w >= 0 for w in stack.accept_waits)
-        assert stack.accept_depths == [1, 2]
+        assert stack.accept_depth_max == 2
 
 
 class TestDataPath:
@@ -158,13 +158,14 @@ class TestDataPath:
         rt, stack = _stack()
         _listener(stack)
         log = RxLog()
-        client = stack.remote_connect(80, owner=log)
+        client = stack.remote_connect(80, log)
         _drain(rt.world)
         server = client.peer
         stack.sys_send(server, 64, {"tag": "reply"})
         _drain(rt.world)
         assert len(log.got) == 1 and log.got[0].meta["tag"] == "reply"
-        assert not client.rx  # never buffered
+        assert not hasattr(client, "rx_head")  # no buffer to hold it
+        assert client.rx_inflight == 0
 
     def test_eof_arrives_after_buffered_data(self):
         rt, stack = _stack()
@@ -186,7 +187,7 @@ class TestDataPath:
         b.state = "closed"  # closes while the message is on the link
         _drain(rt.world)
         assert stack.messages_delivered == 0
-        assert not b.rx
+        assert b.rx_head is None
 
 
 class TestBackpressure:
@@ -310,7 +311,7 @@ class TestResidentClient:
         stack.sys_close(server)
         _drain(rt.world)
         assert stack.eof_delivered == 1
-        assert client.sock.state == "closed"
+        assert client.state == "closed"
         assert engine.active == 0
         assert engine.completed == 0
 
@@ -331,5 +332,48 @@ class TestResidentClient:
         stack.sys_close(server)
         _drain(rt.world)
         assert engine.replies == 1
-        assert client.sock.state == "closed"
+        assert client.state == "closed"
         assert engine.requests_sent == client.sent == 1
+
+    def test_refused_in_flight_leaves_the_active_set(self):
+        """The listener closes while the connection is on the link: the
+        client is told it was refused instead of waiting forever."""
+        rt, stack = _stack()
+        listener = _listener(stack)
+        engine = ResidentClientEngine(
+            stack, 80, requests_per_client=4, req_bytes=64, think_us=100.0
+        )
+        client = engine.client(0)
+        client.arrive()
+        assert engine.active == 1
+        stack.sys_close(listener)  # before the connection lands
+        _drain(rt.world)
+        assert stack.connections_refused == 1
+        assert client.state == "closed"
+        assert engine.active == 0
+        assert engine.refused == 1
+        assert engine.completed == 0
+        assert engine.requests_sent == 0
+
+    def test_closing_the_listener_resets_unaccepted_connections(self):
+        """Connections established but never accepted close with the
+        listener, so each client gets EOF and leaves the active set."""
+        rt, stack = _stack()
+        listener = _listener(stack)
+        engine = ResidentClientEngine(
+            stack, 80, requests_per_client=4, req_bytes=64, think_us=100.0
+        )
+        clients = [engine.client(cid) for cid in range(2)]
+        for client in clients:
+            client.arrive()
+        _drain(rt.world)  # both connect and send; nobody accepts
+        servers = [client.peer for client in clients]
+        assert len(listener.accept_queue) == 2
+        stack.sys_close(listener)
+        _drain(rt.world)
+        assert not listener.accept_queue
+        assert [s.state for s in servers] == ["closed", "closed"]
+        assert stack.eof_delivered == 2
+        assert [c.state for c in clients] == ["closed", "closed"]
+        assert engine.active == 0
+        assert engine.completed == 0
