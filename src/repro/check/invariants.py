@@ -13,11 +13,11 @@ subsystem restore: mutex owner/cell/queue consistency, per-mutex
 counters summing to the run-wide :class:`~repro.core.mutex.MutexOps`
 totals, condvar waiters actually parked on their queue (a thread
 "waiting" but unqueued misses every wakeup), reader/writer bookkeeping
-sanity, priority-boost bounds, and cleanup-stack balance at
-termination.  :meth:`CheckContext.check_quiescent` adds end-of-run
-rules -- everything unlocked, no waiters, no leaked ``waiting_writers``
-claims -- which is where the pre-fix ``wrlock`` cancellation leak
-shows up.
+sanity, priority-boost bounds, cleanup-stack balance at termination,
+and no thread parked on an undone request of a closed socket.
+:meth:`CheckContext.check_quiescent` adds end-of-run rules --
+everything unlocked, no waiters, no leaked ``waiting_writers`` claims
+-- which is where the pre-fix ``wrlock`` cancellation leak shows up.
 """
 
 from __future__ import annotations
@@ -322,6 +322,20 @@ class CheckContext:
                     "%s: boosted to %d holding nothing (base %d)"
                     % (tcb.name, tcb.effective_priority, tcb.base_priority),
                 )
+            wait = tcb.wait
+            if wait is not None and wait.kind == "io":
+                request = wait.data["request"]
+                sock = request.sock
+                if (
+                    sock is not None
+                    and sock.state == "closed"
+                    and not request.done
+                ):
+                    self._fail(
+                        "net-parked-on-closed",
+                        "%s parked in %s on closed %r"
+                        % (tcb.name, request.op, sock),
+                    )
         for tcb in runtime.threads.values():
             if tcb.state is ThreadState.TERMINATED and tcb.cleanup_stack:
                 self._fail(

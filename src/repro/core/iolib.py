@@ -6,15 +6,19 @@ The completion arrives as SIGIO with a cause naming the requester
 (delivery-model rule 4), and only that thread wakes.  The paper credits
 this layer to Viresh Rustagi and discusses its limits under "Open
 Problems" (UNIX lacks non-blocking equivalents for some calls).
+
+Disk and socket calls (:mod:`repro.core.netlib`) park through one
+helper, :meth:`IoOps.park`, and wake through one, :meth:`IoOps.wake`,
+whichever way the completion arrives.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable, Optional
 
 from repro.core.errors import EINVAL
 from repro.core.libbase import BLOCKED, LibraryOps
-from repro.core.tcb import Tcb
+from repro.core.tcb import Tcb, WaitRecord
 from repro.hw import costs
 from repro.unix import net as _net
 
@@ -22,14 +26,14 @@ from repro.unix import net as _net
 class IoOps(LibraryOps):
     """Entry points for thread-level read/write.
 
-    Two completion paths exist:
+    Two completion paths exist, and both end in :meth:`wake`:
 
     - the paper's shipping design: SIGIO through the universal handler,
       demultiplexed by delivery-model rule 4;
     - the paper's *proposed* design (Open Problems / Marsh & Scott):
-      a first-class kernel/user channel that hands the completion and
-      its datum straight to the library scheduler (``fc_*``), skipping
-      signal delivery entirely.
+      a first-class kernel/user channel that hands the completed
+      request straight to the library scheduler (:meth:`fc_upcall`),
+      skipping signal delivery entirely.
     """
 
     ENTRIES = {
@@ -74,21 +78,49 @@ class IoOps(LibraryOps):
         rt.kern.enter()
         rt.world.spend(costs.INSN, times=8)
         request = dev.submit(fd, op, nbytes, requester=tcb)
-        rt.block_current(
-            kind="io",
-            obj=dev,
-            interruptible=True,
-            request=request,
-        )
+        self.park(dev, request)
         rt.world.emit(
             "io-issue", thread=tcb.name, op=op, fd=fd, nbytes=nbytes
         )
         rt.kern.leave()
         return BLOCKED
 
+    # -- parking and waking (disk and socket requests alike) ----------------
+
+    def park(
+        self,
+        obj: Any,
+        request: Any,
+        teardown: Optional[Callable[[], None]] = None,
+    ) -> WaitRecord:
+        """Park the current thread on ``request`` (kernel flag held).
+
+        ``"io"`` is an interruption wait: a handler or cancellation that
+        ends it early runs ``teardown`` (socket requests deregister
+        themselves; a disk request has none and completes unheard).
+        """
+        return self.rt.block_current("io", obj, teardown, request=request)
+
+    def wake(self, request: Any, value: Any) -> bool:
+        """Return ``value`` from the requester's call and ready it
+        (kernel flag held).
+
+        False, with nothing done, when the requester no longer waits on
+        this request (a handler or cancellation ended the wait, or a
+        select timeout and a completion raced): the stale wake is
+        dropped.  Only an ``"io"`` wait holds a request.
+        """
+        tcb = request.requester
+        wait = tcb.wait
+        if wait is None or wait.data.get("request") is not request:
+            return False
+        wait.deliver(value)
+        self.rt.sched.make_ready(tcb)
+        return True
+
     # -- the first-class channel (upcall side) -----------------------------------
 
-    def fc_upcall(self, datum: Any, request: Any) -> None:
+    def fc_upcall(self, request: Any) -> None:
         """The user-scheduler upcall the channel invokes on completion.
 
         Respects the monolithic monitor: inside the kernel the upcall
@@ -96,28 +128,18 @@ class IoOps(LibraryOps):
         otherwise it wakes the thread immediately -- no recipient
         search, no sigsetmask pair, no universal handler.
         """
-        rt = self.rt
-        del datum  # the request carries the requester
-        if rt.kern.kernel_flag:
-            rt.kern.deferred_upcalls.append(request)
-            rt.kern.request_dispatch()
+        kern = self.rt.kern
+        if kern.kernel_flag:
+            kern.deferred_upcalls.append(request)
+            kern.request_dispatch()
             return
-        rt.kern.enter()
+        kern.enter()
         self.fc_wake(request)
-        rt.kern.request_dispatch()
-        rt.kern.leave()
+        kern.request_dispatch()
+        kern.leave()
 
     def fc_wake(self, request: Any) -> None:
-        """Wake the requester (kernel flag held)."""
-        rt = self.rt
-        tcb = request.requester
-        wait = tcb.wait
-        if (
-            wait is None
-            or wait.kind != "io"
-            or wait.data.get("request") is not request
-        ):
-            return  # already woken (interrupted or cancelled)
-        wait.deliver((request.err, request.result))
-        rt.sched.make_ready(tcb)
-        rt.world.emit("io-fc-wake", thread=tcb.name)
+        """Wake a first-class completion's requester (kernel flag held)."""
+        if self.wake(request, (request.err, request.result)):
+            tcb = request.requester
+            self.rt.world.emit("io-fc-wake", thread=tcb.name)

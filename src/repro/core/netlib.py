@@ -4,11 +4,14 @@ The same shape as :mod:`repro.core.iolib`: UNIX ``accept``/``recv``/
 ``send``/``connect``/``select`` would block the whole process, so each
 entry point issues the *non-blocking* kernel service
 (:mod:`repro.unix.net`) and, when it would block, suspends only the
-calling thread.  The completion arrives either as ``SIGIO`` with a
+calling thread on an :class:`~repro.unix.io.IoRequest`, the record disk
+reads park on.  The completion arrives either as ``SIGIO`` with a
 cause naming the requester (delivery-model rule 4) or through the
-first-class channel, and wakes exactly that thread -- the existing
-``_wake_io``/``fc_wake`` machinery, unchanged, because a
-:class:`~repro.unix.net.NetRequest` quacks like an ``IoRequest``.
+first-class channel, and wakes exactly that thread through the one
+library wake, :meth:`~repro.core.iolib.IoOps.wake`; a select or
+epoll_wait timeout wakes through it too.  A thread parked on a socket
+that another thread closes wakes with ``EBADF`` (``EPIPE`` for a send
+parked on the closed socket's buffer), except in ``epoll_wait``.
 
 Every blocking call is an interruption point: a pending cancellation
 acts before the request is issued, and a cancellation landing while
@@ -37,7 +40,8 @@ from repro.core.errors import (
 )
 from repro.core.libbase import BLOCKED, LibraryOps
 from repro.core.tcb import Tcb
-from repro.unix.net import EpollInstance, NetRequest, Socket
+from repro.unix.io import IoRequest
+from repro.unix.net import EpollInstance, Socket
 
 
 class NetOps(LibraryOps):
@@ -175,12 +179,7 @@ class NetOps(LibraryOps):
             rt.kern.leave()
             return (OK, [])
         request = rt.net.wait_epoll(ep, tcb)
-        record = self._park(tcb, rt.net, request, "epoll_wait", epfd)
-        if timeout_us is not None:
-            handle = rt.timer_ops.add_timeout(
-                timeout_us, lambda: self._select_timeout(tcb, request)
-            )
-            record.data["timeout_handle"] = handle
+        self._park(tcb, rt.net, request, "epoll_wait", epfd, timeout_us)
         rt.kern.leave()
         return BLOCKED
 
@@ -224,10 +223,7 @@ class NetOps(LibraryOps):
         if not issued:
             rt.kern.leave()
             return (ECONNREFUSED, -1)
-        # The kernel completes with None when refused in flight.
-        request = rt.net.wait_connect(
-            sock, tcb, finisher=lambda c: -1 if c is None else fd
-        )
+        request = rt.net.wait_connect(sock, tcb, finisher=lambda c: fd)
         self._park(tcb, sock, request, "connect", fd)
         rt.kern.leave()
         return BLOCKED
@@ -302,12 +298,7 @@ class NetOps(LibraryOps):
             rt.kern.leave()
             return (OK, [])
         request = rt.net.wait_select(entries, tcb)
-        record = self._park(tcb, rt.net, request, "select", -1)
-        if timeout_us is not None:
-            handle = rt.timer_ops.add_timeout(
-                timeout_us, lambda: self._select_timeout(tcb, request)
-            )
-            record.data["timeout_handle"] = handle
+        self._park(tcb, rt.net, request, "select", -1, timeout_us)
         rt.kern.leave()
         return BLOCKED
 
@@ -322,36 +313,32 @@ class NetOps(LibraryOps):
         return obj if isinstance(obj, EpollInstance) else None
 
     def _park(
-        self, tcb: Tcb, obj: Any, request: NetRequest, op: str, fd: int
-    ):
-        """Park the caller on its request (kernel flag held).
-
-        ``kind="io"`` keeps the whole existing wake/cancel machinery in
-        play: ``_wake_io`` and ``fc_wake`` match on
-        ``wait.data["request"]``, and ``"io"`` is an interruption wait,
-        so cancellation runs the teardown that deregisters the request.
-        """
+        self,
+        tcb: Tcb,
+        obj: Any,
+        request: IoRequest,
+        op: str,
+        fd: int,
+        timeout_us: Optional[float] = None,
+    ) -> None:
+        """Park the caller on its request (kernel flag held) through
+        :meth:`~repro.core.iolib.IoOps.park`, with the teardown that
+        deregisters the request if cancellation ends the wait.  A
+        select or epoll_wait ``timeout_us`` arms a timer that wakes the
+        caller with no fds unless the request completed first."""
         rt = self.rt
-        record = rt.block_current(
-            kind="io",
-            obj=obj,
-            interruptible=True,
-            teardown=lambda: rt.net.cancel_request(request),
-            request=request,
+        record = rt.io_ops.park(
+            obj, request, lambda: rt.net.cancel_request(request)
         )
         if rt.world.trace is not None:
             rt.world.emit("net-issue", thread=tcb.name, op=op, fd=fd)
-        return record
+        if timeout_us is not None:
+            record.data["timeout_handle"] = rt.timer_ops.add_timeout(
+                timeout_us, lambda: self._timed_out(request)
+            )
 
-    def _select_timeout(self, tcb: Tcb, request: NetRequest) -> None:
-        """Timer-queue callback (kernel flag held): wake with no fds."""
-        wait = tcb.wait
-        if (
-            wait is None
-            or wait.kind != "io"
-            or wait.data.get("request") is not request
-        ):
-            return  # completed in the meantime; stale timeout
-        self.rt.net.cancel_request(request)
-        wait.deliver((OK, []))
-        self.rt.sched.make_ready(tcb)
+    def _timed_out(self, request: IoRequest) -> None:
+        """Timer-queue callback (kernel flag held)."""
+        rt = self.rt
+        if rt.io_ops.wake(request, (OK, [])):
+            rt.net.cancel_request(request)

@@ -133,9 +133,12 @@ class SignalDelivery:
         if world.trace is not None:
             world.emit("signal-thread", thread=tcb.name, sig=sig)
 
-        # I/O completion wake (delivery-model rule 4's action).
-        if cause.kind == "io" and self._wake_io(tcb, cause):
-            return
+        # I/O completion wake (delivery-model rule 4's action); the
+        # cause names ``tcb`` as the requester.
+        if cause.kind == "io":
+            request = cause.data
+            if rt.io_ops.wake(request, (request.err, request.result)):
+                return
 
         # Rule 3 (checked before the mask: the sigwait set is
         # effectively unmasked while the thread waits in sigwait).
@@ -178,17 +181,6 @@ class SignalDelivery:
         if sig == SIGIO or sig == SIGALRM:
             return  # completions/expirations with no sleeper: discard
         rt.process_default_action(sig)
-
-    def _wake_io(self, tcb: Tcb, cause: SigCause) -> bool:
-        wait = tcb.wait
-        if wait is None or wait.kind != "io":
-            return False
-        request = cause.data
-        if wait.data.get("request") is not request:
-            return False
-        wait.deliver((request.err, request.result))
-        self.rt.sched.make_ready(tcb)
-        return True
 
     def _wake_sigwait(self, tcb: Tcb, sig: int) -> None:
         """Action rule 3: ready the sigwait-er, re-mask the set."""

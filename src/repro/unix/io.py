@@ -1,4 +1,4 @@
-"""Asynchronous I/O with ``SIGIO`` completion.
+"""Asynchronous I/O requests and their one completion path.
 
 The paper's library wraps blocking UNIX I/O in non-blocking requests so
 that only the *thread*, never the process, blocks; the completion
@@ -7,15 +7,21 @@ rule 4: "if the signal was caused by an I/O completion, direct it at
 the thread which requested I/O").  The acknowledgements credit Viresh
 Rustagi with this asynchronous I/O layer.
 
-:class:`IoDevice` models one device with a configurable service-time
-distribution.  Requests complete as world events posting ``SIGIO``.
+:class:`IoRequest` is the record of every such request, disk or socket
+(:mod:`repro.unix.net` issues the socket kinds), and :func:`complete` is
+the one kernel routine that finishes one: it stamps the result and
+either posts ``SIGIO`` (the shipping design) or notifies the
+first-class channel (:mod:`repro.unix.firstclass`, the paper's Open
+Problems proposal).  :class:`IoDevice` models one device with a
+configurable service-time distribution; its requests complete as
+world events.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Dict
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.hw import costs
 from repro.sim.world import World
@@ -26,19 +32,57 @@ from repro.unix.signals import SigCause
 
 @dataclass
 class IoRequest:
-    """One in-flight asynchronous I/O request."""
+    """One parked asynchronous request, disk or socket.
+
+    ``requester`` names the thread to wake (rule 4) and ``result`` is
+    the value its library call returns with the error number ``err``.
+    ``finisher`` lets the library map the raw kernel object to the
+    caller-visible value (e.g. allocate an fd for an accepted socket)
+    at completion time, under the kernel flag the waker already holds.
+    Disk requests name their descriptor in ``fd``; socket requests name
+    their :class:`~repro.unix.net.Socket` in ``sock`` (none for select
+    and epoll waits, which hold ``entries`` or ``epoll`` instead) and a
+    backpressured send keeps its payload's ``nbytes`` and ``meta``.
+    """
 
     reqid: int
-    fd: int
-    op: str  # "read" or "write"
-    nbytes: int
-    requester: Any  # the thread token (delivery rule 4)
+    op: str  # read | write | accept | connect | recv | send | select | epoll
+    requester: Any
     issue_time: int
+    fd: int = -1
+    nbytes: int = 0
+    sock: Any = None
+    meta: Optional[Dict[str, Any]] = None  # send only
+    entries: Optional[List[Tuple[int, Any]]] = None  # select only
+    epoll: Any = None  # epoll_wait only
+    finisher: Optional[Callable[[Any], Any]] = None
     done: bool = False
-    result: int = 0
-    err: int = 0  # the error number returned with ``result``
+    cancelled: bool = False
+    result: Any = None
+    err: int = 0
     complete_time: int = 0
-    meta: Dict[str, Any] = field(default_factory=dict)
+
+
+def complete(
+    request: IoRequest, raw: Any, channel: Any, kernel: UnixKernel, proc: Any
+) -> None:
+    """Kernel side: finish ``request`` with ``raw`` and tell its requester.
+
+    With a first-class ``channel`` the request goes straight to the user
+    scheduler; otherwise ``SIGIO`` is posted to ``proc`` with a cause
+    naming the requester, for delivery rule 4 to demultiplex.
+    """
+    world = kernel.world
+    request.done = True
+    request.complete_time = world.now
+    finisher = request.finisher
+    request.result = raw if finisher is None else finisher(raw)
+    if channel is not None:
+        channel.notify(request)
+        return
+    cause = SigCause(kind="io", thread=request.requester, data=request)
+    world.spend(costs.INSN)
+    kernel.post_signal(proc, SIGIO, cause)
 
 
 class IoDevice:
@@ -74,7 +118,7 @@ class IoDevice:
         self.name = name
         #: Optional first-class kernel/user channel (Marsh & Scott):
         #: completions bypass SIGIO and notify the user scheduler
-        #: directly with the request's datum.
+        #: directly with the request.
         self.channel = channel
         self._ids = itertools.count(1)
         self.inflight: Dict[int, IoRequest] = {}
@@ -110,18 +154,11 @@ class IoDevice:
         return request
 
     def _complete(self, request: IoRequest) -> None:
-        request.done = True
-        request.result = request.nbytes
-        request.complete_time = self._world.now
         del self.inflight[request.reqid]
         self.completed += 1
-        if self.channel is not None:
-            # First-class path: straight to the user scheduler.
-            self.channel.complete(request)
-            return
-        cause = SigCause(kind="io", thread=request.requester, data=request)
-        self._world.spend(costs.INSN)
-        self._kernel.post_signal(self._proc, SIGIO, cause)
+        complete(
+            request, request.nbytes, self.channel, self._kernel, self._proc
+        )
 
     def __repr__(self) -> str:
         return "IoDevice(%s, inflight=%d, completed=%d)" % (

@@ -15,17 +15,20 @@ plus in-kernel work), exactly like the services in
 :mod:`repro.unix.kernel`.  All services are non-blocking, as the
 paper's library requires: a call that cannot complete returns "would
 block" and the *library* (:mod:`repro.core.netlib`) parks the calling
-thread and registers a :class:`NetRequest`.  When the kernel-side
-event arrives (a connection established, a message delivered, buffer
-space freed) the request completes through one of the two completion
-paths the paper discusses:
+thread on an :class:`~repro.unix.io.IoRequest`, the same record a disk
+read parks on.  When the kernel-side event arrives (a connection
+established, a message delivered, buffer space freed) the request
+completes through :func:`repro.unix.io.complete`, the one completion
+routine disks use too: ``SIGIO`` demultiplexed to the requester by
+delivery rule 4 (the paper's shipping design), or the first-class
+Marsh & Scott channel (its Open Problems proposal).
 
-- ``SIGIO`` through the universal handler, demultiplexed to the
-  requesting thread by delivery rule 4 (the shipping design); or
-- the first-class Marsh & Scott channel
-  (:class:`repro.unix.firstclass.FirstClassInterface`), which hands
-  the completion datum straight to the user-level scheduler at
-  soft-interrupt cost (the paper's Open Problems proposal).
+Closing a socket completes every request parked on it through the
+same routine -- accepts, recvs, a connect in flight, selects whose set
+holds it and sends issued from it with ``EBADF``, sends parked on its
+receive buffer with ``EPIPE`` -- so no thread stays parked on a closed
+descriptor.  An ``epoll_wait`` keeps Linux semantics: the closed
+socket's registrations are purged and a parked waiter is not woken.
 
 Messages are bookkeeping-only (a byte count plus metadata), like every
 other payload in the simulation.  Construction of the stack spends no
@@ -37,15 +40,13 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.core.errors import ECONNREFUSED
+from repro.core.errors import EBADF, ECONNREFUSED, EPIPE
 from repro.hw import costs
 from repro.sim.world import World
+from repro.unix.io import IoRequest, complete
 from repro.unix.kernel import UnixKernel
-from repro.unix.sigset import SIGIO
-from repro.unix.signals import SigCause
 
 
 class Message:
@@ -75,37 +76,6 @@ class Message:
         return "Message(%d bytes, sent_at=%d, delivered_at=%d)" % (
             self.nbytes, self.sent_at, self.delivered_at,
         )
-
-
-@dataclass
-class NetRequest:
-    """One parked network operation awaiting a kernel-side event.
-
-    The shape mirrors :class:`repro.unix.io.IoRequest` so both
-    completion paths work unchanged: ``requester`` names the thread to
-    wake (rule 4) and ``result`` is the value its library call returns.
-    ``finisher`` lets the library map the raw kernel object to the
-    caller-visible value (e.g. allocate an fd for an accepted socket)
-    at completion time, with the kernel flag protection the waker
-    already holds.  ``err`` is the error number the call returns with
-    its result (``ECONNREFUSED`` for a connection refused in flight).
-    """
-
-    reqid: int
-    op: str  # "accept" | "connect" | "recv" | "send" | "select" | "epoll"
-    sock: Optional["Socket"]
-    requester: Any
-    issue_time: int
-    nbytes: int = 0
-    meta: Optional[Dict[str, Any]] = None
-    entries: Optional[List[Tuple[int, "Socket"]]] = None  # select only
-    epoll: Optional["EpollInstance"] = None  # epoll_wait only
-    finisher: Optional[Callable[[Any], Any]] = None
-    done: bool = False
-    cancelled: bool = False
-    result: Any = None
-    err: int = 0
-    complete_time: int = 0
 
 
 class Socket:
@@ -143,7 +113,7 @@ class Socket:
         self.backlog = 0
         self.claims = 0  # connections admitted but still in flight
         self.accept_queue: Optional[deque] = None  # (Socket, enqueued_at)
-        self.pending_accepts: Optional[deque] = None  # NetRequests
+        self.pending_accepts: Optional[deque] = None  # IoRequests
         # Connected side (queues allocated on first use).
         self.peer: Any = None  # a Socket or a RemoteEndpoint
         self.rx_head: Optional[Message] = None
@@ -152,11 +122,11 @@ class Socket:
         self.rx_inflight = 0  # bytes transmitted but not yet delivered
         self.rx_capacity = rx_capacity
         self.rx_eof = False
-        self.pending_recvs: Optional[deque] = None  # NetRequests
-        self.waiting_senders: Optional[deque] = None  # NetRequests
-        self.pending_connect: Optional[NetRequest] = None
+        self.pending_recvs: Optional[deque] = None  # IoRequests
+        self.waiting_senders: Optional[deque] = None  # IoRequests
+        self.pending_connect: Optional[IoRequest] = None
         # select/poll watchers and epoll registrations ((epoll, fd)).
-        self.selectors: Optional[List[NetRequest]] = None
+        self.selectors: Optional[List[IoRequest]] = None
         self.watchers: Optional[List[Tuple["EpollInstance", int]]] = None
 
     def readable(self) -> bool:
@@ -233,7 +203,7 @@ class EpollInstance:
         self.stack = stack
         self.interest: Dict[int, Socket] = {}
         self.ready: Dict[int, Socket] = {}
-        self.waiter: Optional[NetRequest] = None
+        self.waiter: Optional[IoRequest] = None
         self.closed = False
 
     def __repr__(self) -> str:
@@ -534,8 +504,8 @@ class NetStack:
     #    already expressed interest, as with FASYNC on a real kernel) ------
 
     def _new_request(self, op: str, sock: Optional[Socket], requester: Any,
-                     finisher: Optional[Callable] = None, **extra: Any) -> NetRequest:
-        return NetRequest(
+                     finisher: Optional[Callable] = None, **extra: Any) -> IoRequest:
+        return IoRequest(
             reqid=next(self._req_ids),
             op=op,
             sock=sock,
@@ -546,19 +516,19 @@ class NetStack:
         )
 
     def wait_accept(self, sock: Socket, requester: Any,
-                    finisher: Optional[Callable] = None) -> NetRequest:
+                    finisher: Optional[Callable] = None) -> IoRequest:
         request = self._new_request("accept", sock, requester, finisher)
         sock.pending_accepts.append(request)
         return request
 
     def wait_connect(self, sock: Socket, requester: Any,
-                     finisher: Optional[Callable] = None) -> NetRequest:
+                     finisher: Optional[Callable] = None) -> IoRequest:
         request = self._new_request("connect", sock, requester, finisher)
         sock.pending_connect = request
         return request
 
     def wait_recv(self, sock: Socket, requester: Any,
-                  finisher: Optional[Callable] = None) -> NetRequest:
+                  finisher: Optional[Callable] = None) -> IoRequest:
         request = self._new_request("recv", sock, requester, finisher)
         if sock.pending_recvs is None:
             sock.pending_recvs = deque()
@@ -567,7 +537,7 @@ class NetStack:
 
     def wait_send(self, sock: Socket, requester: Any, nbytes: int,
                   meta: Optional[dict],
-                  finisher: Optional[Callable] = None) -> NetRequest:
+                  finisher: Optional[Callable] = None) -> IoRequest:
         """Park a backpressured send on the *peer's* receive buffer."""
         request = self._new_request(
             "send", sock, requester, finisher, nbytes=nbytes, meta=meta
@@ -580,7 +550,7 @@ class NetStack:
         return request
 
     def wait_select(self, entries: List[Tuple[int, Socket]],
-                    requester: Any) -> NetRequest:
+                    requester: Any) -> IoRequest:
         request = self._new_request(
             "select", None, requester, None, entries=list(entries)
         )
@@ -590,14 +560,14 @@ class NetStack:
             sock.selectors.append(request)
         return request
 
-    def wait_epoll(self, ep: EpollInstance, requester: Any) -> NetRequest:
+    def wait_epoll(self, ep: EpollInstance, requester: Any) -> IoRequest:
         """Park an epoll_wait caller on its interest list; the next
         readiness edge completes it with the one ready fd (O(1))."""
         request = self._new_request("epoll", None, requester, None, epoll=ep)
         ep.waiter = request
         return request
 
-    def cancel_request(self, request: NetRequest) -> None:
+    def cancel_request(self, request: IoRequest) -> None:
         """Teardown for a cancelled/timed-out waiter: deregister it so
         the kernel never wakes a thread that stopped waiting."""
         if request.done or request.cancelled:
@@ -713,11 +683,11 @@ class NetStack:
                 client.refused()
             elif client.pending_connect is not None:
                 request, client.pending_connect = client.pending_connect, None
-                request.err = ECONNREFUSED
-                self._complete(request, None)
+                self._fail(request, ECONNREFUSED, -1)
             return
         server_side.state = "connected"
-        client.state = "connected"
+        if client.state != "closed":  # closed in flight: stays closed
+            client.state = "connected"
         self.connections_opened += 1
         queue = listener.accept_queue
         queue.append((server_side, self._world.now))
@@ -831,9 +801,22 @@ class NetStack:
             queue = sock.accept_queue
             while queue:
                 self._close(queue.popleft()[0])
+            self._fail_all(sock.pending_accepts, EBADF, -1)
+        # Every request parked on the socket completes now: none may
+        # strand its thread on a descriptor that no longer exists.
+        if sock.pending_connect is not None:
+            request, sock.pending_connect = sock.pending_connect, None
+            self._fail(request, EBADF, -1)
+        self._fail_all(sock.pending_recvs, EBADF, None)
+        self._fail_all(sock.waiting_senders, EPIPE, 0)
+        peer = sock.peer
+        if type(peer) is Socket:
+            # Sends issued from this socket, parked on the peer's buffer.
+            self._fail_all(peer.waiting_senders, EBADF, 0)
         # Purge readiness state *now*, before the fd is recycled: a
         # stale interest-list or selector entry matching a reused fd
-        # would wake a dispatcher for the wrong socket.
+        # would wake a dispatcher for the wrong socket.  A parked
+        # epoll_wait is not woken (Linux semantics); a select is.
         if sock.watchers:
             for ep, fd in sock.watchers:
                 if ep.interest.get(fd) is sock:
@@ -841,8 +824,10 @@ class NetStack:
                     ep.ready.pop(fd, None)
             del sock.watchers[:]
         if sock.selectors:
-            del sock.selectors[:]
-        self._post_eof(sock.peer)
+            for request in list(sock.selectors):
+                self._deregister_select(request)
+                self._fail(request, EBADF, [])
+        self._post_eof(peer)
 
     def _post_eof(self, peer: Any) -> None:
         """Put an EOF on the link toward ``peer`` unless it closed."""
@@ -870,27 +855,27 @@ class NetStack:
         if sock.watchers:
             self._epoll_edges(sock)
 
-    # -- completion (both of the paper's paths) ------------------------------
+    # -- completion (repro.unix.io.complete: SIGIO or first-class) ----------
 
-    def _complete(self, request: NetRequest, raw: Any) -> None:
+    def _complete(self, request: IoRequest, raw: Any) -> None:
         if request.cancelled:
             return
-        request.done = True
-        request.complete_time = self._world.now
-        if request.finisher is not None:
-            request.result = request.finisher(raw)
+        if self.channel is None:
+            self.sigio_completions += 1
         else:
-            request.result = raw
-        if self.channel is not None:
-            # First-class path: the datum goes straight to the
-            # user-level scheduler through shared memory.
             self.fc_completions += 1
-            self.channel.notify(request.requester, request)
-            return
-        self.sigio_completions += 1
-        cause = SigCause(kind="io", thread=request.requester, data=request)
-        self._world.spend(costs.INSN)
-        self._kernel.post_signal(self._proc, SIGIO, cause)
+        complete(request, raw, self.channel, self._kernel, self._proc)
+
+    def _fail(self, request: IoRequest, err: int, result: Any) -> None:
+        """Complete ``request`` with error ``err`` and the call's
+        failure ``result`` (the finisher is bypassed)."""
+        request.err = err
+        request.finisher = None
+        self._complete(request, result)
+
+    def _fail_all(self, queue: Optional[deque], err: int, result: Any) -> None:
+        while queue:
+            self._fail(queue.popleft(), err, result)
 
     def _notify_selectors(self, sock: Socket) -> None:
         """Complete the selects ``sock`` just made ready (callers check
@@ -903,7 +888,7 @@ class NetStack:
                 self._deregister_select(request)
                 self._complete(request, ready)
 
-    def _deregister_select(self, request: NetRequest) -> None:
+    def _deregister_select(self, request: IoRequest) -> None:
         for __, sock in request.entries:
             if sock.selectors and request in sock.selectors:
                 sock.selectors.remove(request)
@@ -1070,7 +1055,7 @@ class ResidentClientEngine:
         }
 
 
-def _discard(queue: Optional[deque], request: NetRequest) -> None:
+def _discard(queue: Optional[deque], request: IoRequest) -> None:
     if queue is None:
         return
     try:

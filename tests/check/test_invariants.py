@@ -5,8 +5,10 @@ import pytest
 from repro.check.invariants import CheckContext, InvariantViolation
 from repro.check.workloads import cond_relay
 from repro.core.config import RuntimeConfig
+from repro.core.errors import EBADF
 from repro.core.runtime import PthreadsRuntime
 from repro.core.tcb import ThreadState
+from repro.unix.net import NetStack
 
 
 def checked_runtime():
@@ -107,3 +109,49 @@ def test_quiescent_rules_catch_leaked_writer_claim():
     rw.waiting_writers = 1  # ...but at quiescence it is a leak
     with pytest.raises(InvariantViolation, match="quiescent-rwlock"):
         check.check_quiescent(runtime)
+
+
+def _recv_under_close(out):
+    """A receiver parks in recv; main closes its descriptor under it."""
+
+    def receiver(pt, fd):
+        out["recv"] = yield pt.recv(fd)
+
+    def main(pt):
+        lfd = yield pt.socket()
+        yield pt.bind(lfd, 80)
+        yield pt.listen(lfd, 8)
+        cfd = yield pt.socket()
+        yield pt.connect(cfd, 80)
+        err, sfd = yield pt.accept(lfd)
+        tid = yield pt.create(receiver, sfd)
+        yield pt.delay_us(100)
+        yield pt.close(sfd)
+        yield pt.join(tid)
+        yield pt.close(cfd)
+        yield pt.close(lfd)
+
+    return main
+
+
+def test_close_completes_the_requests_parked_on_the_socket():
+    runtime, check = checked_runtime()
+    runtime.add_net_stack()
+    out = {}
+    runtime.main(_recv_under_close(out), priority=100)
+    runtime.run()
+    assert out["recv"] == (EBADF, None)
+    assert check.checks_run > 0
+    assert check.violations_found == 0
+
+
+def test_thread_parked_on_a_closed_socket_fires(monkeypatch):
+    """Without close's completion of parked requests the receiver stays
+    parked on a closed socket, and the rule fires at the closer's
+    kernel release."""
+    monkeypatch.setattr(NetStack, "_fail_all", lambda *args: None)
+    runtime, check = checked_runtime()
+    runtime.add_net_stack()
+    runtime.main(_recv_under_close({}), priority=100)
+    with pytest.raises(InvariantViolation, match="net-parked-on-closed"):
+        runtime.run()

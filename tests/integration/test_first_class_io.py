@@ -1,5 +1,7 @@
 """The first-class kernel/user I/O channel (Open Problems proposal)."""
 
+import pytest
+
 from repro.core.attr import ThreadAttr
 from repro.core.errors import OK
 from tests.conftest import make_runtime
@@ -69,9 +71,11 @@ def test_fc_completion_inside_kernel_is_deferred_to_dispatcher():
     assert out["r"] == (OK, 64)
 
 
-def test_fc_wake_ignores_stale_requests():
+@pytest.mark.parametrize("first_class", [False, True])
+def test_fc_wake_ignores_stale_requests(first_class):
     """If a handler interrupted the I/O wait (EINTR), the late
-    completion's upcall must not corrupt the thread's state."""
+    completion -- a SIGIO or a first-class upcall, both ending in the
+    one library wake -- must not corrupt the thread's state."""
     from repro.unix.sigset import SIGUSR1
 
     out = {}
@@ -81,8 +85,10 @@ def test_fc_wake_ignores_stale_requests():
 
     def reader(pt):
         out["io"] = yield pt.read(1, 64)  # interrupted: EINTR
-        yield pt.delay_us(40_000)  # stale completion arrives here
-        out["slept"] = True
+        t0 = pt.runtime.world.now_us
+        # The stale completion arrives here and must not end the sleep.
+        out["delay"] = yield pt.delay_us(40_000)
+        out["slept_us"] = pt.runtime.world.now_us - t0
 
     def main(pt):
         yield pt.sigaction(SIGUSR1, handler)
@@ -92,11 +98,16 @@ def test_fc_wake_ignores_stale_requests():
         yield pt.join(t)
 
     rt = make_runtime()
-    rt.add_io_device("disk0", latency_us=20_000.0, first_class=True)
+    device = rt.add_io_device(
+        "disk0", latency_us=20_000.0, first_class=first_class
+    )
     rt.main(main)
     rt.run()
     from repro.core.errors import EINTR
 
+    assert device.completed == 1  # the stale completion did arrive
+
     assert out["io"] == EINTR
-    assert out["slept"]
+    assert out["delay"] == OK
+    assert out["slept_us"] >= 40_000
     assert rt.terminated_by is None

@@ -50,36 +50,29 @@ class TestFirstClassChannel:
     def _request(self, datum):
         return IoRequest(
             reqid=1, fd=1, op="read", nbytes=8, requester=datum,
-            issue_time=0,
+            issue_time=0, done=True, result=8,
         )
 
     def test_completion_reaches_registered_upcall(self):
         world, kernel, channel = self._channel()
         got = []
-        channel.register_scheduler(lambda d, r: got.append((d, r.result)))
-        channel.complete(self._request("datum-x"))
+        channel.register_scheduler(
+            lambda r: got.append((r.requester, r.result))
+        )
+        channel.notify(self._request("datum-x"))
         assert got == [("datum-x", 8)]
         assert channel.notifications == 1
 
-    def test_early_completions_are_backlogged(self):
-        world, kernel, channel = self._channel()
-        channel.complete(self._request("early"))
-        assert channel.backlog
-        got = []
-        channel.register_scheduler(lambda d, r: got.append(d))
-        assert got == ["early"]
-        assert not channel.backlog
-
     def test_registration_costs_one_syscall(self):
         world, kernel, channel = self._channel()
-        channel.register_scheduler(lambda d, r: None)
+        channel.register_scheduler(lambda r: None)
         assert kernel.syscall_counts["fc_register"] == 1
 
     def test_notification_is_far_cheaper_than_signal_delivery(self):
         world, kernel, channel = self._channel()
-        channel.register_scheduler(lambda d, r: None)
+        channel.register_scheduler(lambda r: None)
         before = world.now
-        channel.complete(self._request("x"))
+        channel.notify(self._request("x"))
         cost = world.now - before
         assert cost < world.model.cost("unix_signal_deliver") / 10
 
