@@ -341,9 +341,9 @@ class PT:
         """Connect to a listening port -> ``(err, fd)``."""
         return LibCall("connect", (fd, port))
 
-    def send(self, fd: int, nbytes: int, meta: Any = None) -> LibCall:
+    def send(self, fd: int, nbytes: int) -> LibCall:
         """Send a message -> ``(err, nbytes)``; blocks on backpressure."""
-        return LibCall("send", (fd, nbytes, meta))
+        return LibCall("send", (fd, nbytes))
 
     def recv(self, fd: int) -> LibCall:
         """Receive one message -> ``(err, msg_or_None)`` (None = EOF)."""

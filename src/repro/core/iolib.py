@@ -108,12 +108,17 @@ class IoOps(LibraryOps):
         False, with nothing done, when the requester no longer waits on
         this request (a handler or cancellation ended the wait, or a
         select timeout and a completion raced): the stale wake is
-        dropped.  Only an ``"io"`` wait holds a request.
+        dropped.  Only an ``"io"`` wait holds a request.  A select or
+        epoll_wait timeout still queued is cancelled, so a wait that
+        completes first leaves no deadline behind.
         """
         tcb = request.requester
         wait = tcb.wait
         if wait is None or wait.data.get("request") is not request:
             return False
+        handle = wait.data.get("timeout_handle")
+        if handle is not None:
+            self.rt.timer_ops.cancel_timeout(handle)
         wait.deliver(value)
         self.rt.sched.make_ready(tcb)
         return True

@@ -228,9 +228,7 @@ class NetOps(LibraryOps):
         rt.kern.leave()
         return BLOCKED
 
-    def lib_send(
-        self, tcb: Tcb, fd: int, nbytes: int, meta: Optional[dict] = None
-    ) -> Any:
+    def lib_send(self, tcb: Tcb, fd: int, nbytes: int) -> Any:
         rt = self.rt
         sock = self._sock(fd)
         if sock is None:
@@ -245,15 +243,13 @@ class NetOps(LibraryOps):
         if tcb.cancel_pending and rt.cancel_ops.act_if_pending(tcb):
             return BLOCKED
         rt.kern.enter()
-        sent = rt.net.sys_send(sock, nbytes, meta)
+        sent = rt.net.sys_send(sock, nbytes)
         if sent is not None:
             rt.kern.leave()
             return (OK, sent)
         # The peer's receive buffer is full: backpressure blocks the
         # *thread* (never the process) until space frees.
-        request = rt.net.wait_send(
-            sock, tcb, nbytes, meta, finisher=lambda n: n
-        )
+        request = rt.net.wait_send(sock, tcb, nbytes, finisher=lambda n: n)
         self._park(tcb, sock, request, "send", fd)
         rt.kern.leave()
         return BLOCKED

@@ -23,7 +23,6 @@ a sweep.
 
 from __future__ import annotations
 
-import gc
 import multiprocessing
 import traceback
 from typing import Any, Callable, Iterable, Iterator, Optional
@@ -33,14 +32,6 @@ from typing import Any, Callable, Iterable, Iterator, Optional
 #: set by the parent immediately before the fork that creates the
 #: workers, so every worker sees the right function.
 _WORKER_FN: Optional[Callable[[Any], Any]] = None
-_WORKER_GC_OFF = False
-
-
-def _worker_init() -> None:
-    if _WORKER_GC_OFF:
-        # Short-lived workers never reach a collection that matters;
-        # skipping cycle detection is a free constant-factor win.
-        gc.disable()
 
 
 def _invoke(payload: Any) -> Any:
@@ -67,10 +58,6 @@ class FleetPool:
         ``jobs=4`` sweep was *slower* than sequential).  When the cap
         leaves one worker, the pool degrades to the in-process loop --
         same results, no fork tax.
-    fresh_workers:
-        Give every task a brand-new process (``maxtasksperchild=1``)
-        with the garbage collector off.  Costs a fork per task; buys
-        total isolation and no GC pauses.
     stats:
         Optional :class:`~repro.fleet.FleetStats` to fill in.
     """
@@ -79,7 +66,6 @@ class FleetPool:
         self,
         fn: Callable[[Any], Any],
         jobs: int = 1,
-        fresh_workers: bool = False,
         stats: Optional[Any] = None,
         oversubscribe: bool = False,
     ) -> None:
@@ -89,7 +75,6 @@ class FleetPool:
             # ``oversubscribe=True`` is for tests that must exercise
             # the worker machinery regardless of the host's shape.
             self.jobs = min(self.jobs, multiprocessing.cpu_count())
-        self.fresh_workers = fresh_workers
         self.stats = stats
         self._pool = None
         if self.jobs > 1:
@@ -99,19 +84,14 @@ class FleetPool:
             stats.jobs = self.jobs if self._pool is not None else 1
 
     def _make_pool(self):
-        global _WORKER_FN, _WORKER_GC_OFF
+        global _WORKER_FN
         try:
             ctx = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - platform without fork
             return None
         _WORKER_FN = self.fn
-        _WORKER_GC_OFF = self.fresh_workers
         try:
-            return ctx.Pool(
-                processes=self.jobs,
-                initializer=_worker_init,
-                maxtasksperchild=1 if self.fresh_workers else None,
-            )
+            return ctx.Pool(processes=self.jobs)
         except OSError:  # pragma: no cover - fork refused at runtime
             return None
 
@@ -128,12 +108,7 @@ class FleetPool:
         # Batch the IPC: one pickle round-trip per chunk instead of per
         # cell.  Four chunks per worker keeps load balancing while
         # cutting the per-task transport that dominated short cells.
-        # ``fresh_workers`` promises a new process per *payload*, so it
-        # keeps chunks of one.
-        if self.fresh_workers:
-            chunksize = 1
-        else:
-            chunksize = max(1, len(payloads) // (self.jobs * 4))
+        chunksize = max(1, len(payloads) // (self.jobs * 4))
         for payload, outcome in zip(
             payloads, self._pool.imap(_invoke, payloads, chunksize)
         ):

@@ -5,10 +5,12 @@ CPU cycles; the :class:`~repro.hw.costs.CostModel` of the simulated
 machine converts cycles to microseconds, which is the unit the paper's
 Table 2 reports.
 
-The clock also supports *watchers*: callbacks fired whenever the clock
-advances, used by the event queue to deliver timer expirations and
-external signals at the correct virtual instant (splitting long
-computation bursts exactly as a hardware interrupt would).
+The clock also supports *watchers*: callbacks fired with the old and
+new cycle count whenever the clock advances.  Only the cycle profiler
+(:mod:`repro.obs.profile`) registers one, to attribute every cycle.
+The event queue does not watch the clock: callers compare the clock
+against its cached horizon (``EventQueue._horizon``) and fire due
+events at the points the library allows an interruption to land.
 """
 
 from __future__ import annotations

@@ -6,14 +6,14 @@ record -- no thread, no generator, no stack -- advanced directly by
 event-horizon entries (its pre-scheduled arrival, link deliveries, and
 think-time wakeups).  The record is also the client's end of its
 connection (a :class:`~repro.unix.net.RemoteEndpoint`), so a connection
-costs the record plus one server-side socket.  This front-end only *compiles* the arrival
-process: arrival times, and nothing else, come from a salted fork of
-the world RNG -- the same seed always produces the same arrival
-schedule, byte counts, and therefore the same run.  The per-client
-protocol and all result counters live in the shared
-:class:`~repro.unix.net.ResidentClientEngine`, which this class
-delegates to, so a client costs O(1) memory and the fleet scales to
-the sf100 fixture (10^5 concurrent clients) and beyond.
+costs the record plus one server-side socket.  This front-end only
+*compiles* the arrival process: arrival times, and nothing else, come
+from a salted fork of the world RNG -- the same seed always produces
+the same arrival schedule, byte counts, and therefore the same run.
+The per-client protocol and all result counters live in the shared
+:class:`~repro.unix.net.ResidentClientEngine`, so a client costs O(1)
+memory and the fleet scales to the sf100 fixture (10^5 concurrent
+clients) and beyond.
 
 Open-loop: client arrivals follow the configured process regardless of
 how the server is coping (the server being slow does not slow the
@@ -23,19 +23,23 @@ client is closed-loop: it sends, waits for the reply, thinks for
 ``think_us``, then sends again, ``requests_per_client`` times, then
 closes.
 
-Each request's ``meta`` carries the send timestamp; the server echoes
-``meta`` in its reply, and the reply's arrival at the client closes the
-end-to-end latency sample (two link traversals plus all server-side
-queueing and service).
+Messages carry only a byte count.  Each client keeps its own send
+time; the reply's arrival at the client closes the end-to-end latency
+sample (two link traversals plus all server-side queueing and
+service).  Results are read from the engine the stack holds
+(``stack.resident``).
 """
 
 from __future__ import annotations
 
-from typing import List
-
 from repro.unix.net import NetStack, ResidentClient, ResidentClientEngine
 
 ARRIVALS = ("poisson", "bursty", "uniform")
+
+#: Arrival times count from here (simulated us); the first gap is added.
+START_US = 10.0
+#: Salt of the RNG fork the arrival times come from ("ne").
+RNG_SALT = 0x6E65
 
 
 class LoadGenerator:
@@ -62,26 +66,18 @@ class LoadGenerator:
         mean_gap_us: float = 40.0,
         burst: int = 8,
         think_us: float = 150.0,
-        start_us: float = 10.0,
-        rng_salt: int = 0x6E65,  # "ne"
     ) -> None:
         if arrival not in ARRIVALS:
             raise ValueError(
                 "unknown arrival process %r (have: %s)"
                 % (arrival, ", ".join(ARRIVALS))
             )
-        self._stack = stack
         self._world = stack._world
-        self._port = port
         self.clients = clients
-        self.requests_per_client = requests_per_client
-        self.req_bytes = req_bytes
         self.arrival = arrival
         self.mean_gap_us = mean_gap_us
         self.burst = max(1, burst)
-        self.think_us = think_us
-        self.start_us = start_us
-        self._rng = self._world.rng.fork(rng_salt)
+        self._rng = self._world.rng.fork(RNG_SALT)
         self._engine = ResidentClientEngine(
             stack,
             port,
@@ -100,7 +96,7 @@ class LoadGenerator:
         """
         world = self._world
         engine = self._engine
-        t = self.start_us
+        t = START_US
         for i in range(self.clients):
             if self.arrival == "poisson":
                 t += self._rng.expovariate(self.mean_gap_us)
@@ -111,37 +107,5 @@ class LoadGenerator:
                 t += self.mean_gap_us
             world.post_in(
                 max(1, world.cycles_for_us(t - world.now_us)),
-                ResidentClient.arrive, engine.client(i), "client-arrive",
+                ResidentClient.arrive, engine.client(), "client-arrive",
             )
-
-    # -- results (all owned by the kernel-resident engine) ---------------------
-
-    @property
-    def latencies_us(self) -> List[float]:
-        return self._engine.latencies_us
-
-    @property
-    def requests_sent(self) -> int:
-        return self._engine.requests_sent
-
-    @property
-    def replies(self) -> int:
-        return self._engine.replies
-
-    @property
-    def refused(self) -> int:
-        return self._engine.refused
-
-    @property
-    def completed(self) -> int:
-        """Clients that finished all their requests and closed."""
-        return self._engine.completed
-
-    @property
-    def active_clients(self) -> int:
-        return self._engine.active
-
-    @property
-    def peak_concurrent_clients(self) -> int:
-        """High-water mark of clients admitted and not yet closed."""
-        return self._engine.peak_active

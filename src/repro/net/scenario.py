@@ -140,7 +140,6 @@ def build_main(
     burst: int = 8,
     think_us: float = 150.0,
     latency_us: float = 60.0,
-    loadgen_box: Optional[dict] = None,
 ):
     """A workload main factory: server + load on the caller's runtime.
 
@@ -173,8 +172,6 @@ def build_main(
             burst=burst,
             think_us=think_us,
         )
-        if loadgen_box is not None:
-            loadgen_box["gen"] = gen
         server_main = build_server(
             arch,
             lfd,
@@ -231,7 +228,6 @@ def run_scenario(
         obs=obs,
     )
     stack = rt.add_net_stack(latency_us=latency_us, first_class=first_class)
-    box: dict = {}
     main = build_main(
         arch,
         collector,
@@ -248,11 +244,10 @@ def run_scenario(
         burst=burst,
         think_us=think_us,
         latency_us=latency_us,
-        loadgen_box=box,
     )
     rt.main(main, priority=100)
     rt.run()
-    gen = box["gen"]
+    engine = stack.resident
 
     report = ScenarioReport(
         arch=arch,
@@ -265,12 +260,12 @@ def run_scenario(
     )
     report.elapsed_us = rt.world.now_us
     report.requests_served = collector.requests_served
-    report.replies = gen.replies
-    report.refused = gen.refused
+    report.replies = engine.replies
+    report.refused = engine.refused
     report.connections_served = collector.connections_served
     if report.elapsed_us > 0:
-        report.throughput_rps = gen.replies / (report.elapsed_us / 1e6)
-    lat = gen.latencies_us
+        report.throughput_rps = engine.replies / (report.elapsed_us / 1e6)
+    lat = engine.latencies_us
     if lat:
         report.latency_mean_us = sum(lat) / len(lat)
         report.latency_p50_us = percentile(lat, 50)
@@ -286,7 +281,7 @@ def run_scenario(
     report.backpressure_stalls = stack.backpressure_stalls
     report.completions_sigio = stack.sigio_completions
     report.completions_fc = stack.fc_completions
-    report.peak_clients = gen.peak_concurrent_clients
+    report.peak_clients = engine.peak_active
     report.epoll_waits = stack.epoll_waits
     report.epoll_wakeups = stack.epoll_wakeups
     report.epoll_ctl_calls = stack.epoll_ctl_calls

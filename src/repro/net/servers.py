@@ -82,7 +82,7 @@ def _serve_connection(pt, conn_fd, service_cycles, resp_bytes, collector):
         if err != 0 or msg is None:
             break  # orderly EOF (or the peer vanished)
         yield pt.work(service_cycles)
-        err, _sent = yield pt.send(conn_fd, resp_bytes, meta=msg.meta)
+        err, _sent = yield pt.send(conn_fd, resp_bytes)
         if err != 0:
             break
         served += 1
@@ -249,7 +249,7 @@ def select_server(
                     collector.connections_served += 1
                     continue
                 yield pt.work(service_cycles)
-                err, _sent = yield pt.send(fd, resp_bytes, meta=msg.meta)
+                err, _sent = yield pt.send(fd, resp_bytes)
                 if err == 0:
                     collector.requests_served += 1
 
@@ -323,7 +323,7 @@ def epoll_server(
                     collector.connections_served += 1
                     continue
                 yield pt.work(service_cycles)
-                err, _sent = yield pt.send(fd, resp_bytes, meta=msg.meta)
+                err, _sent = yield pt.send(fd, resp_bytes)
                 if err == 0:
                     collector.requests_served += 1
         yield pt.close(epfd)

@@ -39,20 +39,19 @@ class IoRequest:
     ``finisher`` lets the library map the raw kernel object to the
     caller-visible value (e.g. allocate an fd for an accepted socket)
     at completion time, under the kernel flag the waker already holds.
-    Disk requests name their descriptor in ``fd``; socket requests name
-    their :class:`~repro.unix.net.Socket` in ``sock`` (none for select
-    and epoll waits, which hold ``entries`` or ``epoll`` instead) and a
-    backpressured send keeps its payload's ``nbytes`` and ``meta``.
+    Disk requests carry the device's ``reqid`` and name their
+    descriptor in ``fd``; socket requests name their
+    :class:`~repro.unix.net.Socket` in ``sock`` (none for select and
+    epoll waits, which hold ``entries`` or ``epoll`` instead) and a
+    backpressured send keeps its byte count in ``nbytes``.
     """
 
-    reqid: int
     op: str  # read | write | accept | connect | recv | send | select | epoll
     requester: Any
-    issue_time: int
+    reqid: int = 0  # disk only: the device's inflight key
     fd: int = -1
     nbytes: int = 0
     sock: Any = None
-    meta: Optional[Dict[str, Any]] = None  # send only
     entries: Optional[List[Tuple[int, Any]]] = None  # select only
     epoll: Any = None  # epoll_wait only
     finisher: Optional[Callable[[Any], Any]] = None
@@ -143,7 +142,6 @@ class IoDevice:
             op=op,
             nbytes=nbytes,
             requester=requester,
-            issue_time=self._world.now,
         )
         self.inflight[request.reqid] = request
         delay_us = self._latency_us

@@ -30,10 +30,10 @@ receive buffer with ``EPIPE`` -- so no thread stays parked on a closed
 descriptor.  An ``epoll_wait`` keeps Linux semantics: the closed
 socket's registrations are purged and a parked waiter is not woken.
 
-Messages are bookkeeping-only (a byte count plus metadata), like every
-other payload in the simulation.  Construction of the stack spends no
-cycles, so a runtime with networking present but idle is bit-identical
-to one without it.
+A message is bookkeeping only -- a byte count and its link stamps, no
+payload -- like every other transfer in the simulation.  Construction
+of the stack spends no cycles, so a runtime with networking present but
+idle is bit-identical to one without it.
 """
 
 from __future__ import annotations
@@ -50,23 +50,22 @@ from repro.unix.kernel import UnixKernel
 
 
 class Message:
-    """One application message (bookkeeping only, no payload bytes).
+    """One application message: a byte count and its link stamps.
 
-    A message in flight carries its destination endpoint ``dst``, so the
-    link event that lands it is the callout ``NetStack._deliver(msg)``:
-    the stack's cached bound ``_deliver`` plus the message itself -- no
-    handle, closure or bound method per message.  A buffered message is
+    There is no payload: ``sent_at`` and ``delivered_at`` are the
+    cycles the message left its sender and landed.  A message in flight
+    carries its destination endpoint ``dst``, so the link event that
+    lands it is the callout ``NetStack._deliver(msg)``: the stack's
+    cached bound ``_deliver`` plus the message itself -- no handle,
+    closure or bound method per message.  A buffered message is
     also a link of its socket's receive queue: ``next`` is the message
     behind it (see :class:`Socket`).
     """
 
-    __slots__ = ("nbytes", "meta", "sent_at", "delivered_at", "dst", "next")
+    __slots__ = ("nbytes", "sent_at", "delivered_at", "dst", "next")
 
-    def __init__(
-        self, nbytes: int, meta: Dict[str, Any], sent_at: int, dst: Any
-    ) -> None:
+    def __init__(self, nbytes: int, sent_at: int, dst: Any) -> None:
         self.nbytes = nbytes
-        self.meta = meta
         self.sent_at = sent_at
         self.delivered_at = 0
         self.dst = dst
@@ -262,7 +261,6 @@ class NetStack:
             self._fixed_delay = max(world.cycles_for_us(latency_us), 1)
         #: ``self._deliver``, bound once: the callout of every message.
         self._deliver_msg = self._deliver
-        self._req_ids = itertools.count(1)
         self._sock_ids = itertools.count(1)
         self._epoll_ids = itertools.count(1)
         self.listeners: Dict[int, Socket] = {}
@@ -343,7 +341,7 @@ class NetStack:
         )
         return True
 
-    def sys_send(self, sock: Socket, nbytes: int, meta: Optional[dict]) -> Optional[int]:
+    def sys_send(self, sock: Socket, nbytes: int) -> Optional[int]:
         """Non-blocking send: bytes queued on the link, or None (would
         block -- the peer's receive buffer is full)."""
         self._kernel._enter("send", costs.SYS_SEND)
@@ -351,7 +349,7 @@ class NetStack:
         assert peer is not None
         if not self._rx_admit(peer, nbytes):
             return None
-        self._transmit(peer, nbytes, meta)
+        self._transmit(peer, nbytes)
         return nbytes
 
     def sys_recv(self, sock: Socket) -> Any:
@@ -506,13 +504,7 @@ class NetStack:
     def _new_request(self, op: str, sock: Optional[Socket], requester: Any,
                      finisher: Optional[Callable] = None, **extra: Any) -> IoRequest:
         return IoRequest(
-            reqid=next(self._req_ids),
-            op=op,
-            sock=sock,
-            requester=requester,
-            issue_time=self._world.now,
-            finisher=finisher,
-            **extra,
+            op=op, sock=sock, requester=requester, finisher=finisher, **extra
         )
 
     def wait_accept(self, sock: Socket, requester: Any,
@@ -536,11 +528,10 @@ class NetStack:
         return request
 
     def wait_send(self, sock: Socket, requester: Any, nbytes: int,
-                  meta: Optional[dict],
                   finisher: Optional[Callable] = None) -> IoRequest:
         """Park a backpressured send on the *peer's* receive buffer."""
         request = self._new_request(
-            "send", sock, requester, finisher, nbytes=nbytes, meta=meta
+            "send", sock, requester, finisher, nbytes=nbytes
         )
         peer = sock.peer
         if peer.waiting_senders is None:
@@ -625,8 +616,7 @@ class NetStack:
         )
         return endpoint
 
-    def remote_send(self, endpoint: RemoteEndpoint, nbytes: int,
-                    meta: Optional[dict] = None) -> None:
+    def remote_send(self, endpoint: RemoteEndpoint, nbytes: int) -> None:
         """A remote host sends (no syscall charge).  Remote senders are
         never backpressured mid-simulation: over-admission queues on
         the link and counts as a stall."""
@@ -635,7 +625,7 @@ class NetStack:
             return
         if not self._rx_admit(peer, nbytes):
             self.backpressure_stalls += 1
-        self._transmit(peer, nbytes, meta)
+        self._transmit(peer, nbytes)
 
     def remote_close(self, endpoint: RemoteEndpoint) -> None:
         """A remote host closes its end: EOF travels to this machine."""
@@ -730,16 +720,14 @@ class NetStack:
         sock.rx_bytes -= msg.nbytes
         return msg
 
-    def _transmit(self, dst: Any, nbytes: int,
-                  meta: Optional[dict]) -> None:
-        """Put one message on the link.  ``meta`` is copied here, once,
-        so a sender may reuse or change its dict after the call."""
+    def _transmit(self, dst: Any, nbytes: int) -> None:
+        """Put one message on the link."""
         dst.rx_inflight += nbytes
         now = self._world.clock.cycles
         self._world.events.post(
             now + (self._fixed_delay or self._link_delay(nbytes)),
             self._deliver_msg,
-            Message(nbytes, dict(meta) if meta else {}, now, dst),
+            Message(nbytes, now, dst),
             "net-deliver",
         )
 
@@ -785,7 +773,7 @@ class NetStack:
             if not self._rx_admit(sock, request.nbytes):
                 return
             sock.waiting_senders.popleft()
-            self._transmit(sock, request.nbytes, request.meta)
+            self._transmit(sock, request.nbytes)
             self._complete(request, request.nbytes)
 
     def _close(self, sock: Socket) -> None:
@@ -917,14 +905,20 @@ class ResidentClient(RemoteEndpoint):
     ``CONNECT``(arrive) -> ``SEND`` -> ``AWAIT_REPLY``(rx) ->
     ``THINK``(timer) -> ``SEND`` ... -> ``CLOSE`` after
     ``requests_per_client`` replies.
+
+    The client keeps its own request clock: ``send`` stamps ``t0`` (in
+    microseconds) and ``rx`` closes the latency sample against it.  A
+    client has exactly one request outstanding, so any reply answers
+    the request stamped in ``t0`` -- the messages themselves carry only
+    a byte count.
     """
 
-    __slots__ = ("engine", "cid", "sent")
+    __slots__ = ("engine", "t0", "sent")
 
-    def __init__(self, engine: "ResidentClientEngine", cid: int) -> None:
+    def __init__(self, engine: "ResidentClientEngine") -> None:
         RemoteEndpoint.__init__(self)
         self.engine = engine
-        self.cid = cid
+        self.t0 = 0.0
         self.sent = 0
 
     # -- CONNECT: the pre-scheduled arrival event ------------------------
@@ -945,14 +939,10 @@ class ResidentClient(RemoteEndpoint):
             return  # the server closed first while this client thought
         eng = self.engine
         world = eng.world
-        meta = {
-            "t0": world.clock.cycles / world.model.mhz,  # world.now_us
-            "cid": self.cid,
-            "rid": self.sent,
-        }
+        self.t0 = world.clock.cycles / world.model.mhz  # world.now_us
         self.sent += 1
         eng.requests_sent += 1
-        eng.stack.remote_send(self, eng.req_bytes, meta)
+        eng.stack.remote_send(self, eng.req_bytes)
 
     # -- kernel upcalls (the RemoteEndpoint protocol) --------------------
 
@@ -971,8 +961,7 @@ class ResidentClient(RemoteEndpoint):
         eng = self.engine
         world = eng.world
         eng.replies += 1
-        latency = world.clock.cycles / world.model.mhz - msg.meta["t0"]
-        eng.latencies_us.append(latency)
+        eng.latencies_us.append(world.clock.cycles / world.model.mhz - self.t0)
         if self.sent >= eng.requests_per_client:
             eng.stack.remote_close(self)
             eng.completed += 1
@@ -1002,9 +991,9 @@ class ResidentClientEngine:
     endpoint plus three slots.
     The front-end (:class:`repro.net.loadgen.LoadGenerator`) compiles
     the arrival process into pre-posted ``ResidentClient.arrive(record)``
-    callouts, and reads results back through this object.  Registers
-    itself on ``stack.resident`` so the observability layer can harvest
-    ``loadgen.resident.*`` counters.
+    callouts.  Registers itself on ``stack.resident``, where the
+    scenario layer reads the results and the observability layer
+    harvests the ``loadgen.resident.*`` counters.
     """
 
     __slots__ = (
@@ -1038,9 +1027,9 @@ class ResidentClientEngine:
         self.peak_active = 0
         stack.resident = self
 
-    def client(self, cid: int) -> ResidentClient:
+    def client(self) -> ResidentClient:
         self.spawned += 1
-        return ResidentClient(self, cid)
+        return ResidentClient(self)
 
     def counters(self) -> Dict[str, int]:
         """Harvested as ``loadgen.resident.*`` by the obs layer."""

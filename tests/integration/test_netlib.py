@@ -40,7 +40,7 @@ def test_echo_round_trip_on_both_completion_paths(first_class):
         err, msg = yield pt.recv(cfd)
         assert err == OK
         out["request"] = msg.nbytes
-        err, sent = yield pt.send(cfd, 2 * msg.nbytes, meta=msg.meta)
+        err, sent = yield pt.send(cfd, 2 * msg.nbytes)
         assert (err, sent) == (OK, 2 * msg.nbytes)
         err, eof = yield pt.recv(cfd)
         assert (err, eof) == (OK, None)
@@ -50,11 +50,11 @@ def test_echo_round_trip_on_both_completion_paths(first_class):
         fd = yield pt.socket()
         err, got = yield pt.connect(fd, port)
         assert (err, got) == (OK, fd)
-        err, sent = yield pt.send(fd, 300, meta={"rid": 1})
+        err, sent = yield pt.send(fd, 300)
         assert (err, sent) == (OK, 300)
         err, msg = yield pt.recv(fd)
         assert err == OK
-        out["reply"] = (msg.nbytes, msg.meta["rid"])
+        out["reply"] = msg.nbytes
         yield pt.close(fd)
 
     def main(pt):
@@ -70,7 +70,7 @@ def test_echo_round_trip_on_both_completion_paths(first_class):
     rt.main(main, priority=100)
     rt.run()
     assert out["request"] == 300
-    assert out["reply"] == (600, 1)
+    assert out["reply"] == 600  # the server's doubled reply
     if first_class:
         assert stack.fc_completions > 0 and stack.sigio_completions == 0
     else:
@@ -171,6 +171,7 @@ def test_select_wakes_on_arrival_and_cancels_its_timer():
         err, ready = yield pt.select([lfd], timeout_us=5000.0)
         out["ready"] = (err, ready)
         out["at"] = rt.world.now_us
+        out["timeouts_queued"] = rt.timer_ops.pending_count
         err, cfd = yield pt.accept(lfd)
         assert err == OK
         yield pt.close(cfd)
@@ -182,6 +183,37 @@ def test_select_wakes_on_arrival_and_cancels_its_timer():
     rt.run()
     assert out["ready"][0] == OK and len(out["ready"][1]) == 1
     assert out["at"] < 5000.0  # readiness, not the timeout, woke it
+    assert out["timeouts_queued"] == 0  # the wake cancelled the timeout
+
+
+def test_epoll_wait_wakes_on_arrival_and_cancels_its_timer():
+    out = {}
+
+    def main(pt):
+        rt = pt.runtime
+        lfd = yield from _listening(pt)
+        epfd = yield pt.epoll_create()
+        err = yield pt.epoll_ctl(epfd, "add", lfd)
+        assert err == OK
+        rt.net.remote_connect(80)  # lands after one 60 us latency
+        err, ready = yield pt.epoll_wait(epfd, timeout_us=5000.0)
+        out["ready"] = (err, ready, lfd)
+        out["at"] = rt.world.now_us
+        out["timeouts_queued"] = rt.timer_ops.pending_count
+        err, cfd = yield pt.accept(lfd)
+        assert err == OK
+        yield pt.close(cfd)
+        yield pt.close(epfd)
+        yield pt.close(lfd)
+
+    rt = make_runtime()
+    rt.add_net_stack(latency_us=60.0)
+    rt.main(main, priority=100)
+    rt.run()
+    err, ready, lfd = out["ready"]
+    assert (err, ready) == (OK, [lfd])
+    assert out["at"] < 5000.0  # readiness, not the timeout, woke it
+    assert out["timeouts_queued"] == 0  # the wake cancelled the timeout
 
 
 def test_cancel_of_blocked_recv_runs_the_teardown():

@@ -50,7 +50,7 @@ class TestFirstClassChannel:
     def _request(self, datum):
         return IoRequest(
             reqid=1, fd=1, op="read", nbytes=8, requester=datum,
-            issue_time=0, done=True, result=8,
+            done=True, result=8,
         )
 
     def test_completion_reaches_registered_upcall(self):

@@ -63,14 +63,6 @@ def test_worker_death_falls_back_in_process():
     assert stats.fallbacks == 1
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
-def test_fresh_workers_still_ordered():
-    with FleetPool(
-        lambda x: x + 1, jobs=2, fresh_workers=True, oversubscribe=True
-    ) as pool:
-        assert list(pool.imap(range(6))) == [1, 2, 3, 4, 5, 6]
-
-
 def test_jobs_capped_to_host_cores(monkeypatch):
     """Workers beyond the core count only add fork/IPC overhead, so a
     saturated host degrades to the in-process loop (identical output:

@@ -69,7 +69,7 @@ class TestInterestList:
     def test_level_triggered_add_surfaces_buffered_data(self):
         rt, stack = _stack()
         a, b = _connected_pair(stack)
-        assert stack.sys_send(a, 100, None) == 100
+        assert stack.sys_send(a, 100) == 100
         _drain(rt.world)  # message lands in b's buffer before any registration
         ep = stack.sys_epoll_create()
         assert stack.sys_epoll_ctl(ep, "add", 7, b)
@@ -80,7 +80,7 @@ class TestInterestList:
         a, b = _connected_pair(stack)
         ep = stack.sys_epoll_create()
         stack.sys_epoll_ctl(ep, "add", 7, b)
-        stack.sys_send(a, 100, None)
+        stack.sys_send(a, 100)
         _drain(rt.world)
         # Level-triggered: unconsumed data keeps reporting ready.
         assert stack.sys_epoll_wait(ep) == [7]
@@ -96,7 +96,7 @@ class TestInterestList:
         ep2 = stack.sys_epoll_create()
         stack.sys_epoll_ctl(ep1, "add", 7, b)
         stack.sys_epoll_ctl(ep2, "add", 9, b)  # same socket, another fd
-        stack.sys_send(a, 64, None)
+        stack.sys_send(a, 64)
         _drain(rt.world)
         assert stack.sys_epoll_wait(ep1) == [7]
         assert stack.sys_epoll_wait(ep2) == [9]
@@ -108,7 +108,7 @@ class TestInterestList:
         pairs = [_connected_pair(stack) for _ in range(4)]
         for fd, (a, b) in enumerate(pairs, start=10):
             stack.sys_epoll_ctl(ep, "add", fd, b)
-            stack.sys_send(a, 32, None)
+            stack.sys_send(a, 32)
         _drain(rt.world)
         first = stack.sys_epoll_wait(ep, maxevents=3)
         assert len(first) == 3
@@ -121,7 +121,7 @@ class TestInterestList:
         pairs = [_connected_pair(stack) for _ in range(4)]
         for fd, (a, b) in enumerate(pairs, start=10):
             stack.sys_epoll_ctl(ep, "add", fd, b)
-            stack.sys_send(a, 32, None)
+            stack.sys_send(a, 32)
         _drain(rt.world)
         return rt, stack, ep
 
@@ -171,7 +171,7 @@ class TestFdRecycling:
         ep2 = stack.sys_epoll_create()
         stack.sys_epoll_ctl(ep1, "add", 7, b)
         stack.sys_epoll_ctl(ep2, "add", 7, b)
-        stack.sys_send(a, 100, None)
+        stack.sys_send(a, 100)
         _drain(rt.world)
         assert 7 in ep1.ready
         stack.sys_close(b)
@@ -186,7 +186,7 @@ class TestFdRecycling:
         a, b = _connected_pair(stack)
         ep = stack.sys_epoll_create()
         stack.sys_epoll_ctl(ep, "add", 7, b)
-        stack.sys_send(a, 100, None)
+        stack.sys_send(a, 100)
         _drain(rt.world)
         assert stack.sys_epoll_wait(ep) == [7]  # old socket was ready
         stack.sys_close(b)
@@ -194,7 +194,7 @@ class TestFdRecycling:
         assert stack.sys_epoll_ctl(ep, "add", 7, d)  # fd 7 recycled
         assert ep.interest[7] is d
         assert stack.sys_epoll_wait(ep) == "block"  # d has no data
-        stack.sys_send(c, 50, None)
+        stack.sys_send(c, 50)
         _drain(rt.world)
         assert stack.sys_epoll_wait(ep) == [7]
 
@@ -203,7 +203,7 @@ class TestFdRecycling:
         a, b = _connected_pair(stack)
         ep = stack.sys_epoll_create()
         stack.sys_epoll_ctl(ep, "add", 7, b)
-        stack.sys_send(a, 100, None)  # delivery event is now in flight
+        stack.sys_send(a, 100)  # delivery event is now in flight
         stack.sys_close(b)  # purge before it lands
         _drain(rt.world)
         assert ep.ready == {}

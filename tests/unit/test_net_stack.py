@@ -9,7 +9,7 @@ top (that side lives in ``tests/integration/test_netlib.py``).
 """
 
 from repro.sim.rng import DeterministicRng
-from repro.unix.net import EOF, Message, ResidentClientEngine
+from repro.unix.net import EOF, Message, ResidentClient, ResidentClientEngine
 from tests.conftest import RxLog, make_runtime
 
 
@@ -142,13 +142,12 @@ class TestDataPath:
         _drain(rt.world)
         server = stack.sys_accept(listener)
         t0 = rt.world.now_us
-        stack.remote_send(client, 512, meta={"rid": 7})
+        stack.remote_send(client, 512)
         assert stack.sys_recv(server) == "block"  # still on the link
         _drain(rt.world)
         msg = stack.sys_recv(server)
         assert isinstance(msg, Message)
         assert msg.nbytes == 512
-        assert msg.meta["rid"] == 7
         assert rt.world.us(msg.delivered_at - msg.sent_at) >= 50.0
         assert rt.world.now_us - t0 >= 50.0
         assert stack.messages_delivered == 1
@@ -161,16 +160,16 @@ class TestDataPath:
         client = stack.remote_connect(80, log)
         _drain(rt.world)
         server = client.peer
-        stack.sys_send(server, 64, {"tag": "reply"})
+        stack.sys_send(server, 64)
         _drain(rt.world)
-        assert len(log.got) == 1 and log.got[0].meta["tag"] == "reply"
+        assert len(log.got) == 1 and log.got[0].nbytes == 64
         assert not hasattr(client, "rx_head")  # no buffer to hold it
         assert client.rx_inflight == 0
 
     def test_eof_arrives_after_buffered_data(self):
         rt, stack = _stack()
         a, b = _connected_pair(stack)
-        assert stack.sys_send(a, 100, None) == 100
+        assert stack.sys_send(a, 100) == 100
         _drain(rt.world)
         stack.sys_close(a)
         _drain(rt.world)
@@ -183,7 +182,7 @@ class TestDataPath:
     def test_delivery_after_close_is_dropped(self):
         rt, stack = _stack()
         a, b = _connected_pair(stack)
-        assert stack.sys_send(a, 100, None) == 100
+        assert stack.sys_send(a, 100) == 100
         b.state = "closed"  # closes while the message is on the link
         _drain(rt.world)
         assert stack.messages_delivered == 0
@@ -196,12 +195,12 @@ class TestBackpressure:
         receive window, so the link can never overcommit the buffer."""
         rt, stack = _stack(rx_capacity=100)
         a, b = _connected_pair(stack)
-        assert stack.sys_send(a, 60, None) == 60
-        assert stack.sys_send(a, 60, None) is None  # 60 in flight
+        assert stack.sys_send(a, 60) == 60
+        assert stack.sys_send(a, 60) is None  # 60 in flight
         _drain(rt.world)
-        assert stack.sys_send(a, 60, None) is None  # 60 buffered
+        assert stack.sys_send(a, 60) is None  # 60 buffered
         assert stack.sys_recv(b).nbytes == 60
-        assert stack.sys_send(a, 60, None) == 60  # space freed
+        assert stack.sys_send(a, 60) == 60  # space freed
 
     def test_remote_sender_overcommit_counts_a_stall(self):
         rt, stack = _stack(rx_capacity=100)
@@ -221,7 +220,7 @@ class TestSelect:
         entries = [(3, listener), (4, b)]
         assert stack.sys_select(entries) == []
         stack.remote_connect(80)
-        stack.sys_send(a, 10, None)
+        stack.sys_send(a, 10)
         _drain(rt.world)
         assert stack.sys_select(entries) == [3, 4]
         assert stack.select_calls == 2
@@ -253,7 +252,7 @@ class TestLinkPath:
     def _send_delay(rt, stack, nbytes=100):
         """Cycles between a send and the delivery event it schedules."""
         a, b = _connected_pair(stack)
-        assert stack.sys_send(a, nbytes, None) == nbytes
+        assert stack.sys_send(a, nbytes) == nbytes
         return rt.world.next_event_time() - rt.world.now
 
     def test_fixed_delay_is_the_latency_in_cycles(self):
@@ -271,7 +270,7 @@ class TestLinkPath:
         a, b = _connected_pair(stack)
         sends = 7
         for _ in range(sends):
-            assert stack.sys_send(a, 10, None) == 10
+            assert stack.sys_send(a, 10) == 10
         for _ in range(sends):
             reference.expovariate(50.0)
         assert rt.world.rng.getstate() == reference.getstate()
@@ -281,17 +280,6 @@ class TestLinkPath:
         assert stack._fixed_delay is None
         expected = rt.world.cycles_for_us(50.0 + 1000 / 2.0)
         assert self._send_delay(rt, stack, nbytes=1000) == expected
-
-    def test_sender_may_change_meta_after_send(self):
-        rt, stack = _stack()
-        a, b = _connected_pair(stack)
-        meta = {"rid": 1}
-        assert stack.sys_send(a, 10, meta) == 10
-        meta["rid"] = 2
-        _drain(rt.world)
-        msg = stack.sys_recv(b)
-        assert msg.meta == {"rid": 1}
-        assert msg.meta is not meta
 
 
 class TestResidentClient:
@@ -303,7 +291,7 @@ class TestResidentClient:
         engine = ResidentClientEngine(
             stack, 80, requests_per_client=4, req_bytes=64, think_us=100.0
         )
-        client = engine.client(0)
+        client = engine.client()
         client.arrive()
         _drain(rt.world)  # connects and sends its first request
         server = stack.sys_accept(listener)
@@ -324,16 +312,49 @@ class TestResidentClient:
         engine = ResidentClientEngine(
             stack, 80, requests_per_client=4, req_bytes=64, think_us=100.0
         )
-        client = engine.client(0)
+        client = engine.client()
         client.arrive()
         _drain(rt.world)  # connects and sends its first request
         server = stack.sys_accept(listener)
-        stack.sys_send(server, 128, {"t0": 0.0})
+        stack.sys_send(server, 128)
         stack.sys_close(server)
         _drain(rt.world)
         assert engine.replies == 1
         assert client.state == "closed"
         assert engine.requests_sent == client.sent == 1
+
+    def test_latency_is_reply_arrival_minus_the_clients_own_send(
+        self, monkeypatch
+    ):
+        """The reply is a bare byte count: the client closes its latency
+        sample against the send time it kept, not a stamp on the wire."""
+        rt, stack = _stack()
+        listener = _listener(stack)
+        engine = ResidentClientEngine(
+            stack, 80, requests_per_client=1, req_bytes=64, think_us=100.0
+        )
+        replies = []
+        rx = ResidentClient.rx
+
+        def spy(client, msg):
+            replies.append(msg)
+            rx(client, msg)
+
+        monkeypatch.setattr(ResidentClient, "rx", spy)
+        client = engine.client()
+        client.arrive()
+        _drain(rt.world)  # connects and sends its request
+        server = stack.sys_accept(listener)
+        request = stack.sys_recv(server)
+        assert isinstance(request, Message)
+        stack.sys_send(server, 128)
+        _drain(rt.world)
+        assert [m.nbytes for m in replies] == [128]
+        mhz = rt.world.model.mhz
+        assert engine.latencies_us == [
+            replies[0].delivered_at / mhz - request.sent_at / mhz
+        ]
+        assert engine.replies == engine.completed == 1
 
     def test_refused_in_flight_leaves_the_active_set(self):
         """The listener closes while the connection is on the link: the
@@ -343,7 +364,7 @@ class TestResidentClient:
         engine = ResidentClientEngine(
             stack, 80, requests_per_client=4, req_bytes=64, think_us=100.0
         )
-        client = engine.client(0)
+        client = engine.client()
         client.arrive()
         assert engine.active == 1
         stack.sys_close(listener)  # before the connection lands
@@ -363,7 +384,7 @@ class TestResidentClient:
         engine = ResidentClientEngine(
             stack, 80, requests_per_client=4, req_bytes=64, think_us=100.0
         )
-        clients = [engine.client(cid) for cid in range(2)]
+        clients = [engine.client() for __ in range(2)]
         for client in clients:
             client.arrive()
         _drain(rt.world)  # both connect and send; nobody accepts
