@@ -33,7 +33,7 @@ from repro.obs.cli import WORKLOADS as BENCH_WORKLOADS
 
 #: name -> (factory(scale) -> workload main, main-thread priority).
 #: The bench workloads are shared with ``python -m repro.obs``; the
-#: two targeted ones exercise the checker's protocol windows.
+#: targeted ones exercise the checker's protocol windows.
 WORKLOADS: Dict[str, Tuple[Callable[[int], Callable], int]] = dict(
     BENCH_WORKLOADS
 )
@@ -51,6 +51,10 @@ WORKLOADS.update(
             lambda scale: check_workloads.pooled_server(
                 clients=3 * scale, workers=2
             ),
+            100,
+        ),
+        "epoll_server": (
+            lambda scale: check_workloads.epoll_server(clients=3 * scale),
             100,
         ),
         "smp_timer_mutex": (

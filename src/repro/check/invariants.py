@@ -14,7 +14,8 @@ counters summing to the run-wide :class:`~repro.core.mutex.MutexOps`
 totals, condvar waiters actually parked on their queue (a thread
 "waiting" but unqueued misses every wakeup), reader/writer bookkeeping
 sanity, priority-boost bounds, cleanup-stack balance at termination,
-and no thread parked on an undone request of a closed socket.
+no thread parked on an undone request of a closed socket, and each
+epoll registration held as one record in all three places that name it.
 :meth:`CheckContext.check_quiescent` adds end-of-run rules --
 everything unlocked, no waiters, no leaked ``waiting_writers`` claims
 -- which is where the pre-fix ``wrlock`` cancellation leak shows up.
@@ -25,6 +26,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List, Optional
 
 from repro.core.tcb import ThreadState
+from repro.unix.net import EpollInstance
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.cond import Cond
@@ -107,6 +109,8 @@ class CheckContext:
         self._check_sems()
         self._check_workqueues()
         self._check_threads(runtime)
+        if runtime.net is not None and runtime.net.epoll_instances:
+            self._check_epoll(runtime)
         if runtime.world.smp is not None:
             self._check_smp(runtime.world.smp)
 
@@ -302,6 +306,39 @@ class CheckContext:
                         "smp-runq-disjoint",
                         "task %s sits on cpu%d's queue but claims cpu%d"
                         % (task.name, cpu.index, task.cpu),
+                    )
+
+    def _check_epoll(self, runtime: "PthreadsRuntime") -> None:
+        """Every epoll registration is one :class:`EpollItem`, and the
+        places that name it agree: an instance's ``ready`` entry is its
+        ``interest`` entry, and each interest entry sits exactly once on
+        the chain of a socket that is still open, a chain whose every
+        item is its own instance's interest entry.  A close that skips
+        the purge leaves an entry on a closed socket, whose descriptor
+        may already name another one.
+        """
+        for ep in runtime.fds.entries.values():
+            if not isinstance(ep, EpollInstance):
+                continue
+            if any(ep.interest.get(fd) is not x for fd, x in ep.ready.items()):
+                self._fail(
+                    "net-epoll-registration",
+                    "%r: a ready entry is not its interest entry" % ep,
+                )
+            for fd, item in ep.interest.items():
+                chain, link = [], item.sock.epitems
+                while link is not None:
+                    chain.append(link)
+                    link = link.next
+                if (
+                    item.sock.state == "closed"
+                    or chain.count(item) != 1
+                    or any(x.ep.interest.get(x.fd) is not x for x in chain)
+                ):
+                    self._fail(
+                        "net-epoll-registration",
+                        "%r: fd %d registered on %r, chained %d times among %d"
+                        % (ep, fd, item.sock, chain.count(item), len(chain)),
                     )
 
     def _check_threads(self, runtime: "PthreadsRuntime") -> None:

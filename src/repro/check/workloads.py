@@ -1,8 +1,8 @@
 """Targeted workloads for the checker.
 
 The generic :mod:`repro.bench.workloads` exercise throughput shapes;
-these two exercise the specific protocol windows the checker's
-invariants watch.  Both complete cleanly on the fixed library under
+these exercise the specific protocol windows the checker's invariants
+watch.  All complete cleanly on the fixed library under
 every explored schedule; under :mod:`repro.check.preseed` they are the
 smallest programs that reach the reseeded bugs.
 """
@@ -49,24 +49,16 @@ def cond_relay(waiters: int = 2):
     return main
 
 
-def pooled_server(clients: int = 3, workers: int = 2):
-    """A small pooled network server under deterministic load.
-
-    The full architecture from :mod:`repro.net.servers`: one acceptor
-    feeding ``workers`` worker threads through the condvar-protected
-    :class:`~repro.net.servers.WorkQueue`, serving ``clients``
-    kernel-resident clients.  The queue registers with the checker, so
-    every explored schedule audits the enqueue/dequeue bookkeeping and
-    the end-of-run drain -- the lost-wakeup and shutdown races a
-    hand-rolled work queue invites live exactly in those windows.
-    """
+def _served(arch: str, clients: int, workers: int = 2):
+    """``clients`` kernel-resident clients against one server
+    architecture of :mod:`repro.net.servers`, one request each."""
     from repro.net.scenario import build_main
     from repro.net.servers import Collector
 
     def main(pt):
         collector = Collector()
         inner = build_main(
-            "pool",
+            arch,
             collector,
             clients=clients,
             requests_per_client=1,
@@ -82,6 +74,32 @@ def pooled_server(clients: int = 3, workers: int = 2):
         return result
 
     return main
+
+
+def pooled_server(clients: int = 3, workers: int = 2):
+    """A small pooled network server under deterministic load.
+
+    The full architecture from :mod:`repro.net.servers`: one acceptor
+    feeding ``workers`` worker threads through the condvar-protected
+    :class:`~repro.net.servers.WorkQueue`, serving ``clients``
+    kernel-resident clients.  The queue registers with the checker, so
+    every explored schedule audits the enqueue/dequeue bookkeeping and
+    the end-of-run drain -- the lost-wakeup and shutdown races a
+    hand-rolled work queue invites live exactly in those windows.
+    """
+    return _served("pool", clients, workers)
+
+
+def epoll_server(clients: int = 3):
+    """The single-threaded epoll dispatcher under the same load.
+
+    The dispatcher registers the listener and every accepted socket,
+    drops the listener's registration once all clients arrived, and
+    closes each connection with its registration still in place -- so
+    every explored schedule audits ``epoll_ctl add``/``del`` and the
+    close-time purge against the registration rule.
+    """
+    return _served("epoll", clients)
 
 
 def _timer_worker(pt, mutex, box, iterations):

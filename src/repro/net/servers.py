@@ -20,11 +20,11 @@ server shape:
   which is what lets one thread own 10^5 connections.
 
 Every server serves the same protocol: receive a request message, burn
-``service_cycles`` of application work, send a ``resp_bytes`` reply
-echoing the request metadata (the load generator timestamps requests
-through it), repeat until orderly EOF, then close.
+``service_cycles`` of application work, send a ``resp_bytes`` reply (a
+byte count: the load generator's clients keep their own send times),
+repeat until orderly EOF, then close.
 
-All three mains are generator factories in the ``check.workloads``
+All four mains are generator factories in the ``check.workloads``
 style, so the scenario driver and the schedule explorer share them.
 """
 

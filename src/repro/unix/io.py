@@ -59,7 +59,6 @@ class IoRequest:
     cancelled: bool = False
     result: Any = None
     err: int = 0
-    complete_time: int = 0
 
 
 def complete(
@@ -71,16 +70,14 @@ def complete(
     scheduler; otherwise ``SIGIO`` is posted to ``proc`` with a cause
     naming the requester, for delivery rule 4 to demultiplex.
     """
-    world = kernel.world
     request.done = True
-    request.complete_time = world.now
     finisher = request.finisher
     request.result = raw if finisher is None else finisher(raw)
     if channel is not None:
         channel.notify(request)
         return
     cause = SigCause(kind="io", thread=request.requester, data=request)
-    world.spend(costs.INSN)
+    kernel.world.spend(costs.INSN)
     kernel.post_signal(proc, SIGIO, cause)
 
 

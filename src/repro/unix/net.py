@@ -30,6 +30,12 @@ receive buffer with ``EPIPE`` -- so no thread stays parked on a closed
 descriptor.  An ``epoll_wait`` keeps Linux semantics: the closed
 socket's registrations are purged and a parked waiter is not woken.
 
+Every connection end is an *endpoint*: a :class:`Socket` of this
+machine or a :class:`RemoteEndpoint` record of another.  Link events
+tell either kind the same four things through the same upcalls --
+``connected()``, ``refused()``, ``rx(msg)`` and ``eof()`` -- so the
+stack never asks which kind of end an event reaches.
+
 A message is bookkeeping only -- a byte count and its link stamps, no
 payload -- like every other transfer in the simulation.  Construction
 of the stack spends no cycles, so a runtime with networking present but
@@ -38,7 +44,6 @@ idle is bit-identical to one without it.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -81,30 +86,34 @@ class Socket:
     """One simulated socket of this machine (listening or connected).
 
     A remote host's end of a connection is not a socket of this kernel:
-    it is a :class:`RemoteEndpoint` record.
+    it is a :class:`RemoteEndpoint` record.  Both are endpoints: the
+    link events call a socket's ``connected``/``refused``/``rx``/``eof``
+    upcalls exactly as they call a remote record's, and the socket's
+    upcalls complete the requests its threads parked on it.
 
     Memory discipline: at the sf100 scale fixture one run holds about a
     hundred thousand live sockets, so the class is ``__slots__``-based
     and allocates no container it does not need.  The receive buffer is
     an intrusive queue: ``rx_head`` and ``rx_tail`` are its first and
     last :class:`Message`, linked through ``Message.next``, and
-    ``rx_head is None`` is the empty buffer.  The other queues are lazy:
-    ``pending_recvs``/``waiting_senders`` appear on first use and the
-    listening-side queues when ``listen()`` is called.  Every reader
-    treats ``None`` as the empty queue.
+    ``rx_head is None`` is the empty buffer.  The epoll registrations
+    are an intrusive chain too: ``epitems`` is the first
+    :class:`EpollItem`, in registration order.  The other queues are
+    lazy: ``pending_recvs``/``waiting_senders`` appear on first use and
+    the listening-side queues when ``listen()`` is called.  Every
+    reader treats ``None`` as the empty queue.
     """
 
     __slots__ = (
-        "sid", "stack", "state", "port",
+        "stack", "state", "port",
         "backlog", "claims", "accept_queue", "pending_accepts",
         "peer", "rx_head", "rx_tail", "rx_bytes", "rx_inflight",
         "rx_capacity", "rx_eof",
         "pending_recvs", "waiting_senders", "pending_connect",
-        "selectors", "watchers",
+        "selectors", "epitems",
     )
 
     def __init__(self, stack: "NetStack", rx_capacity: int) -> None:
-        self.sid = next(stack._sock_ids)
         self.stack = stack
         self.state = "new"  # new | bound | listening | connecting | connected | closed
         self.port: Optional[int] = None
@@ -124,9 +133,9 @@ class Socket:
         self.pending_recvs: Optional[deque] = None  # IoRequests
         self.waiting_senders: Optional[deque] = None  # IoRequests
         self.pending_connect: Optional[IoRequest] = None
-        # select/poll watchers and epoll registrations ((epoll, fd)).
+        # Parked selects, and the head of the epoll registration chain.
         self.selectors: Optional[List[IoRequest]] = None
-        self.watchers: Optional[List[Tuple["EpollInstance", int]]] = None
+        self.epitems: Optional[EpollItem] = None
 
     def readable(self) -> bool:
         """select()'s readiness rule for this socket."""
@@ -134,9 +143,55 @@ class Socket:
             return bool(self.accept_queue)
         return self.rx_head is not None or self.rx_eof
 
+    # -- link upcalls (the endpoint protocol) ----------------------------
+
+    def connected(self) -> None:
+        """The connection this socket started is established."""
+        request = self.pending_connect
+        if request is not None:
+            self.pending_connect = None
+            self.stack._complete(request, self)
+
+    def refused(self) -> None:
+        """The listener closed while the connection was on the link."""
+        request = self.pending_connect
+        if request is not None:
+            self.pending_connect = None
+            self.stack._fail(request, ECONNREFUSED, -1)
+
+    def rx(self, msg: Message) -> None:
+        """``msg`` arrives: hand it to a parked recv, or buffer it."""
+        stack = self.stack
+        if self.pending_recvs:
+            # Direct handoff to the parked receiver: the bytes never
+            # occupy the buffer, so that space stays free -- re-admit
+            # any sender parked on it before the handoff.
+            request = self.pending_recvs.popleft()
+            stack._world.spend(costs.RECV_WORK)
+            stack._complete(request, msg)
+            if self.waiting_senders:
+                stack._drain_senders(self)
+            return
+        if self.rx_head is None:
+            self.rx_head = msg
+        else:
+            self.rx_tail.next = msg
+        self.rx_tail = msg
+        self.rx_bytes += msg.nbytes
+        stack._readable(self)
+
+    def eof(self) -> None:
+        """The peer closed.  Buffered data drains first; EOF only wakes
+        the receivers of an *empty* socket."""
+        stack = self.stack
+        if self.rx_head is None:
+            while self.pending_recvs:
+                stack._complete(self.pending_recvs.popleft(), EOF)
+        stack._readable(self)
+
     def __repr__(self) -> str:
-        return "Socket(#%d, %s, port=%s, rx=%d)" % (
-            self.sid, self.state, self.port, self.rx_bytes,
+        return "Socket(%s, port=%s, rx=%d)" % (
+            self.state, self.port, self.rx_bytes,
         )
 
 
@@ -147,12 +202,13 @@ class RemoteEndpoint:
     of a connection are not sockets of this kernel -- no buffer, no
     queues, no descriptor.  The record holds only what the stack reads
     (``peer``, ``state``, ``rx_eof`` and the bytes on the link toward
-    it), and the stack tells it of its connection's events through four
-    upcalls made straight from link events: ``connected()``,
+    it), and the stack tells it of its connection's events through the
+    four upcalls a :class:`Socket` takes too: ``connected()``,
     ``refused()`` (the listener closed while the connection was on the
     link), ``rx(msg)`` and ``eof()``.  A remote host consumes each
     message on arrival, so its receive window never fills: ``rx_bytes``
-    is always 0 and ``rx_capacity`` unbounded.
+    is always 0, ``rx_capacity`` unbounded and no local send ever parks
+    on it (``waiting_senders`` is always None).
 
     This base record ignores every event; :class:`ResidentClient` is the
     record the load generator runs.
@@ -162,6 +218,7 @@ class RemoteEndpoint:
 
     rx_bytes = 0
     rx_capacity = float("inf")
+    waiting_senders = None
 
     def __init__(self) -> None:
         self.peer: Optional[Socket] = None
@@ -182,32 +239,50 @@ class RemoteEndpoint:
         pass
 
 
+class EpollItem:
+    """One epoll registration: descriptor ``fd`` of ``sock`` on ``ep``.
+
+    The analogue of Linux's ``epitem``, and the registration's only
+    record: it is ``ep.interest[fd]`` (and ``ep.ready[fd]`` while an
+    edge is pending) and a link of the socket's ``epitems`` chain
+    (``next`` is the registration behind it).  It is unlinked from both
+    exactly once -- by ``epoll_ctl del``, by closing the socket or by
+    closing the instance.
+    """
+
+    __slots__ = ("ep", "fd", "sock", "next")
+
+    def __init__(self, ep: "EpollInstance", fd: int, sock: Socket) -> None:
+        self.ep = ep
+        self.fd = fd
+        self.sock = sock
+        self.next: Optional[EpollItem] = None
+
+
 class EpollInstance:
     """A kernel-resident interest list: select() without the O(n) scan.
 
-    ``interest`` maps fd -> socket for every registration; ``ready`` is
-    an insertion-ordered set (a dict) of descriptors that pushed a
-    readiness *edge* since the owner last consumed them.  Sockets hold
-    back-references in ``Socket.watchers``, so a state change notifies
-    only the epolls actually watching -- O(ready) per wakeup, never
-    O(interest).  Semantics are level-triggered: a descriptor stays in
-    ``ready`` until a wait observes it unreadable (stale entries are
-    dropped at wait time, never probed in between).
+    ``interest`` maps fd -> :class:`EpollItem` for every registration;
+    ``ready`` is an insertion-ordered set (a dict) of the items that
+    pushed a readiness *edge* since the owner last consumed them.  A
+    socket chains its own items, so a state change notifies only the
+    epolls actually watching -- O(registrations of that socket) per
+    edge, never O(interest).  Semantics are level-triggered: a
+    descriptor stays in ``ready`` until a wait observes it unreadable
+    (stale entries are dropped at wait time, never probed in between).
     """
 
-    __slots__ = ("epid", "stack", "interest", "ready", "waiter", "closed")
+    __slots__ = ("interest", "ready", "waiter", "closed")
 
-    def __init__(self, stack: "NetStack") -> None:
-        self.epid = next(stack._epoll_ids)
-        self.stack = stack
-        self.interest: Dict[int, Socket] = {}
-        self.ready: Dict[int, Socket] = {}
+    def __init__(self) -> None:
+        self.interest: Dict[int, EpollItem] = {}
+        self.ready: Dict[int, EpollItem] = {}
         self.waiter: Optional[IoRequest] = None
         self.closed = False
 
     def __repr__(self) -> str:
-        return "EpollInstance(#%d, interest=%d, ready=%d)" % (
-            self.epid, len(self.interest), len(self.ready),
+        return "EpollInstance(interest=%d, ready=%d)" % (
+            len(self.interest), len(self.ready),
         )
 
 
@@ -261,8 +336,6 @@ class NetStack:
             self._fixed_delay = max(world.cycles_for_us(latency_us), 1)
         #: ``self._deliver``, bound once: the callout of every message.
         self._deliver_msg = self._deliver
-        self._sock_ids = itertools.count(1)
-        self._epoll_ids = itertools.count(1)
         self.listeners: Dict[int, Socket] = {}
         #: Kernel-resident client engine, when a load generator attached
         #: one (see :class:`ResidentClientEngine`; harvested by obs).
@@ -319,27 +392,17 @@ class NetStack:
         return self._accept_pop(sock)
 
     def sys_connect(self, sock: Socket, port: int) -> bool:
-        """Issue a connection attempt; admission decided at issue time.
+        """Issue a connection attempt: the syscall charge, then the one
+        connection path, :meth:`remote_connect`, with ``sock`` as the
+        connecting endpoint.
 
-        Returns False when refused (no listener, or its accept queue --
-        counting attempts already in flight -- is full).  On True the
-        connection establishes after one link latency; the caller
-        parks a ``"connect"`` request to learn when.
+        Returns False when refused at issue.  On True the connection
+        establishes after one link latency; the caller parks a
+        ``"connect"`` request, which the socket's ``connected()`` or
+        ``refused()`` upcall completes.
         """
         self._kernel._enter("connect", costs.SYS_CONNECT)
-        listener = self.listeners.get(port)
-        if listener is None or not self._admit_connection(listener):
-            self.connections_refused += 1
-            return False
-        listener.claims += 1
-        server_side = Socket(self, self.rx_capacity)
-        self._pair(sock, server_side, port)
-        sock.state = "connecting"
-        self._world.post_in(
-            self._fixed_delay or self._link_delay(0),
-            self._establish, (listener, server_side, sock), "net-establish",
-        )
-        return True
+        return self.remote_connect(port, sock) is not None
 
     def sys_send(self, sock: Socket, nbytes: int) -> Optional[int]:
         """Non-blocking send: bytes queued on the link, or None (would
@@ -386,7 +449,7 @@ class NetStack:
     def sys_epoll_create(self) -> EpollInstance:
         self._kernel._enter("epoll_create", costs.SYS_EPOLL_CREATE)
         self.epoll_instances += 1
-        return EpollInstance(self)
+        return EpollInstance()
 
     def sys_epoll_ctl(
         self, ep: EpollInstance, op: str, fd: int,
@@ -400,25 +463,25 @@ class NetStack:
         if op == "add":
             if sock is None or fd in ep.interest:
                 return False
-            ep.interest[fd] = sock
-            if sock.watchers is None:
-                sock.watchers = []
-            sock.watchers.append((ep, fd))
+            item = ep.interest[fd] = EpollItem(ep, fd, sock)
+            tail = sock.epitems
+            if tail is None:
+                sock.epitems = item
+            else:
+                while tail.next is not None:
+                    tail = tail.next
+                tail.next = item
             if sock.readable():
                 # Level-triggered add: already-buffered data must not
                 # need a fresh edge to surface.
-                self._epoll_mark(ep, fd, sock)
+                self._epoll_mark(item)
             return True
         if op == "del":
-            cur = ep.interest.pop(fd, None)
-            if cur is None:
+            item = ep.interest.pop(fd, None)
+            if item is None:
                 return False
             ep.ready.pop(fd, None)
-            if cur.watchers is not None:
-                try:
-                    cur.watchers.remove((ep, fd))
-                except ValueError:
-                    pass
+            self._epoll_unchain(item)
             return True
         return False
 
@@ -443,9 +506,8 @@ class NetStack:
         ready_fds: List[int] = []
         if ep.ready:
             stale: List[int] = []
-            interest = ep.interest
-            for fd, sock in ep.ready.items():
-                if interest.get(fd) is sock and sock.readable():
+            for fd, item in ep.ready.items():
+                if item.sock.readable():
                     ready_fds.append(fd)
                 else:
                     stale.append(fd)
@@ -465,12 +527,8 @@ class NetStack:
         """Close the interest list: every registration is dropped."""
         self._kernel._enter("net_close", costs.SYS_SOCKET)
         ep.closed = True
-        for fd, sock in ep.interest.items():
-            if sock.watchers is not None:
-                try:
-                    sock.watchers.remove((ep, fd))
-                except ValueError:
-                    pass
+        for item in ep.interest.values():
+            self._epoll_unchain(item)
         ep.interest.clear()
         ep.ready.clear()
         if ep.waiter is not None:
@@ -478,50 +536,59 @@ class NetStack:
             waiter, ep.waiter = ep.waiter, None
             self._complete(waiter, [])
 
-    def _epoll_mark(self, ep: EpollInstance, fd: int, sock: Socket) -> None:
-        """One readiness edge reaches ``ep``: wake its parked waiter
-        (O(1) -- the edge carries the one newly ready fd) or record the
-        fd in the ready set for the next wait."""
+    def _epoll_mark(self, item: EpollItem) -> None:
+        """One readiness edge reaches ``item``'s instance: wake its
+        parked waiter (O(1) -- the edge carries the one newly ready fd)
+        or record the item in the ready set for the next wait."""
+        ep = item.ep
         waiter = ep.waiter
         if waiter is not None:
             ep.waiter = None
             self.epoll_wakeups += 1
-            self._complete(waiter, [fd])
+            self._complete(waiter, [item.fd])
             return
-        if fd not in ep.ready:
-            ep.ready[fd] = sock
+        ep.ready.setdefault(item.fd, item)
 
-    def _epoll_edges(self, sock: Socket) -> None:
-        """Push a readiness edge to every epoll watching ``sock``."""
-        for ep, fd in sock.watchers:
-            if ep.interest.get(fd) is sock:
-                self.epoll_edges += 1
-                self._epoll_mark(ep, fd, sock)
+    def _epoll_unchain(self, item: EpollItem) -> None:
+        """Take ``item`` off its socket's registration chain."""
+        sock = item.sock
+        if sock.epitems is item:
+            sock.epitems = item.next
+            return
+        prev = sock.epitems
+        while prev.next is not item:
+            prev = prev.next
+        prev.next = item.next
+
+    def _epoll_purge(self, sock: Socket) -> None:
+        """``sock`` closes: drop each of its registrations from its
+        instance (the chain goes with the socket)."""
+        item = sock.epitems
+        sock.epitems = None
+        while item is not None:
+            ep = item.ep
+            del ep.interest[item.fd]
+            ep.ready.pop(item.fd, None)
+            item = item.next
 
     # -- would-block registration (no extra syscall; the issue above
     #    already expressed interest, as with FASYNC on a real kernel) ------
 
-    def _new_request(self, op: str, sock: Optional[Socket], requester: Any,
-                     finisher: Optional[Callable] = None, **extra: Any) -> IoRequest:
-        return IoRequest(
-            op=op, sock=sock, requester=requester, finisher=finisher, **extra
-        )
-
     def wait_accept(self, sock: Socket, requester: Any,
                     finisher: Optional[Callable] = None) -> IoRequest:
-        request = self._new_request("accept", sock, requester, finisher)
+        request = IoRequest("accept", requester, sock=sock, finisher=finisher)
         sock.pending_accepts.append(request)
         return request
 
     def wait_connect(self, sock: Socket, requester: Any,
                      finisher: Optional[Callable] = None) -> IoRequest:
-        request = self._new_request("connect", sock, requester, finisher)
+        request = IoRequest("connect", requester, sock=sock, finisher=finisher)
         sock.pending_connect = request
         return request
 
     def wait_recv(self, sock: Socket, requester: Any,
                   finisher: Optional[Callable] = None) -> IoRequest:
-        request = self._new_request("recv", sock, requester, finisher)
+        request = IoRequest("recv", requester, sock=sock, finisher=finisher)
         if sock.pending_recvs is None:
             sock.pending_recvs = deque()
         sock.pending_recvs.append(request)
@@ -530,8 +597,8 @@ class NetStack:
     def wait_send(self, sock: Socket, requester: Any, nbytes: int,
                   finisher: Optional[Callable] = None) -> IoRequest:
         """Park a backpressured send on the *peer's* receive buffer."""
-        request = self._new_request(
-            "send", sock, requester, finisher, nbytes=nbytes
+        request = IoRequest(
+            "send", requester, nbytes=nbytes, sock=sock, finisher=finisher
         )
         peer = sock.peer
         if peer.waiting_senders is None:
@@ -542,9 +609,7 @@ class NetStack:
 
     def wait_select(self, entries: List[Tuple[int, Socket]],
                     requester: Any) -> IoRequest:
-        request = self._new_request(
-            "select", None, requester, None, entries=list(entries)
-        )
+        request = IoRequest("select", requester, entries=list(entries))
         for __, sock in entries:
             if sock.selectors is None:
                 sock.selectors = []
@@ -554,7 +619,7 @@ class NetStack:
     def wait_epoll(self, ep: EpollInstance, requester: Any) -> IoRequest:
         """Park an epoll_wait caller on its interest list; the next
         readiness edge completes it with the one ready fd (O(1))."""
-        request = self._new_request("epoll", None, requester, None, epoll=ep)
+        request = IoRequest("epoll", requester, epoll=ep)
         ep.waiter = request
         return request
 
@@ -570,35 +635,40 @@ class NetStack:
         elif request.op == "recv":
             _discard(sock.pending_recvs, request)
         elif request.op == "send":
-            if sock.peer is not None:
-                _discard(sock.peer.waiting_senders, request)
+            _discard(sock.peer.waiting_senders, request)
         elif request.op == "connect":
             if sock.pending_connect is request:
                 sock.pending_connect = None
         elif request.op == "select":
             self._deregister_select(request)
-        elif request.op == "epoll":
-            ep = request.epoll
-            if ep is not None and ep.waiter is request:
-                ep.waiter = None
+        elif request.op == "epoll" and request.epoll.waiter is request:
+            request.epoll.waiter = None
 
     # -- load-generator surface (kernel-resident remote hosts) ---------------
 
-    def remote_connect(
-        self,
-        port: int,
-        endpoint: Optional[RemoteEndpoint] = None,
-    ) -> Optional[RemoteEndpoint]:
-        """A remote host connects: no syscall charge (it is not this
-        machine's kernel entering), same admission and latency rules.
+    def remote_connect(self, port: int, endpoint: Any = None) -> Any:
+        """``endpoint`` connects to ``port``: the one connection path.
 
-        ``endpoint`` is the remote end's record (a :class:`ResidentClient`
-        for the load generator); without one a bare
-        :class:`RemoteEndpoint` is made.  Returns the endpoint, or None
-        when refused at issue.
+        Admission is decided at issue: refused when there is no
+        listener, or its accept queue -- counting attempts already in
+        flight (``claims``) -- is full.  An admitted connection gets its
+        server-side socket now and establishes after one link latency
+        (``_establish``), which tells the endpoint through its
+        ``connected()`` or ``refused()`` upcall.  No syscall charge: a
+        remote host is not this machine's kernel entering, and
+        :meth:`sys_connect` charges its own before calling here.
+
+        ``endpoint`` is a library :class:`Socket` or a remote end's
+        record (a :class:`ResidentClient` for the load generator);
+        without one a bare :class:`RemoteEndpoint` is made.  Returns the
+        endpoint, or None when refused at issue.
         """
         listener = self.listeners.get(port)
-        if listener is None or not self._admit_connection(listener):
+        if (
+            listener is None
+            or listener.state != "listening"
+            or len(listener.accept_queue) + listener.claims >= listener.backlog
+        ):
             self.connections_refused += 1
             return None
         listener.claims += 1
@@ -636,17 +706,6 @@ class NetStack:
 
     # -- kernel-internal machinery -------------------------------------------
 
-    def _pair(self, a: Socket, b: Socket, port: int) -> None:
-        a.peer = b
-        b.peer = a
-        a.port = port
-        b.port = port
-
-    def _admit_connection(self, listener: Socket) -> bool:
-        if listener.state != "listening":
-            return False
-        return len(listener.accept_queue) + listener.claims < listener.backlog
-
     def _link_delay(self, nbytes: int) -> int:
         """Per-message delay of a link without a fixed one (callers
         take ``self._fixed_delay or self._link_delay(n)``)."""
@@ -659,8 +718,7 @@ class NetStack:
 
     def _establish(self, conn: Tuple[Socket, Socket, Any]) -> None:
         """Link event: the connection ``(listener, server_side,
-        client)`` reaches the listener.  ``client`` is a library
-        :class:`Socket` or a :class:`RemoteEndpoint`."""
+        client)`` reaches the listener; ``client`` is any endpoint."""
         listener, server_side, client = conn
         self._world.spend(costs.NET_DELIVER)
         listener.claims -= 1
@@ -669,11 +727,7 @@ class NetStack:
             self.connections_refused += 1
             client.state = "closed"
             server_side.state = "closed"
-            if type(client) is not Socket:
-                client.refused()
-            elif client.pending_connect is not None:
-                request, client.pending_connect = client.pending_connect, None
-                self._fail(request, ECONNREFUSED, -1)
+            client.refused()
             return
         server_side.state = "connected"
         if client.state != "closed":  # closed in flight: stays closed
@@ -685,19 +739,10 @@ class NetStack:
             self.accept_depth_max = len(queue)
         if listener.pending_accepts:
             request = listener.pending_accepts.popleft()
-            conn = self._accept_pop(listener)
-            self._complete(request, conn)
+            self._complete(request, self._accept_pop(listener))
         else:
-            if listener.selectors:
-                self._notify_selectors(listener)
-            if listener.watchers:
-                self._epoll_edges(listener)
-        # Tell the connecting side.
-        if type(client) is not Socket:
-            client.connected()
-        elif client.pending_connect is not None:
-            request, client.pending_connect = client.pending_connect, None
-            self._complete(request, client)
+            self._readable(listener)
+        client.connected()
 
     def _accept_pop(self, sock: Socket) -> Optional[Socket]:
         if not sock.accept_queue:
@@ -742,29 +787,7 @@ class NetStack:
         msg.delivered_at = world.clock.cycles
         self.messages_delivered += 1
         self.bytes_delivered += msg.nbytes
-        if type(dst) is not Socket:
-            dst.rx(msg)  # a remote host consumes on arrival
-            return
-        if dst.pending_recvs:
-            # Direct handoff to the parked receiver: the bytes never
-            # occupy the buffer, so that space stays free -- re-admit
-            # any sender parked on it before the handoff.
-            request = dst.pending_recvs.popleft()
-            world.spend(costs.RECV_WORK)
-            self._complete(request, msg)
-            if dst.waiting_senders:
-                self._drain_senders(dst)
-            return
-        if dst.rx_head is None:
-            dst.rx_head = msg
-        else:
-            dst.rx_tail.next = msg
-        dst.rx_tail = msg
-        dst.rx_bytes += msg.nbytes
-        if dst.selectors:
-            self._notify_selectors(dst)
-        if dst.watchers:
-            self._epoll_edges(dst)
+        dst.rx(msg)
 
     def _drain_senders(self, sock: Socket) -> None:
         """Receive-buffer space freed: resume backpressured senders."""
@@ -798,19 +821,14 @@ class NetStack:
         self._fail_all(sock.pending_recvs, EBADF, None)
         self._fail_all(sock.waiting_senders, EPIPE, 0)
         peer = sock.peer
-        if type(peer) is Socket:
+        if peer is not None:
             # Sends issued from this socket, parked on the peer's buffer.
             self._fail_all(peer.waiting_senders, EBADF, 0)
         # Purge readiness state *now*, before the fd is recycled: a
         # stale interest-list or selector entry matching a reused fd
         # would wake a dispatcher for the wrong socket.  A parked
         # epoll_wait is not woken (Linux semantics); a select is.
-        if sock.watchers:
-            for ep, fd in sock.watchers:
-                if ep.interest.get(fd) is sock:
-                    del ep.interest[fd]
-                    ep.ready.pop(fd, None)
-            del sock.watchers[:]
+        self._epoll_purge(sock)
         if sock.selectors:
             for request in list(sock.selectors):
                 self._deregister_select(request)
@@ -825,23 +843,13 @@ class NetStack:
                 self._deliver_eof, peer, "net-eof",
             )
 
-    def _deliver_eof(self, sock: Any) -> None:
+    def _deliver_eof(self, endpoint: Any) -> None:
         self._world.spend(costs.NET_DELIVER)
-        if sock.state == "closed" or sock.rx_eof:
+        if endpoint.state == "closed" or endpoint.rx_eof:
             return
-        sock.rx_eof = True
+        endpoint.rx_eof = True
         self.eof_delivered += 1
-        if type(sock) is not Socket:
-            sock.eof()  # a remote host's end
-            return
-        # Buffered data drains first; EOF only wakes an *empty* socket.
-        if sock.rx_head is None:
-            while sock.pending_recvs:
-                self._complete(sock.pending_recvs.popleft(), EOF)
-        if sock.selectors:
-            self._notify_selectors(sock)
-        if sock.watchers:
-            self._epoll_edges(sock)
+        endpoint.eof()
 
     # -- completion (repro.unix.io.complete: SIGIO or first-class) ----------
 
@@ -865,21 +873,26 @@ class NetStack:
         while queue:
             self._fail(queue.popleft(), err, result)
 
-    def _notify_selectors(self, sock: Socket) -> None:
-        """Complete the selects ``sock`` just made ready (callers check
-        ``sock.selectors`` first)."""
-        for request in list(sock.selectors):
-            if request.done or request.cancelled:
-                continue
-            ready = [fd for fd, s in request.entries if s.readable()]
-            if ready:
-                self._deregister_select(request)
-                self._complete(request, ready)
+    def _readable(self, sock: Socket) -> None:
+        """``sock`` just became readable: complete the selects it makes
+        ready, then push an edge to each of its epoll registrations."""
+        if sock.selectors:
+            for request in list(sock.selectors):
+                if request.done or request.cancelled:
+                    continue
+                ready = [fd for fd, s in request.entries if s.readable()]
+                if ready:
+                    self._deregister_select(request)
+                    self._complete(request, ready)
+        item = sock.epitems
+        while item is not None:
+            self.epoll_edges += 1
+            self._epoll_mark(item)
+            item = item.next
 
     def _deregister_select(self, request: IoRequest) -> None:
         for __, sock in request.entries:
-            if sock.selectors and request in sock.selectors:
-                sock.selectors.remove(request)
+            _discard(sock.selectors, request)
 
     def __repr__(self) -> str:
         return "NetStack(conns=%d, msgs=%d, stalls=%d)" % (
@@ -1044,10 +1057,6 @@ class ResidentClientEngine:
         }
 
 
-def _discard(queue: Optional[deque], request: IoRequest) -> None:
-    if queue is None:
-        return
-    try:
+def _discard(queue: Any, request: IoRequest) -> None:
+    if queue and request in queue:
         queue.remove(request)
-    except ValueError:
-        pass

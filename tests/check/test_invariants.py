@@ -2,13 +2,14 @@
 
 import pytest
 
+from repro.check.explore import Explorer
 from repro.check.invariants import CheckContext, InvariantViolation
-from repro.check.workloads import cond_relay
+from repro.check.workloads import cond_relay, epoll_server, pooled_server
 from repro.core.config import RuntimeConfig
 from repro.core.errors import EBADF
 from repro.core.runtime import PthreadsRuntime
 from repro.core.tcb import ThreadState
-from repro.unix.net import NetStack
+from repro.unix.net import EpollItem, NetStack
 
 
 def checked_runtime():
@@ -155,3 +156,80 @@ def test_thread_parked_on_a_closed_socket_fires(monkeypatch):
     runtime.main(_recv_under_close({}), priority=100)
     with pytest.raises(InvariantViolation, match="net-parked-on-closed"):
         runtime.run()
+
+
+def _explore(factory, runs):
+    return Explorer(factory, priority=100).explore_random(runs=runs, seed=1234)
+
+
+@pytest.mark.parametrize("factory", [epoll_server, pooled_server])
+def test_net_servers_explore_clean(factory):
+    """The registration rule holds on every random walk of the epoll
+    dispatcher, and costs nothing where no epoll instance exists."""
+    report = _explore(factory, runs=50)
+    assert report.schedules_explored == 50
+    assert report.failures == []
+    assert report.checks_run > 0
+
+
+def _epoll_served():
+    runtime, check = checked_runtime()
+    runtime.main(epoll_server(), priority=100)
+    return runtime, check
+
+
+def test_epoll_server_keeps_every_registration_consistent():
+    runtime, check = _epoll_served()
+    runtime.run()
+    assert runtime.net.epoll_instances == 1
+    assert runtime.net.epoll_edges > 0
+    assert check.violations_found == 0
+
+
+def test_registration_left_on_a_closed_socket_fires(monkeypatch):
+    """Without close's registration purge the dispatcher's interest list
+    keeps an entry for a closed socket, and the rule fires at the
+    closer's kernel release."""
+    monkeypatch.setattr(NetStack, "_epoll_purge", lambda self, sock: None)
+    runtime, check = _epoll_served()
+    with pytest.raises(InvariantViolation, match="net-epoll-registration"):
+        runtime.run()
+    assert check.violations_found == 1
+
+
+def _registered_pair():
+    """A checked runtime with one socket registered on one instance."""
+    runtime, check = checked_runtime()
+    stack = runtime.add_net_stack()
+    sock = stack.sys_socket()
+    fd = runtime.fds.alloc(sock)
+    ep = stack.sys_epoll_create()
+    runtime.fds.alloc(ep)
+    assert stack.sys_epoll_ctl(ep, "add", fd, sock)
+    check.on_kernel_release(runtime)  # consistent as built
+    return runtime, check, stack, ep, fd, sock
+
+
+def test_ready_entry_that_is_not_the_interest_entry_fires():
+    runtime, check, stack, ep, fd, sock = _registered_pair()
+    ep.ready[fd] = EpollItem(ep, fd, sock)  # a second record for fd
+    with pytest.raises(InvariantViolation, match="net-epoll-registration"):
+        check.on_kernel_release(runtime)
+
+
+def test_interest_entry_off_its_socket_chain_fires():
+    runtime, check, stack, ep, fd, sock = _registered_pair()
+    sock.epitems = None  # the instance still holds the item
+    with pytest.raises(InvariantViolation, match="net-epoll-registration"):
+        check.on_kernel_release(runtime)
+
+
+def test_chained_item_its_instance_dropped_fires():
+    runtime, check, stack, ep, fd, sock = _registered_pair()
+    other = stack.sys_epoll_create()
+    runtime.fds.alloc(other)
+    assert stack.sys_epoll_ctl(other, "add", fd, sock)
+    check.on_kernel_release(runtime)
+    del ep.interest[fd]  # the socket still chains the item
+    with pytest.raises(InvariantViolation, match="net-epoll-registration"):
+        check.on_kernel_release(runtime)

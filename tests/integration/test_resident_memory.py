@@ -38,6 +38,14 @@ def test_resident_client_peak_memory_per_client(monkeypatch):
         return stacks[-1]
 
     monkeypatch.setattr(scenario.PthreadsRuntime, "add_net_stack", capture)
+    sockets = [0]
+    socket_init = Socket.__init__
+
+    def counted(sock, *args, **kwargs):
+        sockets[0] += 1
+        socket_init(sock, *args, **kwargs)
+
+    monkeypatch.setattr(Socket, "__init__", counted)
     params = dict(NET_SF10, clients=CLIENTS)
     tracemalloc.start()
     try:
@@ -53,7 +61,7 @@ def test_resident_client_peak_memory_per_client(monkeypatch):
     # One socket per connection (the server side) plus the listener:
     # the client record is its own end, so no socket is made for it.
     (stack,) = stacks
-    assert next(stack._sock_ids) - 1 == CLIENTS + 1
+    assert sockets[0] == CLIENTS + 1
     assert issubclass(ResidentClient, RemoteEndpoint)
     assert not issubclass(RemoteEndpoint, Socket)
     assert "kernel_owned" not in Socket.__slots__

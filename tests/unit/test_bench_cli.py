@@ -217,7 +217,12 @@ def test_module_entrypoint():
     proc = subprocess.run(
         [sys.executable, "-m", "repro.bench", "list"],
         capture_output=True, text=True, cwd=str(REPO_ROOT),
-        env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
+        env={
+            "PYTHONPATH": str(REPO_ROOT / "src"),
+            "PATH": "/usr/bin:/bin",
+            # No bytecode in the tree: host measurements read it.
+            "PYTHONDONTWRITEBYTECODE": "1",
+        },
     )
     assert proc.returncode == 0
     assert "suites: check, fleet, host, net, smp" in proc.stdout

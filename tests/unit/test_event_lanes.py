@@ -55,9 +55,9 @@ def test_random_latency_disk_leaves_a_few_lanes():
     kernel = UnixKernel(world)
     proc = UnixProcess(kernel, None)
     proc.auto_deliver = True
-    completed = []
+    times = []  # completion order, read by the SIGIO handler
     kernel.sigaction(
-        proc, SIGIO, SigAction(handler=lambda s, c: completed.append(c.data))
+        proc, SIGIO, SigAction(handler=lambda s, c: times.append(world.now))
     )
     device = IoDevice(world, kernel, proc, latency_us=300.0,
                       deterministic=False)
@@ -70,8 +70,7 @@ def test_random_latency_disk_leaves_a_few_lanes():
     assert len(queue) == 200
     while queue.next_time() is not None:
         world.advance_to_next_event()
-    assert device.completed == len(completed) == 200
-    times = [request.complete_time for request in completed]
+    assert device.completed == len(times) == 200
     assert times == sorted(times)
     assert not queue._heap and not any(queue._lanes.values())
 

@@ -34,9 +34,25 @@ def _drain(world, limit=200):
 def _connected_pair(stack):
     a = stack.sys_socket()
     b = stack.sys_socket()
-    stack._pair(a, b, 0)
+    a.peer, b.peer = b, a
+    a.port = b.port = 0
     a.state = b.state = "connected"
     return a, b
+
+
+def _chain(sock):
+    """A socket's registrations, in chain order, as (epoll, fd)."""
+    out = []
+    item = sock.epitems
+    while item is not None:
+        out.append((item.ep, item.fd))
+        item = item.next
+    return out
+
+
+def _interest(ep):
+    """An interest list as fd -> socket."""
+    return {fd: item.sock for fd, item in ep.interest.items()}
 
 
 class TestInterestList:
@@ -47,13 +63,13 @@ class TestInterestList:
         assert stack.epoll_instances == 1
         a, b = _connected_pair(stack)
         assert stack.sys_epoll_ctl(ep, "add", 7, b)
-        assert ep.interest == {7: b}
-        assert b.watchers == [(ep, 7)]
+        assert _interest(ep) == {7: b}
+        assert _chain(b) == [(ep, 7)]
         assert not stack.sys_epoll_ctl(ep, "add", 7, b)  # duplicate
         assert not stack.sys_epoll_ctl(ep, "add", 8, None)  # no socket
         assert not stack.sys_epoll_ctl(ep, "mod", 7, b)  # unknown op
         assert stack.sys_epoll_ctl(ep, "del", 7)
-        assert ep.interest == {} and b.watchers == []
+        assert ep.interest == {} and _chain(b) == []
         assert not stack.sys_epoll_ctl(ep, "del", 7)  # already gone
         assert stack.epoll_ctl_calls == 6
         assert rt.unix.syscall_counts["epoll_create"] == 1
@@ -177,7 +193,7 @@ class TestFdRecycling:
         stack.sys_close(b)
         assert ep1.interest == {} and ep1.ready == {}
         assert ep2.interest == {} and ep2.ready == {}
-        assert b.watchers == []
+        assert _chain(b) == []
 
     def test_recycled_fd_never_inherits_readiness(self):
         """Close with data still buffered, rebind the fd number to a
@@ -192,7 +208,7 @@ class TestFdRecycling:
         stack.sys_close(b)
         c, d = _connected_pair(stack)
         assert stack.sys_epoll_ctl(ep, "add", 7, d)  # fd 7 recycled
-        assert ep.interest[7] is d
+        assert ep.interest[7].sock is d
         assert stack.sys_epoll_wait(ep) == "block"  # d has no data
         stack.sys_send(c, 50)
         _drain(rt.world)
@@ -218,6 +234,6 @@ class TestInstanceClose:
         stack.sys_epoll_ctl(ep, "add", 7, b)
         stack.sys_epoll_close(ep)
         assert ep.closed
-        assert b.watchers == []
+        assert _chain(b) == []
         assert ep.interest == {} and ep.ready == {}
         assert not stack.sys_epoll_ctl(ep, "add", 7, b)

@@ -40,7 +40,8 @@ def _connected_pair(stack):
     """A connected library-side pair, built without the handshake."""
     a = stack.sys_socket()
     b = stack.sys_socket()
-    stack._pair(a, b, 0)
+    a.peer, b.peer = b, a
+    a.port = b.port = 0
     a.state = b.state = "connected"
     return a, b
 
