@@ -237,8 +237,7 @@ class NetOps(LibraryOps):
             return (EINVAL, 0)
         if sock.state != "connected":
             return (ENOTCONN, 0)
-        peer = sock.peer
-        if peer is None or peer.state == "closed":
+        if sock.peer.state == "closed":
             return (EPIPE, 0)
         if tcb.cancel_pending and rt.cancel_ops.act_if_pending(tcb):
             return BLOCKED

@@ -30,6 +30,7 @@ from repro.core.libbase import BLOCKED
 from repro.core.pool import ThreadPool
 from repro.core.scheduler import Scheduler
 from repro.core.tcb import Tcb, ThreadState, WaitRecord
+from repro.hw.memory import StackOverflow
 from repro.sim.frames import Frame, ProgramCrash, SimException
 from repro.sim.ops import Invoke, LibCall, SysCall, Work
 from repro.sim.segments import _BLACKLISTED as _SEG_BLACKLISTED
@@ -43,7 +44,7 @@ from repro.unix.signals import (
     SigAction,
     SigCause,
 )
-from repro.unix.sigset import NSIG, SIGCANCEL, UNMASKABLE, SigSet
+from repro.unix.sigset import NSIG, SIGCANCEL, SIGSEGV, UNMASKABLE, SigSet
 from repro.unix.timers import IntervalTimer
 
 
@@ -667,9 +668,6 @@ class PthreadsRuntime:
             )
 
     def _push_invoke(self, tcb: Tcb, op: Invoke) -> None:
-        from repro.hw.memory import StackOverflow
-        from repro.unix.sigset import SIGSEGV
-
         # Frames called from a signal wrapper (the user handler and
         # anything it calls) may keep using the redzone/signal stack.
         in_handler = tcb.frames._special > 0

@@ -62,7 +62,13 @@ Entry = Tuple[int, int, Callable[[Any], None], Any, Optional[Deque], str]
 
 
 class Event:
-    """A cancellation handle for one scheduled action."""
+    """A cancellation handle for one scheduled action.
+
+    ``entry`` is the queued callout while the event is pending.  The
+    entry holds the handle as its argument, so firing or cancelling
+    drops it: a spent handle is no reference cycle and is freed as soon
+    as its holder lets go.
+    """
 
     __slots__ = (
         "time", "seq", "action", "name", "cancelled", "fired", "queue",
@@ -86,6 +92,7 @@ class Event:
         self.cancelled = True
         if self.queue is not None:
             self.queue._remove(self.entry)
+            self.entry = None
 
     def __repr__(self) -> str:
         state = "fired" if self.fired else (
@@ -97,6 +104,7 @@ class Event:
 def _fire_event(event: Event) -> None:
     """The callout of a :meth:`EventQueue.schedule` handle."""
     event.fired = True
+    event.entry = None
     event.action()
 
 

@@ -34,7 +34,11 @@ Every connection end is an *endpoint*: a :class:`Socket` of this
 machine or a :class:`RemoteEndpoint` record of another.  Link events
 tell either kind the same four things through the same upcalls --
 ``connected()``, ``refused()``, ``rx(msg)`` and ``eof()`` -- so the
-stack never asks which kind of end an event reaches.
+stack never asks which kind of end an event reaches.  The two ends of a
+connection reference each other (``peer``) only while open: an end
+drops its ``peer`` as the last step of closing, so no cycle outlives
+the connection and reference counting frees each end once its last
+holder lets go.
 
 A message is bookkeeping only -- a byte count and its link stamps, no
 payload -- like every other transfer in the simulation.  Construction
@@ -123,7 +127,7 @@ class Socket:
         self.accept_queue: Optional[deque] = None  # (Socket, enqueued_at)
         self.pending_accepts: Optional[deque] = None  # IoRequests
         # Connected side (queues allocated on first use).
-        self.peer: Any = None  # a Socket or a RemoteEndpoint
+        self.peer: Any = None  # a Socket or a RemoteEndpoint, while open
         self.rx_head: Optional[Message] = None
         self.rx_tail: Optional[Message] = None
         self.rx_bytes = 0
@@ -221,7 +225,7 @@ class RemoteEndpoint:
     waiting_senders = None
 
     def __init__(self) -> None:
-        self.peer: Optional[Socket] = None
+        self.peer: Optional[Socket] = None  # while open
         self.state = "new"  # new | connecting | connected | closed
         self.rx_eof = False
         self.rx_inflight = 0
@@ -635,6 +639,8 @@ class NetStack:
         elif request.op == "recv":
             _discard(sock.pending_recvs, request)
         elif request.op == "send":
+            # Not done, so both ends are open: closing either end fails
+            # every send parked between them.
             _discard(sock.peer.waiting_senders, request)
         elif request.op == "connect":
             if sock.pending_connect is request:
@@ -703,6 +709,7 @@ class NetStack:
             return
         endpoint.state = "closed"
         self._post_eof(endpoint.peer)
+        endpoint.peer = None
 
     # -- kernel-internal machinery -------------------------------------------
 
@@ -727,6 +734,7 @@ class NetStack:
             self.connections_refused += 1
             client.state = "closed"
             server_side.state = "closed"
+            client.peer = server_side.peer = None
             client.refused()
             return
         server_side.state = "connected"
@@ -834,6 +842,7 @@ class NetStack:
                 self._deregister_select(request)
                 self._fail(request, EBADF, [])
         self._post_eof(peer)
+        sock.peer = None
 
     def _post_eof(self, peer: Any) -> None:
         """Put an EOF on the link toward ``peer`` unless it closed."""

@@ -208,3 +208,48 @@ def test_epoll_wait_is_not_woken_by_closing_a_registered_socket(
     assert out["at_us"] >= 5_000.0
     assert out["interest"] == {}
 
+
+
+def _parked(sock):
+    """Every request still parked on ``sock``."""
+    return [
+        *(sock.pending_recvs or ()), *(sock.waiting_senders or ()),
+        *([sock.pending_connect] if sock.pending_connect else ()),
+    ]
+
+
+@BOTH_PATHS
+def test_a_closed_end_drops_its_peer_and_the_survivor_still_gets_epipe(
+    first_class,
+):
+    """The ends reference each other only while open: closing one
+    clears its ``peer``, yet a send on the surviving end -- parked on
+    the closed buffer or issued afterwards -- still reads ``EPIPE``."""
+    out = {}
+
+    def sender(pt, fd):
+        out["first"] = yield pt.send(fd, 80)
+        out["parked"] = yield pt.send(fd, 80)  # the window is full
+
+    def main(pt):
+        lfd, cfd, sfd = yield from _connected_pair(pt)
+        entries = pt.runtime.fds.entries
+        client, server = entries[cfd], entries[sfd]
+        tid = yield pt.create(sender, cfd)
+        yield from _close_under(pt, sfd, tid)  # the receiver closes
+        out["after"] = yield pt.send(cfd, 80)
+        out["server_peer"] = server.peer
+        out["parked_requests"] = _parked(client) + _parked(server)
+        yield pt.close(cfd)
+        out["client_peer"] = client.peer
+        yield pt.close(lfd)
+
+    _run(main, first_class, rx_capacity=100)
+    assert out == {
+        "first": (OK, 80),
+        "parked": (EPIPE, 0),
+        "after": (EPIPE, 0),
+        "server_peer": None,
+        "parked_requests": [],
+        "client_peer": None,
+    }

@@ -1,8 +1,10 @@
 """Unit tests for the event queue."""
 
+import gc
+
 import pytest
 
-from repro.sim.events import EventQueue
+from repro.sim.events import Event, EventQueue
 from repro.sim.world import World
 from repro.unix.kernel import UnixKernel
 from repro.unix.process import UnixProcess
@@ -91,6 +93,25 @@ def test_fired_flag():
     event = queue.schedule(1, lambda: None)
     queue.fire_due(1)
     assert event.fired
+
+
+def test_fired_and_cancelled_handles_are_freed_without_the_collector():
+    """A spent handle keeps no entry, and the entry was all that made
+    it a reference cycle: dropping the handles frees them at once."""
+    queue = EventQueue()
+    gc.collect()
+    gc.disable()
+    try:
+        handles = [queue.schedule(t, lambda: None, "a") for t in range(101)]
+        handles[-1].cancel()
+        assert queue.fire_due(99) == 100
+        del handles
+        live = sum(
+            type(o) is Event and o.queue is queue for o in gc.get_objects()
+        )
+    finally:
+        gc.enable()
+    assert live == 0
 
 
 def test_lone_events_leave_the_batch_counters_alone():
