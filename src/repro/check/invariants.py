@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional
 
-from repro.core.tcb import ThreadState
+from repro.core.tcb import Tcb, ThreadState
 from repro.unix.net import EpollInstance
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -207,7 +207,7 @@ class CheckContext:
         # The converse is the lost-wakeup rule: a thread blocked "on a
         # condvar" but missing from that condvar's queue can never be
         # signalled.
-        for tcb in runtime.all_threads():
+        for tcb in runtime.threads.values():
             wait = tcb.wait
             if (
                 wait is not None
@@ -342,7 +342,7 @@ class CheckContext:
                     )
 
     def _check_threads(self, runtime: "PthreadsRuntime") -> None:
-        for tcb in runtime.all_threads():
+        for tcb in runtime.threads.values():
             if tcb.effective_priority < tcb.base_priority:
                 self._fail(
                     "priority-boost-bounds",
@@ -374,12 +374,18 @@ class CheckContext:
                         % (tcb.name, request.op, sock),
                     )
         for tcb in runtime.threads.values():
-            if tcb.state is ThreadState.TERMINATED and tcb.cleanup_stack:
-                self._fail(
-                    "cleanup-balance",
-                    "%s terminated with %d cleanup handlers pushed"
-                    % (tcb.name, len(tcb.cleanup_stack)),
-                )
+            self.check_cleanup_balance(tcb)
+
+    def check_cleanup_balance(self, tcb: Tcb) -> None:
+        """``cleanup-balance`` on one thread: the sweep runs it on every
+        zombie, and ``ThreadOps._reclaim`` on a thread leaving the table
+        (a detached thread leaves before any sweep sees it dead)."""
+        if tcb.state is ThreadState.TERMINATED and tcb.cleanup_stack:
+            self._fail(
+                "cleanup-balance",
+                "%s terminated with %d cleanup handlers pushed"
+                % (tcb.name, len(tcb.cleanup_stack)),
+            )
 
     # -- end-of-run rules ---------------------------------------------------
 

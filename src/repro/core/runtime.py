@@ -121,15 +121,11 @@ class PthreadsRuntime:
         #: The thread whose register windows physically occupy the CPU
         #: (stays set across idle periods; flushed on the next switch).
         self.on_cpu: Optional[Tcb] = None
+        #: tid -> every thread the library can still name: live threads
+        #: and zombies (terminated, not yet joined, still holding their
+        #: stack).  A thread enters at :meth:`register_thread` and
+        #: leaves when it is reclaimed (``ThreadOps._reclaim``).
         self.threads: Dict[int, Tcb] = {}
-        #: Insertion-ordered set of live (non-terminated, non-reclaimed)
-        #: threads.  ``self.threads`` keeps every thread ever created,
-        #: so scans over it grow without bound under create/join churn;
-        #: the executor's idle path only ever walks this index.
-        self._live: Dict[Tcb, None] = {}
-        #: name -> first live thread registered under that name (a pure
-        #: cache for :meth:`find_thread`; misses fall back to a scan).
-        self._by_name: Dict[str, Tcb] = {}
         self._next_tid = 1
         #: Process-wide user signal actions (signal actions are shared
         #: by all threads; only masks are per-thread).
@@ -274,34 +270,11 @@ class PthreadsRuntime:
         return tid
 
     def register_thread(self, tcb: Tcb) -> None:
-        """Enter a freshly created thread into the table and indexes."""
+        """Enter a freshly created thread into the table."""
         self.threads[tcb.tid] = tcb
-        self._live[tcb] = None
-        self._by_name.setdefault(tcb.name, tcb)
-
-    def thread_unlisted(self, tcb: Tcb) -> None:
-        """Drop a thread from the live indexes (terminated or reclaimed)."""
-        self._live.pop(tcb, None)
-        if self._by_name.get(tcb.name) is tcb:
-            del self._by_name[tcb.name]
-
-    def all_threads(self) -> List[Tcb]:
-        return [t for t in self.threads.values() if not t.reclaimed]
 
     def live_threads(self) -> List[Tcb]:
-        # Terminated-but-joinable threads stay in ``threads`` (their
-        # exit value is still claimable) but leave the live index.
-        return [t for t in self._live if t.alive]
-
-    def find_thread(self, name: str) -> Optional[Tcb]:
-        cached = self._by_name.get(name)
-        if cached is not None and not cached.reclaimed:
-            return cached
-        for tcb in self.all_threads():
-            if tcb.name == name:
-                self._by_name[name] = tcb
-                return tcb
-        return None
+        return [t for t in self.threads.values() if t.alive]
 
     # -- snapshot integrity -------------------------------------------------
 
@@ -328,7 +301,6 @@ class PthreadsRuntime:
                 tcb.context_switches_in,
             )
             for tcb in self.threads.values()
-            if not tcb.reclaimed
         )
         parts = [
             self.world.state_digest(),
@@ -494,11 +466,10 @@ class PthreadsRuntime:
             kern.leave()
             return self.current is not None or bool(self.sched.ready)
         blocked_state = ThreadState.BLOCKED
-        if any(t.state is blocked_state for t in self._live):
+        threads = self.threads.values()
+        if any(t.state is blocked_state for t in threads):
             if self.world.next_event_time() is None:
-                blocked = [
-                    t for t in self._live if t.state is blocked_state
-                ]
+                blocked = [t for t in threads if t.state is blocked_state]
                 raise DeadlockError(
                     "all threads blocked with no pending events: %s"
                     % ", ".join(
@@ -542,8 +513,14 @@ class PthreadsRuntime:
                         table = frame.seg_table = segments.table_for(
                             frame.gen.gi_code
                         )
+                    lasti = gi.f_lasti
+                    # Let go of the frame object before the send: were a
+                    # returning generator's frame object still held, it
+                    # would link back to this frame (CPython 3.12 on),
+                    # and the cycle would keep the thread alive.
+                    gi = None
                     if (
-                        table.get(gi.f_lasti) is not _SEG_BLACKLISTED
+                        table.get(lasti) is not _SEG_BLACKLISTED
                         and segments.try_step(tcb, frame, table)
                     ):
                         return None  # step(s) performed, bookkeeping included

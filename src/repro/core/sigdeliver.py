@@ -91,7 +91,7 @@ class SignalDelivery:
             return None
         # Rule 5: linear search for a thread with the signal unmasked.
         # (sigwait is "just another case where the signal is unmasked".)
-        for tcb in rt.all_threads():
+        for tcb in rt.threads.values():
             rt.world.spend(costs.INSN)
             if not tcb.alive:
                 continue

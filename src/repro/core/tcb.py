@@ -5,7 +5,8 @@ The paper's state model: a thread is *blocked* (waiting for an event),
 (unschedulable); *detached* combines with any of these.  Once a
 detached thread terminates (or a terminated thread is detached) its
 memory is reclaimed and it may not be referenced again -- the runtime
-enforces that by invalidating the TCB.
+enforces that by invalidating the TCB and dropping it from its thread
+table, so the library keeps no reference to a reclaimed thread.
 """
 
 from __future__ import annotations
@@ -172,6 +173,7 @@ class Tcb:
         "_kill_cause",
         "_wake_cb",
         "_wrap_pop_cb",
+        "__weakref__",  # so a reclaimed TCB's release can be observed
     )
 
     def __init__(self, tid: int, name: str) -> None:

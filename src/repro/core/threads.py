@@ -34,9 +34,6 @@ from repro.hw import costs
 class ThreadOps(LibraryOps):
     """Entry points for thread management."""
 
-    def __init__(self, runtime) -> None:
-        super().__init__(runtime)
-
     ENTRIES = {
         "create": "lib_create",
         "join": "lib_join",
@@ -153,7 +150,7 @@ class ThreadOps(LibraryOps):
         """Activate a lazily created thread (extension API)."""
         del tcb
         rt = self.rt
-        if target.reclaimed:
+        if not isinstance(target, Tcb) or target.reclaimed:
             return ESRCH
         rt.kern.enter()
         err = self._ensure_active(target)
@@ -273,7 +270,6 @@ class ThreadOps(LibraryOps):
         tcb.state = ThreadState.TERMINATED
         tcb.exiting = False
         tcb.wait = None
-        rt.thread_unlisted(tcb)
         if world.trace is not None:
             world.emit("exit", thread=tcb.name)
         if tcb.joiner is not None:
@@ -292,7 +288,8 @@ class ThreadOps(LibraryOps):
         return BLOCKED
 
     def _reclaim(self, tcb: Tcb) -> None:
-        """Return the TCB and stack to the pool; the handle goes stale."""
+        """Return the TCB and stack to the pool; the thread leaves the
+        table and its handle goes stale."""
         if tcb.reclaimed:
             return
         rt = self.rt
@@ -300,10 +297,13 @@ class ThreadOps(LibraryOps):
             rt.pool.release(getattr(tcb, "tcb_addr", 0), tcb.stack)
             tcb.stack = None
         tcb.reclaimed = True
-        # Every path here goes through lib_finalize_exit first, which
-        # already unlisted the thread -- no second unlist needed.
+        del rt.threads[tcb.tid]
         if rt.world.trace is not None:
             rt.world.emit("reclaim", thread=tcb.name)
+        if rt.obs is not None:
+            rt.obs.thread_left(tcb)
+        if rt.check is not None:
+            rt.check.check_cleanup_balance(tcb)
 
     # -- identity and scheduling parameters -----------------------------------------------
 
@@ -331,7 +331,7 @@ class ThreadOps(LibraryOps):
 
     def lib_getprio(self, tcb: Tcb, target: Tcb) -> int:
         del tcb
-        if target.reclaimed:
+        if not isinstance(target, Tcb) or target.reclaimed:
             return -ESRCH
         self.rt.world.spend(costs.ATTR_OP)
         return target.base_priority
@@ -364,7 +364,7 @@ class ThreadOps(LibraryOps):
 
     def lib_getschedparam(self, tcb: Tcb, target: Tcb) -> Tuple[int, str, int]:
         del tcb
-        if target.reclaimed:
+        if not isinstance(target, Tcb) or target.reclaimed:
             return (ESRCH, "", -1)
         self.rt.world.spend(costs.ATTR_OP)
         return (OK, target.policy, target.base_priority)

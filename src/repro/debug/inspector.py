@@ -115,7 +115,7 @@ class Inspector:
     def thread_rows(self) -> List[dict]:
         """One summary dict per live thread."""
         rows = []
-        for tcb in self._runtime.all_threads():
+        for tcb in self._runtime.threads.values():
             rows.append(
                 {
                     "name": tcb.name,

@@ -30,7 +30,8 @@ style, so the scenario driver and the schedule explorer share them.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from collections import deque
+from typing import Any, Deque, Dict, List, Optional
 
 
 class Collector:
@@ -60,7 +61,7 @@ class WorkQueue:
         self.name = name
         self.mutex: Any = None
         self.cond: Any = None
-        self.items: List[Any] = []  # (conn_fd, enqueued_at_us)
+        self.items: Deque[Any] = deque()  # (conn_fd, enqueued_at_us)
         self.enqueued = 0
         self.dequeued = 0
         self.closed = False
@@ -144,7 +145,7 @@ def _pool_worker(pt, wq, service_cycles, resp_bytes, collector):
         if not wq.items:  # closed and drained
             yield pt.mutex_unlock(wq.mutex)
             return
-        conn_fd, enqueued_at = wq.items.pop(0)
+        conn_fd, enqueued_at = wq.items.popleft()
         wq.dequeued += 1
         yield pt.mutex_unlock(wq.mutex)
         collector.queue_waits_us.append(world.now_us - enqueued_at)

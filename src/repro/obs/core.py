@@ -26,7 +26,7 @@ with observability enabled.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, TYPE_CHECKING
+from typing import Any, Dict, Optional, Tuple, TYPE_CHECKING
 
 from repro.obs.metrics import (
     MetricsRegistry,
@@ -36,6 +36,7 @@ from repro.obs.profile import CycleProfiler
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.runtime import PthreadsRuntime
+    from repro.core.tcb import Tcb
     from repro.sim.world import World
 
 
@@ -61,6 +62,10 @@ class Observability:
         self.ready_depth = self.registry.histogram(
             "sched.ready_depth", help="ready-queue depth at dispatch"
         )
+        #: Reclaimed threads' ``thread.*`` figures by name: the
+        #: ``(tid, name, cpu_cycles, switches_in)`` of the last-created.
+        self.exited: Dict[str, Tuple[int, str, int, int]] = {}
+        self._leaving: Optional["Tcb"] = None
 
     # -- attachment -------------------------------------------------------------
 
@@ -88,6 +93,18 @@ class Observability:
         """Called by the dispatcher (guarded; never on the disabled path)."""
         self.dispatches.inc()
         self.ready_depth.observe(len(runtime.sched.ready))
+
+    def thread_left(self, tcb: "Tcb") -> None:
+        """A reclaimed thread leaves the runtime's table; keep its figures.
+
+        A thread is often reclaimed inside its own last step, which the
+        executor charges to it afterwards, so its figures are read at
+        the next hand-off (or harvest), once that step has ended.
+        """
+        left, self._leaving = self._leaving, tcb
+        if left is not None:
+            kept = self.exited.get(left.name, ())
+            self.exited[left.name] = max(kept, _figures(left))
 
     # -- harvest -----------------------------------------------------------------
 
@@ -245,10 +262,14 @@ class Observability:
         if world.smp is not None:
             self.harvest_smp(world.smp)
 
-        for tcb in runtime.threads.values():
-            safe = tcb.name.replace(" ", "_")
-            put("thread.cpu_cycles.%s" % safe, tcb.cpu_cycles)
-            put("thread.switches_in.%s" % safe, tcb.context_switches_in)
+        # Every thread ever created, in creation order: where names
+        # are shared, the last-created thread's figures are kept.
+        threads = (self._leaving, *runtime.threads.values())
+        live = [_figures(t) for t in threads if t is not None]
+        for _, name, cycles, switches in sorted([*self.exited.values(), *live]):
+            safe = name.replace(" ", "_")
+            put("thread.cpu_cycles.%s" % safe, cycles)
+            put("thread.switches_in.%s" % safe, switches)
 
     def harvest_smp(self, smp: Any) -> None:
         """Copy an SMP world's counters into metrics.
@@ -352,3 +373,7 @@ class Observability:
             self.profiler is not None,
             self.trace is not None,
         )
+
+
+def _figures(tcb: "Tcb") -> Tuple[int, str, int, int]:
+    return (tcb.tid, tcb.name, tcb.cpu_cycles, tcb.context_switches_in)

@@ -426,8 +426,9 @@ class SegmentSpace:
                     break
                 steps.append(step)
                 op = None
-                gi = frame.gen.gi_frame
-                if gi is not None and gi.f_lasti == lasti:
+                # No local holds the frame object across the next step
+                # (see PthreadsRuntime._step_current).
+                if getattr(frame.gen.gi_frame, "f_lasti", None) == lasti:
                     closed = True
                     break
         finally:

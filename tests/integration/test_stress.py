@@ -142,7 +142,7 @@ def test_kitchen_sink():
     assert stats["barrier_rounds"] == 4
     assert stats["cancelled_saw_cleanup"] == 1
     # Everything joinable was reclaimed.
-    leftovers = [t for t in rt.all_threads() if t.name != "main"]
+    leftovers = [t for t in rt.threads.values() if t.name != "main"]
     assert not leftovers
     # No timer leaks, no parked interrupt frames, monitor released.
     assert rt.timer_ops.pending_count == 0

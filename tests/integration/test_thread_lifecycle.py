@@ -6,6 +6,7 @@ from repro.core import config as cfg
 from repro.core.attr import ThreadAttr
 from repro.core.errors import EDEADLK, EINVAL, ESRCH, OK
 from repro.core.tcb import ThreadState
+from repro.unix.sigset import SIGUSR1
 from tests.conftest import make_runtime, run_program
 
 
@@ -78,18 +79,20 @@ def test_second_joiner_rejected():
 
 
 def test_detach_then_terminate_reclaims():
+    out = {}
+
     def child(pt):
         yield pt.work(10)
 
     def main(pt):
         t = yield pt.create(child, name="kid")
+        out["kid"] = t
         err = yield pt.detach(t)
         assert err == OK
         yield pt.delay_us(200)  # let it finish
 
-    rt = run_program(main)
-    kid = [t for t in rt.threads.values() if t.name == "kid"][0]
-    assert kid.reclaimed
+    run_program(main)
+    assert out["kid"].reclaimed
 
 
 def test_join_already_terminated_thread():
@@ -234,3 +237,41 @@ def test_implicit_exit_equivalent_to_explicit():
 
     run_program(main)
     assert out == {"r": "r", "e": "e"}
+
+
+#: Every call that takes a thread handle, and what it returns for a
+#: handle that names no thread (``getprio`` reports errors negated).
+HANDLE_CALLS = {
+    "join": (lambda pt, t: pt.join(t), (ESRCH, None)),
+    "detach": (lambda pt, t: pt.detach(t), ESRCH),
+    "setprio": (lambda pt, t: pt.setprio(t, 50), ESRCH),
+    "getprio": (lambda pt, t: pt.getprio(t), -ESRCH),
+    "setschedparam": (
+        lambda pt, t: pt.setschedparam(t, cfg.SCHED_RR, 50), ESRCH,
+    ),
+    "getschedparam": (lambda pt, t: pt.getschedparam(t), (ESRCH, "", -1)),
+    "activate": (lambda pt, t: pt.activate(t), ESRCH),
+    "kill": (lambda pt, t: pt.kill(t, SIGUSR1), ESRCH),
+    "cancel": (lambda pt, t: pt.cancel(t), ESRCH),
+}
+
+
+@pytest.mark.parametrize("handle", ["not-a-tcb", "reclaimed"])
+@pytest.mark.parametrize("call", sorted(HANDLE_CALLS))
+def test_bad_thread_handle_is_esrch(call, handle):
+    make_call, expected = HANDLE_CALLS[call]
+    out = {}
+
+    def child(pt):
+        yield pt.work(5)
+
+    def main(pt):
+        if handle == "reclaimed":
+            target = yield pt.create(child)
+            yield pt.join(target)
+        else:
+            target = 42
+        out["r"] = yield make_call(pt, target)
+
+    run_program(main)
+    assert out["r"] == expected

@@ -3,7 +3,7 @@
 import json
 
 from repro.core.attr import ThreadAttr
-from repro.core.config import RuntimeConfig
+from repro.core.config import PTHREAD_CREATE_DETACHED, RuntimeConfig
 from repro.core.runtime import PthreadsRuntime
 from repro.debug.trace import Tracer
 from repro.obs.core import Observability
@@ -70,6 +70,52 @@ class TestHarvest:
         obs, rt = run_observed(contended_main)
         metrics = obs.snapshot()["metrics"]
         assert metrics["thread.cpu_cycles.main"] > 0
+
+    def test_exited_threads_keep_their_counters(self):
+        """``thread.*`` covers every thread ever created, reclaimed or
+        not; a shared name reads the later-created thread's figures,
+        even when that thread is reclaimed first."""
+        handles = {}
+
+        def worker(pt, cycles):
+            yield pt.work(cycles)
+
+        def main(pt):
+            handles["main"] = yield pt.self_id()
+            old = yield pt.create(worker, 800, name="twin")
+            new = yield pt.create(worker, 100, name="twin")
+            detached = ThreadAttr(detach_state=PTHREAD_CREATE_DETACHED)
+            handles["det"] = yield pt.create(
+                worker, 300, name="det", attr=detached
+            )
+            late = yield pt.create(worker, 200, name="late")
+            yield pt.join(new)  # parked: new reclaims itself at exit
+            yield pt.delay_us(500)  # old, det and late finish meanwhile
+            yield pt.detach(late)
+            yield pt.join(old)
+            handles.update(old=old, twin=new, late=late)
+
+        obs, rt = run_observed(main)
+        assert list(rt.threads.values()) == [handles["main"]]
+        assert all(
+            handles[n].reclaimed for n in ("old", "twin", "det", "late")
+        )
+        assert handles["old"].cpu_cycles != handles["twin"].cpu_cycles
+        metrics = obs.snapshot()["metrics"]
+        for kind, attr in (
+            ("cpu_cycles", "cpu_cycles"),
+            ("switches_in", "context_switches_in"),
+        ):
+            prefix = "thread.%s." % kind
+            harvested = {
+                name[len(prefix):]: value
+                for name, value in metrics.items()
+                if name.startswith(prefix)
+            }
+            assert harvested == {
+                n: getattr(handles[n], attr)
+                for n in ("main", "twin", "det", "late")
+            }
 
     def test_snapshot_is_json_serialisable(self):
         obs, _ = run_observed(contended_main)
