@@ -63,8 +63,3 @@ class DualLoopTimer:
         cycles = sum(max(s - overhead, 0) for s in self.samples)
         del loop_samples
         return self.world.us(cycles) / (len(self.samples) * ops_per_sample)
-
-
-def loop_body_overhead(pt):
-    """The per-iteration charge both loops of a dual-loop share."""
-    return pt.work(LOOP_OVERHEAD_CYCLES)

@@ -166,9 +166,9 @@ class MutexOps(LibraryOps):
             # so charge its seven instructions in one advance and perform
             # the two stores directly.  Identical virtual time and
             # identical final state (a clock watcher sees one advance of
-            # seven instructions, all in the same category and thread).
+            # seven instructions, keyed INSN like each of them).
             seq.runs += 1
-            world.clock.advance(seq._insn * 7)
+            world.clock.advance(seq._insn * 7, costs.INSN)
             old = mutex.cell.value
             mutex.cell.value = 0xFF
             if old == 0:

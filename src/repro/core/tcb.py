@@ -252,14 +252,6 @@ class Tcb:
     def runnable(self) -> bool:
         return self.state in (ThreadState.READY, ThreadState.RUNNING)
 
-    def check_valid(self) -> None:
-        """Raise if this TCB has been reclaimed (dangling reference)."""
-        if self.reclaimed:
-            raise ReferenceError(
-                "thread %r was detached+terminated and reclaimed; "
-                "references to it are invalid" % (self.name,)
-            )
-
     def __repr__(self) -> str:
         return "Tcb(%s, %s, prio=%d/%d)" % (
             self.name,

@@ -61,7 +61,7 @@ class SharedCell(AtomicCell):
 
 def ldstub(clock: VirtualClock, model: CostModel, cell: AtomicCell) -> int:
     """Atomic load-store-unsigned-byte: return old value, store 0xFF."""
-    clock.advance(model.cost(costs.LDSTUB))
+    clock.advance(model.cost(costs.LDSTUB), costs.LDSTUB)
     old = cell.value
     cell.value = 0xFF
     return old
@@ -80,7 +80,7 @@ def compare_and_swap(
     return True; otherwise leave it and return False.  Costs two more
     cycles than ``ldstub`` (the comparison), per the paper's analysis.
     """
-    clock.advance(model.cost(costs.CAS))
+    clock.advance(model.cost(costs.CAS), costs.CAS)
     if cell.value == expected:
         cell.value = new
         return True
@@ -270,7 +270,7 @@ class RestartableSequence:
                         self.restarts += 1
                         interrupted = True
                         break
-                self._clock.advance(self._insn)
+                self._clock.advance(self._insn, costs.INSN)
                 result = step()
             if not interrupted:
                 return result

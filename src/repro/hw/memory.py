@@ -79,7 +79,7 @@ class Heap:
         """Allocate ``size`` bytes; returns a simulated address."""
         if size <= 0:
             raise ValueError("allocation size must be positive: %r" % size)
-        self._clock.advance(self._model.cost(costs.HEAP_ALLOC))
+        self._charge(costs.HEAP_ALLOC)
         bucket = self._free.get(size)
         if bucket:
             addr = bucket.pop()
@@ -95,13 +95,16 @@ class Heap:
 
     def free(self, addr: int) -> None:
         """Release a block previously returned by :meth:`malloc`."""
-        self._clock.advance(self._model.cost(costs.HEAP_FREE))
+        self._charge(costs.HEAP_FREE)
         try:
             size = self._sizes.pop(addr)
         except KeyError:
             raise MemoryError_("free of unallocated address %#x" % addr)
         self.allocated_bytes -= size
         self._free.setdefault(size, []).append(addr)
+
+    def _charge(self, key: str) -> None:
+        self._clock.advance(self._model.cost(key), key)
 
     def _grow(self, amount: int) -> None:
         if self._arena + amount > self._limit:
@@ -113,8 +116,8 @@ class Heap:
         if self._sbrk is not None:
             self._sbrk(amount)
         else:
-            self._clock.advance(self._model.cost(costs.SYSCALL))
-            self._clock.advance(self._model.cost(costs.SBRK_WORK))
+            self._charge(costs.SYSCALL)
+            self._charge(costs.SBRK_WORK)
         self._arena += amount
 
 

@@ -66,15 +66,16 @@ class RegisterWindows:
     def save(self) -> None:
         """Execute a ``save`` (function call).  May overflow-trap.
 
-        The trap and the call are charged as separate advances, so a
-        clock watcher can tell the trap cycles from the call cycles.
+        The trap and the call are charged as separate advances, each
+        with its own cost key, so a clock watcher can tell the trap
+        cycles from the call cycles.
         """
         if self._active == self._usable:
             self.overflow_traps += 1
-            self._clock.advance(self._c_overflow)
+            self._clock.advance(self._c_overflow, costs.WINDOW_OVERFLOW_TRAP)
         else:
             self._active += 1
-        self._clock.advance(self._c_call)
+        self._clock.advance(self._c_call, costs.CALL)
 
     def restore(self) -> None:
         """Execute a ``restore`` (function return).  May fill-trap.
@@ -84,10 +85,10 @@ class RegisterWindows:
         """
         if self._active <= 1:
             self.underflow_traps += 1
-            self._clock.advance(self._c_fill)
+            self._clock.advance(self._c_fill, costs.WINDOW_FILL_TRAP)
         else:
             self._active -= 1
-        self._clock.advance(self._c_ret)
+        self._clock.advance(self._c_ret, costs.RET)
 
     def flush(self) -> None:
         """``ST_FLUSH_WINDOWS``: spill every active window to the stack.
@@ -97,14 +98,14 @@ class RegisterWindows:
         pair approximates a context switch in Table 2).
         """
         self.flush_traps += 1
-        self._clock.advance(self._c_flush)
+        self._clock.advance(self._c_flush, costs.FLUSH_WINDOWS_TRAP)
         self._active = 1
 
     def switch_in(self) -> None:
         """Load the incoming thread's top frame (``restore`` underflow)."""
         self.underflow_traps += 1
-        self._clock.advance(self._c_underflow)
-        self._clock.advance(self._c_regs)
+        self._clock.advance(self._c_underflow, costs.WINDOW_UNDERFLOW_TRAP)
+        self._clock.advance(self._c_regs, costs.WINDOW_REGS)
         self._active = 1
 
     def __repr__(self) -> str:

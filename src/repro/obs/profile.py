@@ -7,23 +7,23 @@ window traps, syscalls, signal delivery, scheduling, synchronization,
 memory, miscellaneous library work, idle) and to the thread that was
 current when it was spent.
 
-Mechanism: the profiler registers a clock *watcher*, so it sees every
-advance, and shadows ``World.spend`` with an instance-level wrapper
-that sets the ambient category (derived from the cost key being
-charged) around the original call.  Raw charges -- ``spend_cycles``
-and direct ``clock.advance`` calls: user work bursts, loop overhead,
-the restartable atomic sequences -- land in the ambient category,
-which defaults to ``compute``.  The register-window methods and the
-idle advance are wrapped the same way so trap and idle cycles are
-labelled precisely.
+Mechanism: the profiler is the clock's one *watcher*, so it sees
+every advance together with the cost key it charges (see
+:mod:`repro.hw.clock`).  A key maps to its category through
+:data:`CATEGORY_OF_KEY`: ``World.spend``, the register-window file,
+the heap and the atomic instructions all pass the key of the cost they
+charge.  Keyless advances -- ``spend_cycles``, user work bursts, SMP
+coherence surcharges added to an instruction's cost -- count as
+``compute``, and the idle jump to the next event carries the clock's
+:data:`~repro.hw.clock.IDLE` marker.  No method is wrapped.
 
 Two invariants make this admissible instrumentation:
 
 - the profiler never advances the clock itself, so simulated time is
   bit-identical with and without it (the golden Table 2 snapshot test
   runs with it attached);
-- detached (the default), no wrapper and no watcher exists, so the
-  disabled cost is zero.
+- detached (the default), the clock's watcher slot is empty, so the
+  disabled cost is one ``is None`` test per advance.
 
 The total across categories equals the cycles the clock advanced while
 attached -- exactly, by construction, since every advance passes
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, TYPE_CHECKING
 
-from repro.hw import costs
+from repro.hw import clock, costs
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.runtime import PthreadsRuntime
@@ -183,6 +183,12 @@ CATEGORY_OF_KEY.update(
     {path: path_category(path, CATEGORY_OF_KEY) for path in costs.PATHS}
 )
 
+#: What the watcher looks up: every cost key, plus keyless advances
+#: (``None``: compute) and the idle jump.
+_CATEGORY_OF_ADVANCE: Dict[Optional[str], str] = {
+    **CATEGORY_OF_KEY, None: COMPUTE, clock.IDLE: IDLE,
+}
+
 
 class CycleProfiler:
     """Attributes every clock advance to a category and a thread."""
@@ -191,10 +197,8 @@ class CycleProfiler:
         self.by_category: Dict[str, int] = {c: 0 for c in CATEGORIES}
         self.by_thread: Dict[str, int] = {}
         self.start_cycles = 0
-        self._category = COMPUTE
         self._world: Optional["World"] = None
         self._runtime: Optional["PthreadsRuntime"] = None
-        self._saved: Dict[str, object] = {}
 
     @property
     def attached(self) -> bool:
@@ -203,7 +207,7 @@ class CycleProfiler:
     # -- attachment ----------------------------------------------------------
 
     def attach_world(self, world: "World") -> None:
-        """Install the watcher and the category-scoping wrappers.
+        """Become the world clock's watcher.
 
         Attach before the first cycle is spent (the runtime does this
         right after building the world) so the category totals cover
@@ -211,12 +215,9 @@ class CycleProfiler:
         """
         if self._world is not None:
             raise RuntimeError("profiler is already attached")
+        world.clock.watch(self._on_advance)
         self._world = world
         self.start_cycles = world.clock.cycles
-        world.clock.add_watcher(self._on_advance)
-        self._wrap_spend(world)
-        self._wrap_windows(world.windows)
-        self._wrap_idle(world)
 
     def attach_runtime(self, runtime: "PthreadsRuntime") -> None:
         """Bind the runtime whose ``current`` names the running thread."""
@@ -225,26 +226,19 @@ class CycleProfiler:
             self.attach_world(runtime.world)
 
     def detach(self) -> None:
-        """Remove the watcher and restore the wrapped methods."""
-        world = self._world
-        if world is None:
-            return
-        world.clock.remove_watcher(self._on_advance)
-        for name, target in self._saved.items():
-            obj, attr = target  # type: ignore[misc]
-            try:
-                delattr(obj, attr)
-            except AttributeError:
-                pass
-        self._saved.clear()
+        """Stop watching the clock."""
+        if self._world is not None:
+            self._world.clock.unwatch()
         self._world = None
         self._runtime = None
 
     # -- the watcher -----------------------------------------------------------
 
-    def _on_advance(self, before: int, after: int) -> None:
+    def _on_advance(
+        self, before: int, after: int, key: Optional[str]
+    ) -> None:
         delta = after - before
-        self.by_category[self._category] += delta
+        self.by_category[_CATEGORY_OF_ADVANCE.get(key, LIBRARY_MISC)] += delta
         runtime = self._runtime
         if runtime is not None:
             current = runtime.current
@@ -253,82 +247,6 @@ class CycleProfiler:
             name = "<world>"
         threads = self.by_thread
         threads[name] = threads.get(name, 0) + delta
-
-    # -- wrappers --------------------------------------------------------------
-
-    def _wrap_spend(self, world: "World") -> None:
-        orig_spend = world.spend
-        category_of = CATEGORY_OF_KEY
-
-        def spend(key: str, times: int = 1) -> None:
-            prev = self._category
-            self._category = category_of.get(key, LIBRARY_MISC)
-            try:
-                orig_spend(key, times)
-            finally:
-                self._category = prev
-
-        world.spend = spend  # type: ignore[method-assign]
-        self._saved["spend"] = (world, "spend")
-
-    def _wrap_windows(self, windows) -> None:
-        """Label the register-window trap cycles.
-
-        ``flush``/``switch_in`` are pure trap work.  ``save``/``restore``
-        are ordinary call/return instructions *unless* the window file
-        overflows/underflows, so the wrapper checks the trap condition
-        (the same test the methods themselves make) and only relabels
-        when a trap will actually be taken.
-        """
-        orig_flush = windows.flush
-        orig_switch_in = windows.switch_in
-        orig_save = windows.save
-        orig_restore = windows.restore
-
-        def scoped(fn):
-            def wrapper():
-                prev = self._category
-                self._category = WINDOW_TRAPS
-                try:
-                    fn()
-                finally:
-                    self._category = prev
-            return wrapper
-
-        def save():
-            if windows._active == windows._usable:
-                scoped_save()
-            else:
-                orig_save()
-
-        def restore():
-            if windows._active <= 1:
-                scoped_restore()
-            else:
-                orig_restore()
-
-        scoped_save = scoped(orig_save)
-        scoped_restore = scoped(orig_restore)
-        windows.flush = scoped(orig_flush)
-        windows.switch_in = scoped(orig_switch_in)
-        windows.save = save
-        windows.restore = restore
-        for attr in ("flush", "switch_in", "save", "restore"):
-            self._saved["windows." + attr] = (windows, attr)
-
-    def _wrap_idle(self, world: "World") -> None:
-        orig = world.advance_to_next_event
-
-        def advance_to_next_event() -> None:
-            prev = self._category
-            self._category = IDLE
-            try:
-                orig()
-            finally:
-                self._category = prev
-
-        world.advance_to_next_event = advance_to_next_event  # type: ignore[method-assign]
-        self._saved["advance_to_next_event"] = (world, "advance_to_next_event")
 
     # -- results ----------------------------------------------------------------
 

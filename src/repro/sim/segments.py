@@ -56,9 +56,9 @@ equality against forced interpretation
 
 Bypass rules (checked before any replay or recording):
 
-- a clock watcher is attached (obs profiler / tracer demand per-spend
-  granularity -- the cache is bypassed rather than distributing
-  breakdowns, so attribution stays exact);
+- the clock has a watcher (the cycle profiler, the only one, needs
+  every charge with its cost key -- the cache is bypassed rather than
+  distributing breakdowns, so attribution stays exact);
 - a choice source is attached (``repro.check``): segments would hide
   ``choose()`` points from the explorer, so the cache is bypassed and
   DFS reports are byte-identical with the cache on or off;
@@ -251,7 +251,7 @@ class SegmentSpace:
             return False
         world = rt.world
         if (
-            world.clock._watchers
+            world.clock._watcher is not None
             or world.choices is not None
             or world.trace is not None
             or rt.policy is not None

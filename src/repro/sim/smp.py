@@ -167,7 +167,7 @@ class Cpu:
 
     def spend(self, key: str, times: int = 1) -> None:
         """Charge a cost-table key against this CPU's clock."""
-        self.clock.advance(self.smp.table[key] * times)
+        self.clock.advance(self.smp.table[key] * times, key)
 
     def spend_cycles(self, cycles: int) -> None:
         self.clock.advance(cycles)
@@ -304,7 +304,7 @@ class SmpExtension:
         """
         src = self.cpus[src_index]
         dst = self.cpus[dst_index]
-        src.clock.advance(self.table[costs.IPI_SEND])
+        src.clock.advance(self.table[costs.IPI_SEND], costs.IPI_SEND)
         src.ipis_sent += 1
         self.ipis_sent += 1
         arrive = src.clock.cycles + self.table[costs.IPI_LATENCY]
@@ -321,7 +321,9 @@ class SmpExtension:
         if dst.index == 0:
             self.world.spend(costs.IPI_RECEIVE)
         else:
-            dst.clock.advance(self.table[costs.IPI_RECEIVE])
+            dst.clock.advance(
+                self.table[costs.IPI_RECEIVE], costs.IPI_RECEIVE
+            )
         action()
 
     def route_signal(self, kernel: Any, proc: Any, sig: int, cause: Any) -> bool:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Iterator, Optional, Union
 
-from repro.hw.clock import VirtualClock
+from repro.hw.clock import IDLE, VirtualClock
 from repro.hw.costs import SPARC_IPX, CostModel, cost_model
 from repro.hw.registers import RegisterWindows
 from repro.sim.events import Event, EventQueue
@@ -127,31 +127,30 @@ class World:
         asynchronous code in the middle of a library code path.
 
         The clock advance is inlined (identically to
-        :meth:`VirtualClock.advance`): this method runs several times
-        per executor step.  Library code charges every keyed cost here,
-        watched clock or not, so a profiled run executes the same
-        library code as an unprofiled one.
+        :meth:`VirtualClock.advance`, ``key`` handed to the watcher):
+        this method runs several times per executor step.  Library
+        code charges every keyed cost here, watched clock or not, so a
+        profiled run executes the same library code as an unprofiled
+        one.
         """
         cycles = self._costs[key] * times
         if cycles > 0:
             clock = self.clock
             before = clock.cycles
             clock.cycles = after = before + cycles
-            if clock._watchers:
-                for watcher in clock._watchers:
-                    watcher(before, after)
+            if clock._watcher is not None:
+                clock._watcher(before, after, key)
         elif cycles < 0:
             raise ValueError("cannot advance clock backwards: %r" % (cycles,))
 
     def spend_cycles(self, cycles: int, fire: bool = True) -> None:
-        """Charge a raw cycle amount."""
+        """Charge a raw cycle amount (no cost key)."""
         clock = self.clock
         if cycles > 0:
             before = clock.cycles
             clock.cycles = after = before + cycles
-            if clock._watchers:
-                for watcher in clock._watchers:
-                    watcher(before, after)
+            if clock._watcher is not None:
+                clock._watcher(before, after, None)
         elif cycles < 0:
             raise ValueError("cannot advance clock backwards: %r" % (cycles,))
         if fire:
@@ -230,7 +229,7 @@ class World:
                 "system is idle with no pending events at t=%d cycles"
                 % self.now
             )
-        self.clock.advance_to(max(when, self.now))
+        self.clock.advance_to(max(when, self.now), IDLE)
         self.fire_due()
 
     # -- snapshot integrity --------------------------------------------------

@@ -19,6 +19,7 @@ these numbers.
 import pytest
 
 from repro.bench.workloads import (
+    create_join_churn,
     lock_storm,
     pipeline,
     run_workload,
@@ -49,6 +50,11 @@ def _pool_sigio(obs):
 
 
 WORKLOADS = {
+    # Two bursts of 80 against the 64-pair TCB/stack pool: pool misses,
+    # heap frees and sbrk growth, which the other workloads never reach.
+    "create_join_churn": _library_run(
+        lambda: create_join_churn(rounds=2, burst=80)
+    ),
     "lock_storm": _library_run(
         lambda: lock_storm(
             4, 60, section_cycles=3000, spread_priorities=False
@@ -60,18 +66,47 @@ WORKLOADS = {
     "pool_sigio": _pool_sigio,
 }
 
+
+def _churn_threads():
+    """``create_join_churn(rounds=2, burst=80)``'s children: 516 cycles
+    each, except the last 16 of each burst, which find the 64-pair pool
+    full at exit and free their TCB and stack (2 x ``HEAP_FREE``, 360)
+    instead of pushing them back (``POOL_PUSH``, 16): 860."""
+    return {
+        "thread-%d" % i: 860 if (i - 2) % 80 >= 64 else 516
+        for i in range(2, 162)
+    }
+
+
 #: name -> (by_category, by_thread, final clock in cycles)
 EXPECTED = {
+    "create_join_churn": (
+        {
+            "compute": 32322,
+            "library-misc": 56260,
+            "memory": 420598,
+            "scheduling": 153184,
+            "syscalls": 25340,
+            "window-traps": 346220,
+        },
+        {
+            "<kernel>": 465766,
+            "<world>": 89340,
+            "main": 385250,
+            **_churn_threads(),
+        },
+        1033924,
+    ),
     "lock_storm": (
         {
-            "compute": 797680,
+            "compute": 733690,
             "library-misc": 1670,
-            "memory": 1514,
+            "memory": 65514,
             "scheduling": 32010,
             "signal-delivery": 506480,
             "synchronization": 7200,
             "syscalls": 124584,
-            "window-traps": 9270,
+            "window-traps": 9260,
         },
         {
             "<kernel>": 21136,
@@ -86,13 +121,13 @@ EXPECTED = {
     ),
     "pipeline": (
         {
-            "compute": 156562,
+            "compute": 92570,
             "library-misc": 1360,
-            "memory": 1208,
+            "memory": 65208,
             "scheduling": 6648,
             "synchronization": 21960,
             "syscalls": 25340,
-            "window-traps": 7108,
+            "window-traps": 7100,
         },
         {
             "<kernel>": 10466,
@@ -106,13 +141,13 @@ EXPECTED = {
     ),
     "signal_storm": (
         {
-            "compute": 127732,
+            "compute": 63794,
             "library-misc": 2270,
-            "memory": 1208,
+            "memory": 65208,
             "scheduling": 3936,
             "signal-delivery": 11294,
             "syscalls": 25340,
-            "window-traps": 8362,
+            "window-traps": 8300,
         },
         {
             "<kernel>": 7566,
@@ -126,14 +161,14 @@ EXPECTED = {
     ),
     "pool_sigio": (
         {
-            "compute": 73851,
+            "compute": 9887,
             "library-misc": 2030,
-            "memory": 1820,
+            "memory": 65820,
             "scheduling": 27058,
             "signal-delivery": 178280,
             "synchronization": 1590,
             "syscalls": 120352,
-            "window-traps": 35336,
+            "window-traps": 35300,
         },
         {
             "<kernel>": 59147,
@@ -176,5 +211,5 @@ def test_attribution_is_pinned_exactly(name):
 def test_profiler_changes_no_counter(name):
     profiled = WORKLOADS[name](Observability())
     bare = WORKLOADS[name](None)
-    assert bare.world.clock._watchers == []
+    assert bare.world.clock._watcher is None
     assert _counters(profiled) == _counters(bare)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.hw.clock import VirtualClock
+from repro.hw.clock import IDLE, VirtualClock
 
 
 def test_starts_at_zero():
@@ -53,26 +53,26 @@ def test_advance_to_past_rejected():
 def test_watchers_see_before_and_after():
     clock = VirtualClock()
     seen = []
-    clock.add_watcher(lambda before, after: seen.append((before, after)))
+    clock.watch(lambda before, after, key: seen.append((before, after, key)))
     clock.advance(3)
-    clock.advance(4)
-    assert seen == [(0, 3), (3, 7)]
+    clock.advance(4, "insn")
+    clock.advance_to(10, IDLE)
+    assert seen == [(0, 3, None), (3, 7, "insn"), (7, 10, IDLE)]
 
 
 def test_watcher_not_called_on_zero_advance():
     clock = VirtualClock()
     seen = []
-    clock.add_watcher(lambda b, a: seen.append(1))
-    clock.advance(0)
+    clock.watch(lambda b, a, key: seen.append(key))
+    clock.advance(0, "insn")
     assert seen == []
 
 
 def test_remove_watcher():
     clock = VirtualClock()
     seen = []
-    watcher = lambda b, a: seen.append(1)  # noqa: E731
-    clock.add_watcher(watcher)
-    clock.advance(1)
-    clock.remove_watcher(watcher)
-    clock.advance(1)
-    assert seen == [1]
+    clock.watch(lambda b, a, key: seen.append(key))
+    clock.advance(1, "call")
+    clock.unwatch()
+    clock.advance(1, "ret")
+    assert seen == ["call"]

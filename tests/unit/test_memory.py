@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.hw import costs
 from repro.hw.clock import VirtualClock
 from repro.hw.costs import SPARC_IPX
 from repro.hw.memory import Heap, MemoryError_, Stack, StackOverflow
@@ -55,6 +56,16 @@ def test_sbrk_called_when_arena_exhausted():
     heap.malloc(1024)
     assert calls  # grew at least once
     assert heap.sbrk_calls == len(calls)
+
+
+def test_charges_carry_their_cost_keys():
+    clock = VirtualClock()
+    seen = []
+    clock.watch(lambda before, after, key: seen.append((key, after - before)))
+    heap = Heap(clock, SPARC_IPX, arena=100)
+    heap.free(heap.malloc(150))  # grows through the local sbrk fallback
+    keys = [costs.HEAP_ALLOC, costs.SYSCALL, costs.SBRK_WORK, costs.HEAP_FREE]
+    assert seen == [(key, SPARC_IPX.cost(key)) for key in keys]
 
 
 def test_heap_limit_enforced():

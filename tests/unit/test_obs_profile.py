@@ -18,9 +18,11 @@ from repro.obs.profile import (
     COMPUTE,
     CycleProfiler,
     IDLE,
+    MEMORY,
     SYNCHRONIZATION,
     WINDOW_TRAPS,
 )
+from repro.sim.world import World
 
 
 def run_observed(main_fn, **kwargs):
@@ -99,6 +101,18 @@ class TestAttributionInvariant:
         obs, _ = run_observed(main)
         assert obs.profiler.by_category[SYNCHRONIZATION] > 0
 
+    @pytest.mark.parametrize("pool_size", [1, 16])
+    def test_pool_prefill_lands_in_memory(self, pool_size):
+        """The prefill mallocs a TCB and a stack per pool slot; the heap
+        charges them as ``HEAP_ALLOC``, which is memory, not compute."""
+        obs = Observability()
+        rt = PthreadsRuntime(
+            config=RuntimeConfig(pool_size=pool_size), obs=obs
+        )
+        assert obs.profiler.by_category[MEMORY] == (
+            2 * pool_size * rt.world.model.cost(costs.HEAP_ALLOC)
+        )
+
     def test_window_traps_attributed_on_switches(self):
         def child(pt):
             yield pt.work(100)
@@ -135,23 +149,29 @@ class TestAttachDetach:
         with pytest.raises(RuntimeError):
             obs.profiler.attach_world(rt.world)
 
-    def test_detach_restores_methods_and_stops_counting(self):
-        def main(pt):
-            yield pt.work(100)
-
-        obs, rt = run_observed(main)
-        world = rt.world
-        profiler = obs.profiler
-        # Instance-level shadows exist while attached...
-        assert "spend" in world.__dict__
+    def test_attach_shadows_nothing_and_detach_stops_counting(self):
+        world = World()
+        world_attrs = dict(world.__dict__)
+        window_attrs = dict(world.windows.__dict__)
+        profiler = CycleProfiler()
+        profiler.attach_world(world)
+        # The profiler is the clock's watcher and nothing else: no
+        # method of the world or the window file is shadowed.
+        assert world.__dict__ == world_attrs
+        assert world.windows.__dict__ == window_attrs
+        world.spend(costs.INSN, 10)
         total = profiler.total_cycles
+        assert total > 0
+        # A second watcher on the same clock is refused.
+        with pytest.raises(RuntimeError):
+            CycleProfiler().attach_world(world)
         profiler.detach()
-        # ...and are gone after detach (class methods resume).
-        assert "spend" not in world.__dict__
-        assert "advance_to_next_event" not in world.__dict__
         assert not profiler.attached
         world.spend(costs.INSN, 10)
+        world.windows.flush()
         assert profiler.total_cycles == total
+        # Detached, the slot is free again.
+        CycleProfiler().attach_world(world)
 
     def test_detached_profiler_span_falls_back_to_total(self):
         p = CycleProfiler()

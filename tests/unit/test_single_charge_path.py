@@ -1,9 +1,9 @@
-"""One way to charge a cost: library code never branches on watchers.
+"""One way to charge a cost: library code never branches on the watcher.
 
 How a charge reaches the clock is decided in ``World.spend`` and
 ``VirtualClock.advance`` alone, so a profiled run executes the same
 library code as an unprofiled one.  The only other reader of the
-clock's watcher list is the segment compiler, which bypasses itself
+clock's watcher slot is the segment compiler, which bypasses itself
 when the clock is watched.  This scan keeps per-site watcher forks from
 coming back.
 """
@@ -15,7 +15,7 @@ import repro
 
 ALLOWED = {"hw/clock.py", "sim/world.py", "sim/segments.py"}
 
-_WATCHERS = re.compile(r"\._watchers\b")
+_WATCHER = re.compile(r"\._watcher\b")
 
 
 def test_watchers_read_only_by_the_charge_path():
@@ -26,7 +26,7 @@ def test_watchers_read_only_by_the_charge_path():
         if rel in ALLOWED:
             continue
         for lineno, line in enumerate(path.read_text().splitlines(), 1):
-            if _WATCHERS.search(line):
+            if _WATCHER.search(line):
                 offenders.append("%s:%d: %s" % (rel, lineno, line.strip()))
     assert not offenders, "\n".join(offenders)
 

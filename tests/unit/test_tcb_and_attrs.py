@@ -17,12 +17,7 @@ class TestTcb:
         assert not tcb.detached
         assert tcb.intr_enabled
         assert tcb.intr_type == cfg.PTHREAD_INTR_CONTROLLED
-
-    def test_reclaimed_reference_check(self):
-        tcb = Tcb(1, "t")
         tcb.reclaimed = True
-        with pytest.raises(ReferenceError):
-            tcb.check_valid()
         assert not tcb.alive
 
     def test_runnable(self):
