@@ -57,8 +57,8 @@ class MutexAttr:
     ``protocol`` selects no protocol, priority inheritance, or priority
     ceiling (SRP); ``prioceiling`` is required for the ceiling protocol
     and must be at least the highest priority of any locking thread
-    (the paper argues the standard should *require* this; we check it
-    at lock time when ``RuntimeConfig.check_ceilings`` is on).
+    (the paper argues the standard should *require* this; the library
+    checks it at lock time and refuses with ``EINVAL``).
     """
 
     protocol: str = config.PRIO_NONE

@@ -84,17 +84,12 @@ class RuntimeConfig:
         is removed: ``"head"`` (the paper's recommendation -- the thread
         is not penalised for a boost it did not choose) or ``"tail"``
         (strict requeue).
-    default_stack_size:
-        Stack size for threads whose attributes don't specify one.
     mixed_protocol_unlock:
         How unlocking behaves when inheritance and ceiling mutexes are
         nested (the paper's Table 4 discussion): ``"linear-search"``
         recomputes from all held mutexes (safe, avoids unbounded
         inversion) or ``"stack"`` (pure SRP pop -- exhibits the paper's
         step-4 divergence, kept for the Table 4 reproduction).
-    check_ceilings:
-        Refuse (EINVAL) locking a ceiling mutex from a thread whose
-        priority exceeds the ceiling, per the paper's recommendation.
     segments:
         Enable the executor's segment compiler (see
         :mod:`repro.sim.segments`).  Purely a host-speed feature --
@@ -106,9 +101,7 @@ class RuntimeConfig:
     pool_size: int = 32
     timeslice_us: float = 20_000.0
     unboost_placement: str = "head"
-    default_stack_size: int = DEFAULT_STACK_SIZE
     mixed_protocol_unlock: str = "linear-search"
-    check_ceilings: bool = True
     segments: bool = True
 
     def __post_init__(self) -> None:

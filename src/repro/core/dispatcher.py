@@ -205,4 +205,4 @@ class Dispatcher:
         runtime.unix.sigsetmask(runtime.proc, _FULL_MASK)
         while tcb.pending_interrupt_frames:
             frame = tcb.pending_interrupt_frames.pop()
-            runtime.unix.sigreturn_frame(runtime.proc, frame)
+            runtime.unix.sigreturn(runtime.proc, frame)

@@ -129,11 +129,13 @@ class MutexOps(LibraryOps):
         if mutex.destroyed:
             return EINVAL
         rt.world.spend(costs.PROTOCOL_CHECK)
-        if mutex.protocol == cfg.PRIO_PROTECT and rt.config.check_ceilings:
-            if tcb.base_priority > mutex.prioceiling:
-                # The paper: locking above the ceiling should be an
-                # error, otherwise the protocol's bound is void.
-                return EINVAL
+        if (
+            mutex.protocol == cfg.PRIO_PROTECT
+            and tcb.base_priority > mutex.prioceiling
+        ):
+            # The paper: locking above the ceiling should be an error,
+            # otherwise the protocol's bound is void.
+            return EINVAL
         if mutex.owner is tcb:
             return EDEADLK
         if self._try_fast_acquire(tcb, mutex):
@@ -146,9 +148,11 @@ class MutexOps(LibraryOps):
         if mutex.destroyed:
             return EINVAL
         rt.world.spend(costs.PROTOCOL_CHECK)
-        if mutex.protocol == cfg.PRIO_PROTECT and rt.config.check_ceilings:
-            if tcb.base_priority > mutex.prioceiling:
-                return EINVAL
+        if (
+            mutex.protocol == cfg.PRIO_PROTECT
+            and tcb.base_priority > mutex.prioceiling
+        ):
+            return EINVAL
         if mutex.owner is tcb:
             return EDEADLK
         if self._try_fast_acquire(tcb, mutex):

@@ -54,7 +54,6 @@ class HostProcess:
     def __init__(self, kernel: UnixKernel, name: str = "pthreads-proc") -> None:
         self.name = name
         self.signals = ProcessSignals()
-        self.interrupt_frames: List[InterruptFrame] = []
         # Signals posted to this process deliver immediately: from the
         # UNIX kernel's viewpoint it is always the running process.
         self.auto_deliver = True
@@ -112,7 +111,7 @@ class PthreadsRuntime:
             self.world,
             self.heap,
             size=self.config.pool_size,
-            stack_size=self.config.default_stack_size,
+            stack_size=cfg.DEFAULT_STACK_SIZE,
         )
 
         #: The simulated UNIX global errno (switched by the dispatcher).
@@ -281,15 +280,19 @@ class PthreadsRuntime:
     def state_digest(self) -> str:
         """A stable hash of the runtime's observable state.
 
-        Combines the world digest with the executor's own bookkeeping
-        and a per-thread summary.  Used by :mod:`repro.fleet` to verify
-        that resuming a forked prefix snapshot lands in exactly the
-        state a replay-from-scratch reaches at the same choice point.
+        Combines the world digest with the executor's own bookkeeping,
+        the signal state (as signal numbers and mask bits) and a
+        per-thread summary.  Used by :mod:`repro.fleet` to verify that
+        resuming a forked prefix snapshot lands in exactly the state a
+        replay-from-scratch reaches at the same choice point.
         """
         import hashlib
 
+        def sigs(numbers) -> str:
+            return ",".join(map(str, numbers))
+
         threads = sorted(
-            "%d:%s:%s:%d:%s:%d:%d:%d"
+            "%d:%s:%s:%d:%s:%d:%d:%d:%x:%s:%d"
             % (
                 tcb.tid,
                 tcb.name,
@@ -299,15 +302,23 @@ class PthreadsRuntime:
                 tcb.errno,
                 tcb.cpu_cycles,
                 tcb.context_switches_in,
+                tcb.sigmask.bits,
+                sigs(tcb.pending.order),
+                len(tcb.pending_interrupt_frames),
             )
             for tcb in self.threads.values()
         )
+        signals = self.proc.signals
         parts = [
             self.world.state_digest(),
             str(self.steps),
             str(self.unix_errno),
             str(self.terminated_by),
             self.current.name if self.current is not None else "-",
+            "%x:%s" % (signals.mask.bits, sigs(signals.pending.order)),
+            sigs(sig for sig, _ in self.process_pending),
+            sigs(sig for sig, _ in self.kern.deferred_signals),
+            sigs(sorted(self.user_actions)),
         ]
         parts.extend(threads)
         return hashlib.sha1("|".join(parts).encode("utf-8")).hexdigest()
@@ -754,14 +765,16 @@ class PthreadsRuntime:
 
     # -- the universal signal handler -----------------------------------------------------
 
-    def _universal_handler(self, sig: int, cause: SigCause) -> None:
-        """Entry point for every UNIX signal delivered to the process."""
-        frame = self.proc.interrupt_frames.pop()
+    def _universal_handler(
+        self, sig: int, cause: SigCause, frame: InterruptFrame
+    ) -> None:
+        """Entry point for every UNIX signal delivered to the process;
+        ``frame`` is the interrupt frame UNIX pushed for it."""
         if self.kern.kernel_flag:
             # Caught inside the library kernel: log it, request the
             # dispatcher, and return to the interruption point at once.
             self.kern.log_deferred(sig, cause)
-            self.unix.sigreturn_frame(self.proc, frame)
+            self.unix.sigreturn(self.proc, frame)
             self.world.emit("signal-deferred", sig=sig)
             return
         interrupted = self.current
@@ -770,7 +783,7 @@ class PthreadsRuntime:
             # thread's stack until it is redispatched.
             interrupted.pending_interrupt_frames.append(frame)
         else:
-            self.unix.sigreturn_frame(self.proc, frame)
+            self.unix.sigreturn(self.proc, frame)
         self.kern.enter()
         # First of the two sigsetmask calls per received signal:
         # re-enable all signals now that the kernel flag protects us.

@@ -50,7 +50,7 @@ class Scheduler:
         # Signals parked while the thread sat in an uninterruptible
         # wait get their fake calls installed before it runs again
         # (guarded here: the pending list is empty in the common case).
-        if tcb.pending._order:
+        if tcb.pending.order:
             runtime.sigdeliver.on_thread_runnable(tcb)
 
     def take(self, tcb: Tcb) -> bool:

@@ -193,18 +193,23 @@ class SignalDelivery:
 
     # -- rechecks ------------------------------------------------------------------------
 
+    def _drain_thread(self, tcb: Tcb) -> None:
+        """Deliver the thread's pending signals it no longer masks,
+        oldest first (a handler's sigaction mask may stop the drain)."""
+        pending = tcb.pending
+        while True:
+            item = pending.take_unmasked(tcb.sigmask)
+            if item is None:
+                return
+            self.deliver_to_thread(tcb, *item)
+
     def recheck_thread(self, tcb: Tcb) -> None:
         """A thread's mask dropped: deliver newly eligible pendings."""
         if self._rechecking:
             return
         self._rechecking = True
         try:
-            while True:
-                item = tcb.pending.take_any_unmasked(tcb.sigmask)
-                if item is None:
-                    break
-                sig, cause = item
-                self.deliver_to_thread(tcb, sig, cause)
+            self._drain_thread(tcb)
             self.recheck_process_pending()
         finally:
             self._rechecking = False
@@ -228,16 +233,11 @@ class SignalDelivery:
         """A thread left an uninterruptible wait: pendings that were
         parked during the wait get their fake calls installed now,
         before the thread resumes user code."""
-        if tcb.exiting or not tcb.pending or self._rechecking:
+        if tcb.exiting or not tcb.pending.order or self._rechecking:
             return
         self._rechecking = True
         try:
-            while True:
-                item = tcb.pending.take_any_unmasked(tcb.sigmask)
-                if item is None:
-                    return
-                sig, cause = item
-                self.deliver_to_thread(tcb, sig, cause)
+            self._drain_thread(tcb)
         finally:
             self._rechecking = False
 

@@ -149,7 +149,7 @@ class SignalOps(LibraryOps):
         rt.kern.enter()
         rt.world.spend(costs.SIG_MASK_OP)
         # Already pending on the thread?  Consume without blocking.
-        item = tcb.pending.take_any_in(signals)
+        item = tcb.pending.take_in(signals)
         if item is not None:
             rt.kern.leave()
             return (OK, item[0])

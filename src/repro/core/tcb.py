@@ -17,7 +17,7 @@ from typing import Any, Callable, Dict, List, Optional
 from repro.core import config
 from repro.hw.memory import Stack
 from repro.sim.frames import Frame, FrameStack
-from repro.unix.signals import InterruptFrame, SigCause
+from repro.unix.signals import InterruptFrame, PendingSignals, SigCause
 from repro.unix.sigset import SigSet
 
 
@@ -70,56 +70,6 @@ class WaitRecord:
 
     def __repr__(self) -> str:
         return "WaitRecord(%s, obj=%r)" % (self.kind, self.obj)
-
-
-class ThreadPending:
-    """Per-thread pending signals (single slot per signal, BSD-style)."""
-
-    __slots__ = ("_causes", "_order", "lost")
-
-    def __init__(self) -> None:
-        self._causes: Dict[int, SigCause] = {}
-        self._order: List[int] = []
-        self.lost = 0
-
-    def post(self, sig: int, cause: SigCause) -> bool:
-        if sig in self._causes:
-            self.lost += 1
-            return False
-        self._causes[sig] = cause
-        self._order.append(sig)
-        return True
-
-    def take(self, sig: int) -> Optional[SigCause]:
-        if sig not in self._causes:
-            return None
-        self._order.remove(sig)
-        return self._causes.pop(sig)
-
-    def take_any_unmasked(self, mask: SigSet) -> Optional[Any]:
-        """Pop the oldest pending signal not in ``mask`` as (sig, cause)."""
-        for index, sig in enumerate(self._order):
-            if sig not in mask:
-                del self._order[index]
-                return sig, self._causes.pop(sig)
-        return None
-
-    def take_any_in(self, wanted: SigSet) -> Optional[Any]:
-        """Pop the oldest pending signal contained in ``wanted``."""
-        for index, sig in enumerate(self._order):
-            if sig in wanted:
-                del self._order[index]
-                return sig, self._causes.pop(sig)
-        return None
-
-    def __contains__(self, sig: int) -> bool:
-        return sig in self._causes
-
-    def signals(self) -> SigSet:
-        return SigSet(self._causes.keys())
-
-    def __len__(self) -> int:
-        return len(self._causes)
 
 
 class Tcb:
@@ -196,7 +146,7 @@ class Tcb:
 
         # Signals.
         self.sigmask = SigSet()
-        self.pending = ThreadPending()
+        self.pending = PendingSignals()
         self.pending_interrupt_frames: List[InterruptFrame] = []
 
         # Blocking.

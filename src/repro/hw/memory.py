@@ -68,10 +68,6 @@ class Heap:
         self.allocated_bytes = 0
 
     @property
-    def arena_size(self) -> int:
-        return self._arena
-
-    @property
     def live_bytes(self) -> int:
         return self.allocated_bytes
 

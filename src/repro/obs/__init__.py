@@ -25,8 +25,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    NULL_REGISTRY,
-    NullRegistry,
 )
 from repro.obs.profile import CATEGORIES, CycleProfiler
 from repro.obs.export import (
@@ -44,8 +42,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NullRegistry",
-    "NULL_REGISTRY",
     "CATEGORIES",
     "CycleProfiler",
     "JsonlSink",

@@ -28,10 +28,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional, Tuple, TYPE_CHECKING
 
-from repro.obs.metrics import (
-    MetricsRegistry,
-    NULL_REGISTRY,
-)
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import CycleProfiler
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -44,18 +41,15 @@ class Observability:
     """Metrics registry + cycle profiler + optional trace sink."""
 
     def __init__(
-        self,
-        metrics: bool = True,
-        profile: bool = True,
-        trace: Optional[object] = None,
+        self, profile: bool = True, trace: Optional[object] = None
     ) -> None:
-        self.registry = MetricsRegistry() if metrics else NULL_REGISTRY
+        self.registry = MetricsRegistry()
         self.profiler: Optional[CycleProfiler] = (
             CycleProfiler() if profile else None
         )
         self.trace = trace
         self.runtime: Optional["PthreadsRuntime"] = None
-        # Live instruments (no-ops when metrics are disabled).
+        # Live instruments.
         self.dispatches = self.registry.counter(
             "sched.dispatches", help="dispatcher invocations"
         )
@@ -111,7 +105,7 @@ class Observability:
     def harvest(self) -> None:
         """Copy the library's persistent counters into the registry."""
         runtime = self.runtime
-        if runtime is None or not self.registry.enabled:
+        if runtime is None:
             return
         registry = self.registry
         world = runtime.world
@@ -278,7 +272,7 @@ class Observability:
         is multiprocessor, and directly by the lock-zoo tooling (which
         runs on the SMP executor with no Pthreads runtime at all).
         """
-        if smp is None or not self.registry.enabled:
+        if smp is None:
             return
         registry = self.registry
 
@@ -308,7 +302,7 @@ class Observability:
         Fleet stats describe a whole sweep, not one runtime, so this is
         separate from :meth:`harvest` and needs no attached runtime.
         """
-        if stats is None or not self.registry.enabled:
+        if stats is None:
             return
         registry = self.registry
 
@@ -368,8 +362,7 @@ class Observability:
         return "\n".join(sections)
 
     def __repr__(self) -> str:
-        return "Observability(metrics=%s, profile=%s, trace=%s)" % (
-            self.registry.enabled,
+        return "Observability(profile=%s, trace=%s)" % (
             self.profiler is not None,
             self.trace is not None,
         )

@@ -6,12 +6,10 @@ reproduction a first-class home for those numbers.  Instrumentation
 sites obtain an instrument once (``registry.counter("...")``) and call
 ``inc``/``set``/``observe`` on the hot path.
 
-When observability is disabled the registry is :data:`NULL_REGISTRY`,
-whose factory methods hand back shared no-op instruments: instrumented
-code keeps running unchanged and the disabled cost is one attribute
-load plus an empty method call -- or nothing at all at the sites that
-guard on ``runtime.obs is None``, which is the idiom used on executor
-hot paths (mirroring the existing ``world.trace is not None`` guards).
+Disabled observability is no :class:`~repro.obs.Observability` at
+all (``obs=None``): instrumented sites guard on ``runtime.obs is
+None``, mirroring the ``world.trace is not None`` guards, so the
+disabled cost is that one test.
 
 Nothing in this module touches the virtual clock: metrics observe the
 simulation, they never advance it.
@@ -122,62 +120,8 @@ class Histogram:
         )
 
 
-# ---------------------------------------------------------------------------
-# No-op stubs: the disabled registry hands these out so instrumented
-# code needs no conditionals of its own.
-# ---------------------------------------------------------------------------
-
-
-class NullCounter:
-    __slots__ = ()
-    name = help = "<null>"
-    value = 0
-
-    def inc(self, amount: int = 1) -> None:
-        pass
-
-    def set(self, value: int) -> None:
-        pass
-
-
-class NullGauge:
-    __slots__ = ()
-    name = help = "<null>"
-    value = 0
-
-    def set(self, value: Number) -> None:
-        pass
-
-    def inc(self, amount: Number = 1) -> None:
-        pass
-
-    def dec(self, amount: Number = 1) -> None:
-        pass
-
-
-class NullHistogram:
-    __slots__ = ()
-    name = help = "<null>"
-    buckets: Tuple[Number, ...] = ()
-    counts: List[int] = []
-    count = 0
-    total = 0
-    max = 0
-    mean = 0.0
-
-    def observe(self, value: Number) -> None:
-        pass
-
-
-NULL_COUNTER = NullCounter()
-NULL_GAUGE = NullGauge()
-NULL_HISTOGRAM = NullHistogram()
-
-
 class MetricsRegistry:
     """Named instruments, created on first request."""
-
-    enabled = True
 
     def __init__(self) -> None:
         self._metrics: Dict[str, object] = {}
@@ -273,44 +217,3 @@ class MetricsRegistry:
                 % (width, name, vwidth, value, ("  # " + help) if help else "")
             )
         return "\n".join(lines)
-
-
-class NullRegistry:
-    """The disabled registry: every factory returns a shared no-op."""
-
-    enabled = False
-
-    def counter(self, name: str, help: str = "") -> NullCounter:
-        return NULL_COUNTER
-
-    def gauge(self, name: str, help: str = "") -> NullGauge:
-        return NULL_GAUGE
-
-    def histogram(
-        self,
-        name: str,
-        buckets: Sequence[Number] = DEFAULT_BUCKETS,
-        help: str = "",
-    ) -> NullHistogram:
-        return NULL_HISTOGRAM
-
-    def get(self, name: str) -> None:
-        return None
-
-    def names(self) -> List[str]:
-        return []
-
-    def __iter__(self):
-        return iter(())
-
-    def __len__(self) -> int:
-        return 0
-
-    def snapshot(self) -> Dict[str, object]:
-        return {}
-
-    def render(self) -> str:
-        return "(metrics disabled)"
-
-
-NULL_REGISTRY = NullRegistry()

@@ -5,9 +5,11 @@ this module produces the complementary whole-run view -- every cycle
 the virtual clock advances is attributed to one category (compute,
 window traps, syscalls, signal delivery, scheduling, synchronization,
 memory, miscellaneous library work, idle) and to the thread that was
-current when it was spent.
+current when it was spent.  In an SMP world every CPU's clock is
+watched: CPU 0 runs the library and charges its threads, and each
+other CPU ``i`` charges the name ``<cpuI>``.
 
-Mechanism: the profiler is the clock's one *watcher*, so it sees
+Mechanism: the profiler is each clock's one *watcher*, so it sees
 every advance together with the cost key it charges (see
 :mod:`repro.hw.clock`).  A key maps to its category through
 :data:`CATEGORY_OF_KEY`: ``World.spend``, the register-window file,
@@ -25,19 +27,21 @@ Two invariants make this admissible instrumentation:
 - detached (the default), the clock's watcher slot is empty, so the
   disabled cost is one ``is None`` test per advance.
 
-The total across categories equals the cycles the clock advanced while
-attached -- exactly, by construction, since every advance passes
-through the watcher once.
+The total across categories equals the cycles the clocks advanced
+while attached -- exactly, by construction, since every advance passes
+through a watcher once.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, TYPE_CHECKING
+from functools import partial
+from typing import Dict, List, Optional, TYPE_CHECKING
 
 from repro.hw import clock, costs
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.runtime import PthreadsRuntime
+    from repro.hw.clock import VirtualClock
     from repro.sim.world import World
 
 # Categories, in report order.
@@ -199,6 +203,10 @@ class CycleProfiler:
         self.start_cycles = 0
         self._world: Optional["World"] = None
         self._runtime: Optional["PthreadsRuntime"] = None
+        #: Every watched clock (CPU 0's, which is the world's, first)
+        #: and its reading at attach time.
+        self._clocks: List["VirtualClock"] = []
+        self._starts: List[int] = []
 
     @property
     def attached(self) -> bool:
@@ -207,15 +215,24 @@ class CycleProfiler:
     # -- attachment ----------------------------------------------------------
 
     def attach_world(self, world: "World") -> None:
-        """Become the world clock's watcher.
+        """Become the watcher of the world clock and of every other
+        CPU's clock.
 
         Attach before the first cycle is spent (the runtime does this
         right after building the world) so the category totals cover
-        the whole run and sum to the final clock exactly.
+        the whole run and sum to the final clocks exactly.
         """
         if self._world is not None:
             raise RuntimeError("profiler is already attached")
         world.clock.watch(self._on_advance)
+        self._clocks = [world.clock]
+        if world.smp is not None:
+            for cpu in world.smp.cpus[1:]:
+                cpu.clock.watch(
+                    partial(self._on_advance, name="<cpu%d>" % cpu.index)
+                )
+                self._clocks.append(cpu.clock)
+        self._starts = [c.cycles for c in self._clocks]
         self._world = world
         self.start_cycles = world.clock.cycles
 
@@ -226,25 +243,32 @@ class CycleProfiler:
             self.attach_world(runtime.world)
 
     def detach(self) -> None:
-        """Stop watching the clock."""
-        if self._world is not None:
-            self._world.clock.unwatch()
+        """Stop watching the clocks."""
+        for watched in self._clocks:
+            watched.unwatch()
+        self._clocks = []
         self._world = None
         self._runtime = None
 
     # -- the watcher -----------------------------------------------------------
 
     def _on_advance(
-        self, before: int, after: int, key: Optional[str]
+        self,
+        before: int,
+        after: int,
+        key: Optional[str],
+        name: Optional[str] = None,
     ) -> None:
+        """Attribute one advance; ``name`` is preset for CPUs >= 1."""
         delta = after - before
         self.by_category[_CATEGORY_OF_ADVANCE.get(key, LIBRARY_MISC)] += delta
-        runtime = self._runtime
-        if runtime is not None:
-            current = runtime.current
-            name = current.name if current is not None else "<kernel>"
-        else:
-            name = "<world>"
+        if name is None:
+            runtime = self._runtime
+            if runtime is not None:
+                current = runtime.current
+                name = current.name if current is not None else "<kernel>"
+            else:
+                name = "<world>"
         threads = self.by_thread
         threads[name] = threads.get(name, 0) + delta
 
@@ -255,11 +279,14 @@ class CycleProfiler:
         return sum(self.by_category.values())
 
     def attributed_span(self) -> int:
-        """Cycles the clock advanced while attached (the oracle the
-        category total must match exactly)."""
+        """Cycles the watched clocks advanced while attached, summed
+        (the oracle the category total must match exactly)."""
         if self._world is None:
             return self.total_cycles
-        return self._world.clock.cycles - self.start_cycles
+        return sum(
+            watched.cycles - start
+            for watched, start in zip(self._clocks, self._starts)
+        )
 
     def snapshot(self) -> Dict[str, object]:
         return {

@@ -49,7 +49,7 @@ from repro.hw.atomic import (
     smp_store,
     smp_swap,
 )
-from repro.hw.clock import VirtualClock
+from repro.hw.clock import IDLE, VirtualClock
 from repro.hw.memory import CacheDirectory, CacheLine
 from repro.sim.events import EventQueue
 
@@ -348,7 +348,7 @@ class SmpExtension:
         # instant; its shadow clock catches up before the send trap.
         src = self.cpus[src_index]
         if src.clock.cycles < self.world.now:
-            src.clock.advance_to(self.world.now)
+            src.clock.advance_to(self.world.now, IDLE)
         stamped = dataclasses.replace(cause, via_ipi=True)
         self.send_ipi(
             src_index,
@@ -533,7 +533,7 @@ class SmpExecutor:
         if best is None:
             return False
         when, cpu = best
-        cpu.clock.advance_to(max(when, cpu.clock.cycles))
+        cpu.clock.advance_to(max(when, cpu.clock.cycles), IDLE)
         cpu.events.fire_due(cpu.clock.cycles)
         return True
 
@@ -551,7 +551,7 @@ class SmpExecutor:
                 return
             cpu.current = task
             if task.ready_at > cpu.clock.cycles:
-                cpu.clock.advance_to(task.ready_at)
+                cpu.clock.advance_to(task.ready_at, IDLE)
         if task.pending_op is not None:
             op = task.pending_op
             task.pending_op = None

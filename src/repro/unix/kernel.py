@@ -9,7 +9,7 @@ against these counters (see ``tests/integration/test_syscall_budget``).
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.hw import costs
 from repro.hw.memory import Heap
@@ -115,7 +115,7 @@ class UnixKernel:
 
     def sigpending(self, proc: "UnixProcessLike") -> SigSet:
         self._enter("sigpending", costs.SYS_SIGSETMASK)
-        return proc.signals.pending_set()
+        return proc.signals.pending.signals()
 
     def kill(
         self,
@@ -200,49 +200,28 @@ class UnixKernel:
             frame = InterruptFrame(sig=sig, cause=cause, saved_mask=saved)
             delivered += 1
             if action.manual_return:
-                # Pthreads universal handler: the library performs the
-                # sigreturn when the interrupted thread resumes.
-                proc.interrupt_frames.append(frame)
-                action.handler(sig, cause)
+                # Pthreads universal handler: it takes the frame and
+                # performs the sigreturn when the interrupted thread
+                # resumes.
+                action.handler(sig, cause, frame)
             else:
                 action.handler(sig, cause)
-                self.sigreturn_inline(proc, frame)
+                self.sigreturn(proc, frame)
 
-    def sigreturn_inline(
+    def sigreturn(
         self, proc: "UnixProcessLike", frame: InterruptFrame
     ) -> None:
-        """Ordinary handler return: restore mask and global state."""
-        self.world.spend(costs.UNIX_SIGRETURN)
-        proc.signals.mask = frame.saved_mask
-        self.world.fire_due()
+        """Return from the interrupt frame ``frame``: restore the mask
+        saved at delivery and the global state.
 
-    def sigreturn_frame(
-        self, proc: "UnixProcessLike", frame: InterruptFrame
-    ) -> None:
-        """Return from a specific interrupt frame held by the library.
-
-        The Pthreads dispatcher parks interrupt frames on the
-        interrupted thread's TCB and returns through them only when
-        that thread is redispatched; this is the charge-and-restore for
-        that deferred path.
+        An ordinary handler returns through here at once; the Pthreads
+        dispatcher parks a universal-handler frame on the interrupted
+        thread's TCB and returns through it only when that thread is
+        redispatched.
         """
         self.world.spend(costs.UNIX_SIGRETURN)
         proc.signals.mask = frame.saved_mask
         self.world.fire_due()
-
-    def sigreturn(self, proc: "UnixProcessLike") -> InterruptFrame:
-        """Manual sigreturn for the universal handler's deferred path.
-
-        Pops the most recent interrupt frame, charges the return path,
-        and restores the mask saved at delivery.
-        """
-        if not proc.interrupt_frames:
-            raise RuntimeError("sigreturn with no pending interrupt frame")
-        frame = proc.interrupt_frames.pop()
-        self.world.spend(costs.UNIX_SIGRETURN)
-        proc.signals.mask = frame.saved_mask
-        self.world.fire_due()
-        return frame
 
 
 class UnixProcessLike:
@@ -255,7 +234,6 @@ class UnixProcessLike:
 
     pid: int = -1
     signals: ProcessSignals
-    interrupt_frames: List[InterruptFrame]
     auto_deliver: bool = False
     #: Which simulated CPU the process runs on (SMP signal routing).
     cpu: int = 0

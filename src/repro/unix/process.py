@@ -16,14 +16,14 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from typing import Any, Callable, Deque, Generator, List, Optional
+from typing import Any, Callable, Deque, Generator, Optional
 
 from repro.hw import costs
 from repro.sim.frames import Frame, ProgramCrash
 from repro.sim.ops import SysCall, Work
 from repro.sim.world import World
 from repro.unix.kernel import UnixKernel
-from repro.unix.signals import InterruptFrame, ProcessSignals
+from repro.unix.signals import ProcessSignals
 
 
 class ProcState(enum.Enum):
@@ -76,7 +76,6 @@ class UnixProcess:
         self.kernel = kernel
         self.name = name
         self.signals = ProcessSignals()
-        self.interrupt_frames: List[InterruptFrame] = []
         self.auto_deliver = False
         self.state = ProcState.READY
         self.exit_code: Optional[int] = None

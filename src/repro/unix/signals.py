@@ -5,8 +5,8 @@ fights against: the kernel keeps *one* pending slot per signal number,
 so a signal that arrives while the same signal is both pending and
 masked is **lost**.  That is why the library "blocks signals for the
 shortest interval possible" and uses exactly two ``sigsetmask`` calls
-per received signal; the ``lost_signals`` counter makes the hazard
-observable.
+per received signal; the ``lost`` counter of :class:`PendingSignals`
+makes the hazard observable.
 
 Handlers come in two flavours:
 
@@ -14,16 +14,17 @@ Handlers come in two flavours:
   full deliver + sigreturn path around the callback, as for any C
   handler;
 - the Pthreads *universal handler* (``manual_return=True``): the
-  kernel pushes an :class:`InterruptFrame` and leaves the return path
-  to the library, because the library may dispatch a different thread
-  and only execute the ``sigreturn`` when the interrupted thread is
+  kernel pushes an :class:`InterruptFrame`, hands it to the handler as
+  ``handler(sig, cause, frame)`` and leaves the return path to the
+  library, because the library may dispatch a different thread and
+  only execute the ``sigreturn`` when the interrupted thread is
   resumed (paper, "The Dispatcher").
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.unix.sigset import (
     SIG_DFL,
@@ -33,7 +34,9 @@ from repro.unix.sigset import (
     signal_name,
 )
 
-Handler = Union[str, Callable[[int, "SigCause"], None]]
+#: A disposition marker, ``fn(sig, cause)``, or -- for a manual-return
+#: action -- ``fn(sig, cause, frame)``.
+Handler = Union[str, Callable[..., None]]
 
 
 @dataclass(frozen=True)
@@ -87,9 +90,10 @@ class SigAction:
 class InterruptFrame:
     """The frame UNIX pushes on the user stack to run a handler.
 
-    For ``manual_return`` handlers the library holds on to this and
-    performs the ``sigreturn`` (restoring ``saved_mask`` and the global
-    register state) only when the interrupted thread resumes.
+    A ``manual_return`` handler receives it as its third argument; the
+    library holds on to it and performs the ``sigreturn`` (restoring
+    ``saved_mask`` and the global register state) only when the
+    interrupted thread resumes.
     """
 
     sig: int
@@ -107,16 +111,65 @@ class DefaultActionTerminate(Exception):
         self.sig = sig
 
 
+class PendingSignals:
+    """Pending signals: one slot per signal number, in arrival order.
+
+    The BSD rule, kept by the process (``ProcessSignals.pending``) and
+    by every thread (``Tcb.pending``, delivery action rule 1) alike: a
+    signal that arrives while the same signal is still pending is
+    lost, and counted in ``lost``.  ``order`` lists the pending signal
+    numbers oldest first; it is empty exactly when nothing is pending.
+    """
+
+    __slots__ = ("_causes", "order", "lost")
+
+    def __init__(self) -> None:
+        self._causes: Dict[int, SigCause] = {}
+        self.order: List[int] = []
+        self.lost = 0
+
+    def post(self, sig: int, cause: SigCause) -> bool:
+        """Mark ``sig`` pending.  Returns False if it was lost."""
+        if sig in self._causes:
+            self.lost += 1
+            return False
+        self._causes[sig] = cause
+        self.order.append(sig)
+        return True
+
+    def take_unmasked(self, mask: SigSet) -> Optional[Tuple[int, SigCause]]:
+        """Pop the oldest pending signal not in ``mask`` as (sig, cause)."""
+        for index, sig in enumerate(self.order):
+            if sig not in mask:
+                del self.order[index]
+                return sig, self._causes.pop(sig)
+        return None
+
+    def take_in(self, wanted: SigSet) -> Optional[Tuple[int, SigCause]]:
+        """Pop the oldest pending signal contained in ``wanted``."""
+        for index, sig in enumerate(self.order):
+            if sig in wanted:
+                del self.order[index]
+                return sig, self._causes.pop(sig)
+        return None
+
+    def discard(self, sig: int) -> None:
+        if sig in self._causes:
+            del self._causes[sig]
+            self.order.remove(sig)
+
+    def signals(self) -> SigSet:
+        """The pending set (``sigpending``)."""
+        return SigSet(self.order)
+
+
 class ProcessSignals:
     """Signal state of one UNIX process."""
 
     def __init__(self) -> None:
         self.mask = SigSet()
         self.actions: Dict[int, SigAction] = {}
-        # BSD keeps one pending slot per signal; extra arrivals are lost.
-        self._pending: Dict[int, SigCause] = {}
-        self._pending_order: List[int] = []
-        self.lost_signals = 0
+        self.pending = PendingSignals()
         self.delivered = 0
         self.ipi_posts = 0  # posts that arrived via cross-CPU interrupt
 
@@ -155,38 +208,20 @@ class ProcessSignals:
         check_signal(sig)
         if cause.via_ipi:
             self.ipi_posts += 1
-        if sig in self._pending:
-            self.lost_signals += 1
-            return False
-        self._pending[sig] = cause
-        self._pending_order.append(sig)
-        return True
-
-    def pending_set(self) -> SigSet:
-        """Currently pending signals (``sigpending``)."""
-        return SigSet(self._pending.keys())
+        return self.pending.post(sig, cause)
 
     def has_deliverable(self) -> bool:
-        return any(sig not in self.mask for sig in self._pending)
+        return any(sig not in self.mask for sig in self.pending.order)
 
-    def take_deliverable(self) -> Optional[Any]:
+    def take_deliverable(self) -> Optional[Tuple[int, SigCause]]:
         """Pop the oldest pending, unmasked signal as ``(sig, cause)``."""
-        for index, sig in enumerate(self._pending_order):
-            if sig not in self.mask:
-                del self._pending_order[index]
-                cause = self._pending.pop(sig)
-                self.delivered += 1
-                return sig, cause
-        return None
-
-    def discard_pending(self, sig: int) -> None:
-        check_signal(sig)
-        if sig in self._pending:
-            del self._pending[sig]
-            self._pending_order.remove(sig)
+        item = self.pending.take_unmasked(self.mask)
+        if item is not None:
+            self.delivered += 1
+        return item
 
     def __repr__(self) -> str:
         return "ProcessSignals(mask=%r, pending=%r)" % (
             self.mask,
-            sorted(self._pending),
+            sorted(self.pending.order),
         )

@@ -105,7 +105,7 @@ def test_interrupted_thread_resumes_through_sigreturn():
     rt.run()
     for tcb in rt.threads.values():
         assert not tcb.pending_interrupt_frames
-    assert not rt.proc.interrupt_frames
+    assert rt.proc.signals.mask == SigSet()
 
 
 def test_signal_burst_counts_lost_signals_at_unix_level():
@@ -131,7 +131,7 @@ def test_signal_burst_counts_lost_signals_at_unix_level():
     _external(rt, SIGUSR1, at_us=300)
     rt.world.schedule_in(
         rt.world.cycles_for_us(400),
-        lambda: rt.proc.signals.discard_pending(SIGUSR1),
+        lambda: rt.proc.signals.pending.discard(SIGUSR1),
         name="drain",
     )
     rt.world.schedule_in(
@@ -140,4 +140,4 @@ def test_signal_burst_counts_lost_signals_at_unix_level():
         name="unmask",
     )
     rt.run()
-    assert rt.proc.signals.lost_signals == 1
+    assert rt.proc.signals.pending.lost == 1

@@ -1,9 +1,13 @@
 """Internal (pthread_kill) signal delivery and per-thread masks."""
 
+import pytest
+
 from repro.core.errors import EINVAL, ESRCH, OK
+from repro.core.fakecall import UserAction
 from repro.core.signals import SIG_BLOCK, SIG_SETMASK, SIG_UNBLOCK
+from repro.unix.signals import InterruptFrame, SigCause
 from repro.unix.sigset import SIGCANCEL, SIGUSR1, SIGUSR2, SigSet
-from tests.conftest import run_program
+from tests.conftest import make_runtime, run_program
 
 
 def _handler_into(log):
@@ -180,3 +184,45 @@ def test_signal_to_lazy_thread_activates_it():
 
     run_program(main)
     assert "lazy-ran" in log
+
+
+_SIGNAL_STORES = {
+    "thread-pending": lambda rt, tcb, cause: tcb.pending.post(SIGUSR1, cause),
+    "thread-mask": lambda rt, tcb, cause: tcb.sigmask.add(SIGUSR1),
+    "thread-frames": lambda rt, tcb, cause: (
+        tcb.pending_interrupt_frames.append(
+            InterruptFrame(SIGUSR1, cause, SigSet())
+        )
+    ),
+    "process-pending": lambda rt, tcb, cause: (
+        rt.proc.signals.pending.post(SIGUSR1, cause)
+    ),
+    "process-mask": lambda rt, tcb, cause: rt.proc.signals.mask.add(SIGUSR1),
+    "rule-6": lambda rt, tcb, cause: rt.process_pending.append(
+        (SIGUSR1, cause)
+    ),
+    "deferred-log": lambda rt, tcb, cause: rt.kern.deferred_signals.append(
+        (SIGUSR1, cause)
+    ),
+    "user-action": lambda rt, tcb, cause: rt.user_actions.__setitem__(
+        SIGUSR1, UserAction(_handler_into([]))
+    ),
+}
+
+
+@pytest.mark.parametrize("store", sorted(_SIGNAL_STORES))
+def test_state_digest_covers_signal_state(store):
+    """Two runtimes that differ only by one SIGUSR1 in one signal
+    store must not digest alike."""
+
+    def main(pt):
+        yield pt.work(10)
+
+    digests = []
+    for change in (False, True):
+        rt = make_runtime()
+        tcb = rt.main(main)
+        if change:
+            _SIGNAL_STORES[store](rt, tcb, SigCause(kind="external"))
+        digests.append(rt.state_digest())
+    assert digests[0] != digests[1]

@@ -146,7 +146,7 @@ def test_kitchen_sink():
     assert not leftovers
     # No timer leaks, no parked interrupt frames, monitor released.
     assert rt.timer_ops.pending_count == 0
-    assert not rt.proc.interrupt_frames
+    assert not any(t.pending_interrupt_frames for t in rt.threads.values())
     assert not rt.kern.kernel_flag
     assert not rt.kern.deferred_signals
     # The clock moved substantially and deterministically.

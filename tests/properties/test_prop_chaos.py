@@ -81,7 +81,7 @@ def test_external_signal_storm_preserves_mutex_invariants(
     assert state["violations"] == 0
     assert rt.terminated_by is None
     assert not rt.kern.kernel_flag
-    assert not rt.proc.interrupt_frames
+    assert not any(t.pending_interrupt_frames for t in rt.threads.values())
 
 
 @settings(max_examples=15, deadline=None)

@@ -6,6 +6,7 @@ from repro.core.attr import ThreadAttr
 from repro.core.config import PTHREAD_CREATE_DETACHED, RuntimeConfig
 from repro.core.runtime import PthreadsRuntime
 from repro.debug.trace import Tracer
+from repro.hw import costs
 from repro.obs.core import Observability
 
 
@@ -138,14 +139,6 @@ class TestReport:
 
 
 class TestModes:
-    def test_metrics_disabled(self):
-        obs, _ = run_observed(
-            contended_main, obs=Observability(metrics=False)
-        )
-        assert obs.snapshot()["metrics"] == {}
-        # The profiler still works without the registry.
-        assert obs.profiler.total_cycles > 0
-
     def test_profile_disabled(self):
         obs, _ = run_observed(
             contended_main, obs=Observability(profile=False)
@@ -203,6 +196,44 @@ class TestHarvestSmp:
         assert "smp.cpu_cycles.cpu0" in metrics
         assert "smp.cpu_cycles.cpu1" in metrics
         assert "smp." in obs.report()
+
+    def test_profile_attributes_every_cpu_clock(self):
+        """Every CPU's clock is watched: CPU 1's IPI sends and its idle
+        catch-ups are attributed to ``<cpu1>``, and the categories sum
+        to both clocks."""
+        obs = Observability()
+        rt = PthreadsRuntime(
+            config=RuntimeConfig(pool_size=16, timeslice_us=1_000.0),
+            obs=obs,
+            ncpus=2,
+        )
+        rt.main(self._busy_main(), priority=64)
+        rt.run()
+        profiler = obs.profiler
+        cpu0, cpu1 = (cpu.clock.cycles for cpu in rt.world.smp.cpus)
+        assert (cpu0, cpu1) == (252_586, 240_454)
+        assert profiler.total_cycles == profiler.attributed_span() == 493_040
+        table = rt.world.smp.table
+        assert (table[costs.IPI_SEND], table[costs.IPI_RECEIVE]) == (350, 800)
+        assert obs.snapshot()["metrics"]["smp.ipis_sent"] == 15
+        assert profiler.by_category == {
+            "compute": 8_006,
+            "window-traps": 24_320,
+            "syscalls": 41_856,
+            "signal-delivery": 110_120,
+            "scheduling": 20_000,
+            "synchronization": 0,
+            "memory": 16_902,
+            "smp": 17_250,  # 15 x IPI_SEND + 15 x IPI_RECEIVE
+            "library-misc": 960,
+            "idle": 18_422 + 235_204,  # CPU 0 + CPU 1
+        }
+        assert profiler.by_thread["<cpu1>"] == cpu1
+        assert sum(profiler.by_thread.values()) == cpu0 + cpu1
+        profiler.detach()
+        assert all(
+            cpu.clock._watcher is None for cpu in rt.world.smp.cpus
+        )
 
     def test_no_smp_counters_on_uniprocessor(self):
         obs, rt = run_observed(contended_main)

@@ -1,4 +1,4 @@
-"""Unit tests for the metrics registry and its no-op stubs."""
+"""Unit tests for the metrics registry."""
 
 import pytest
 
@@ -8,8 +8,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    NULL_REGISTRY,
-    NullRegistry,
 )
 
 
@@ -84,18 +82,3 @@ class TestRegistry:
         assert "sched.switches" in text
         assert "context switches" in text
 
-
-class TestNullRegistry:
-    def test_disabled_and_shared_stubs(self):
-        reg = NullRegistry()
-        assert not reg.enabled
-        assert reg.counter("a") is reg.counter("b")
-        # The no-ops swallow every operation.
-        reg.counter("a").inc()
-        reg.gauge("g").set(5)
-        reg.histogram("h").observe(1)
-        assert reg.snapshot() == {}
-
-    def test_shared_singleton(self):
-        assert isinstance(NULL_REGISTRY, NullRegistry)
-        assert not NULL_REGISTRY.enabled

@@ -1,11 +1,11 @@
-"""Unit tests for TCBs, thread pending sets, and attribute records."""
+"""Unit tests for TCBs, pending-signal sets, and attribute records."""
 
 import pytest
 
 from repro.core import config as cfg
 from repro.core.attr import CondAttr, MutexAttr, ThreadAttr
-from repro.core.tcb import Tcb, ThreadPending, ThreadState
-from repro.unix.signals import SigCause
+from repro.core.tcb import Tcb, ThreadState
+from repro.unix.signals import PendingSignals, SigCause
 from repro.unix.sigset import SIGUSR1, SIGUSR2, SigSet
 
 
@@ -30,37 +30,41 @@ class TestTcb:
 
 class TestThreadPending:
     def test_post_and_take(self):
-        pending = ThreadPending()
+        pending = PendingSignals()
         assert pending.post(SIGUSR1, SigCause())
-        assert pending.take(SIGUSR1) is not None
-        assert pending.take(SIGUSR1) is None
+        assert pending.take_in(SigSet([SIGUSR1])) is not None
+        assert pending.take_in(SigSet([SIGUSR1])) is None
+        assert pending.order == []
+
+    def test_tcb_pending_is_a_pending_set(self):
+        assert isinstance(Tcb(1, "t").pending, PendingSignals)
 
     def test_single_slot_per_signal(self):
-        pending = ThreadPending()
+        pending = PendingSignals()
         pending.post(SIGUSR1, SigCause())
         assert not pending.post(SIGUSR1, SigCause())
         assert pending.lost == 1
 
     def test_take_any_unmasked_respects_mask(self):
-        pending = ThreadPending()
+        pending = PendingSignals()
         pending.post(SIGUSR1, SigCause())
-        assert pending.take_any_unmasked(SigSet([SIGUSR1])) is None
-        sig, _cause = pending.take_any_unmasked(SigSet())
+        assert pending.take_unmasked(SigSet([SIGUSR1])) is None
+        sig, _cause = pending.take_unmasked(SigSet())
         assert sig == SIGUSR1
 
     def test_take_any_in_set(self):
-        pending = ThreadPending()
+        pending = PendingSignals()
         pending.post(SIGUSR1, SigCause())
         pending.post(SIGUSR2, SigCause())
-        sig, _ = pending.take_any_in(SigSet([SIGUSR2]))
+        sig, _ = pending.take_in(SigSet([SIGUSR2]))
         assert sig == SIGUSR2
-        assert SIGUSR1 in pending
+        assert SIGUSR1 in pending.signals()
 
     def test_fifo_order(self):
-        pending = ThreadPending()
+        pending = PendingSignals()
         pending.post(SIGUSR2, SigCause())
         pending.post(SIGUSR1, SigCause())
-        sig, _ = pending.take_any_unmasked(SigSet())
+        sig, _ = pending.take_unmasked(SigSet())
         assert sig == SIGUSR2
 
 

@@ -102,7 +102,7 @@ def test_default_ignored_signals_discarded():
     world, kernel = _kernel()
     proc = _proc(kernel)
     kernel.post_signal(proc, SIGIO, SigCause(kind="io"))  # no handler
-    assert not proc.signals.pending_set()
+    assert not proc.signals.pending.signals()
 
 
 def test_masked_signal_stays_pending_until_sigsetmask():
@@ -120,25 +120,26 @@ def test_masked_signal_stays_pending_until_sigsetmask():
 
 
 def test_manual_return_leaves_interrupt_frame():
+    """A manual-return handler receives its interrupt frame; the mask
+    stays raised until the library returns through that frame."""
     world, kernel = _kernel()
     proc = _proc(kernel)
+    frames = []
     kernel.sigaction(
         proc,
         SIGUSR1,
-        SigAction(handler=lambda s, c: None, manual_return=True),
+        SigAction(
+            handler=lambda s, c, frame: frames.append(frame),
+            manual_return=True,
+        ),
     )
     kernel.kill(proc, SIGUSR1)
-    assert len(proc.interrupt_frames) == 1
-    frame = kernel.sigreturn(proc)
+    [frame] = frames
     assert frame.sig == SIGUSR1
+    assert frame.saved_mask == SigSet()
+    assert SIGUSR1 in proc.signals.mask
+    kernel.sigreturn(proc, frame)
     assert proc.signals.mask == SigSet()
-
-
-def test_sigreturn_without_frame_rejected():
-    world, kernel = _kernel()
-    proc = _proc(kernel)
-    with pytest.raises(RuntimeError):
-        kernel.sigreturn(proc)
 
 
 def test_non_current_process_delivery_deferred():

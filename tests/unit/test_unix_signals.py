@@ -14,7 +14,7 @@ def test_cause_kinds_validated():
 def test_post_marks_pending():
     ps = ProcessSignals()
     assert ps.post(SIGUSR1, SigCause())
-    assert SIGUSR1 in ps.pending_set()
+    assert SIGUSR1 in ps.pending.signals()
 
 
 def test_single_slot_loses_duplicates():
@@ -24,7 +24,7 @@ def test_single_slot_loses_duplicates():
     ps = ProcessSignals()
     ps.post(SIGUSR1, SigCause())
     assert not ps.post(SIGUSR1, SigCause())
-    assert ps.lost_signals == 1
+    assert ps.pending.lost == 1
 
 
 def test_take_deliverable_respects_mask():
@@ -51,7 +51,7 @@ def test_masked_signal_skipped_not_dropped():
     ps.post(SIGUSR2, SigCause())
     ps.post(SIGUSR1, SigCause())
     assert ps.take_deliverable()[0] == SIGUSR1
-    assert SIGUSR2 in ps.pending_set()
+    assert SIGUSR2 in ps.pending.signals()
 
 
 def test_set_mask_returns_old():
@@ -80,6 +80,6 @@ def test_actions_default_until_installed():
 def test_discard_pending():
     ps = ProcessSignals()
     ps.post(SIGUSR1, SigCause())
-    ps.discard_pending(SIGUSR1)
-    assert not ps.pending_set()
+    ps.pending.discard(SIGUSR1)
+    assert not ps.pending.signals()
     assert ps.take_deliverable() is None
