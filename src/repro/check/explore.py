@@ -1,12 +1,15 @@
 """The explorer: drive a workload under controlled preemption choices.
 
-Each run wires a fresh runtime with three attachments: a
+Each run wires a fresh runtime with two attachments: a
 :class:`~repro.check.schedule.ScriptedChoices` source feeding the
 :class:`~repro.sched.perverted.EnumerableSwitchPolicy` (which asks it
-at every kernel exit whether to preempt and whom to run), a
+at every kernel exit whether to preempt and whom to run), and a
 :class:`~repro.check.invariants.CheckContext` running the invariant
-rules at every kernel release, and a dispatch-only tracer so the run's
-schedule can be extracted and compared.
+rules at every kernel release.  Only a run whose schedule is kept gets
+a third, a dispatch-only tracer: a passing walk runs untraced, and a
+failing one is replayed once from its decision vector with the tracer
+attached (:meth:`Explorer.schedule_of`), the replay checked to fail
+the same way.
 
 Two search modes over the decision tree:
 
@@ -58,6 +61,11 @@ class Failure:
 
     def __str__(self) -> str:
         return "%s[%s]: %s" % (self.kind, self.rule, self.detail)
+
+
+class ReplayDivergence(RuntimeError):
+    """Replaying a run's decision vector did not reproduce the run: the
+    workload is not a deterministic function of its schedule."""
 
 
 @dataclass
@@ -177,11 +185,12 @@ class Explorer:
         Past the prefix, decisions default to 0 (deterministic replay)
         or are drawn from ``rng`` (random walk).
 
-        ``extract`` controls schedule extraction: the default (None)
-        extracts only for failing runs -- both search modes throw
-        passing-run schedules away, and extraction is a measurable
-        slice of per-run cost.  Pass True to always get the schedule
-        (replay/diff tooling), False to never.
+        ``extract`` controls schedule extraction: True runs with the
+        dispatch tracer attached and always extracts (replay/diff
+        tooling), False never traces.  The default (None) runs untraced
+        -- both search modes throw passing-run schedules away -- and
+        takes a failing run's schedule from one traced replay of its
+        vector (:meth:`schedule_of`).
 
         ``probe_depths`` requests a :meth:`PthreadsRuntime.state_digest`
         immediately before the given choice indices (recorded in
@@ -198,7 +207,7 @@ class Explorer:
             max_branch=self.max_branch,
         )
         check = CheckContext(choices)
-        tracer = Tracer(kinds=("dispatch",))
+        tracer = Tracer(kinds=("dispatch",)) if extract else None
         runtime = PthreadsRuntime(
             model=self.model,
             seed=self.seed,
@@ -234,9 +243,7 @@ class Explorer:
                 check.check_quiescent(runtime)
             except InvariantViolation as exc:
                 failure = Failure("invariant", exc.rule, exc.detail)
-        if extract is None:
-            extract = failure is not None
-        return RunResult(
+        result = RunResult(
             # A fleet resume rewrites the scripted vector mid-run, so
             # the source of truth is the choice source, not our arg.
             decisions=list(choices.decisions),
@@ -249,6 +256,34 @@ class Explorer:
             steps=runtime.steps,
             probe_digests=probes,
         )
+        if extract is None and failure is not None:
+            result.schedule = self.schedule_of(result)
+        return result
+
+    def schedule_of(self, run: RunResult) -> List[ScheduleStep]:
+        """A failing run's dispatch schedule, from a traced replay.
+
+        Replays ``run.vector`` from an empty world with the dispatch
+        tracer attached.  The replay must take the same decisions and
+        fail the same way (:meth:`Failure.same_as`); otherwise the
+        schedule would describe some other run, and
+        :class:`ReplayDivergence` names both.
+        """
+        replay = self.run_once(run.vector, extract=True)
+        if replay.vector != run.vector or not (
+            run.failure is not None and run.failure.same_as(replay.failure)
+        ):
+            raise ReplayDivergence(
+                "a replay did not reproduce the run: the run took "
+                "decisions %s and ended %s; its replay took %s and ended %s"
+                % (
+                    run.vector,
+                    run.failure or "passing",
+                    replay.vector,
+                    replay.failure or "passing",
+                )
+            )
+        return replay.schedule
 
     # -- systematic search --------------------------------------------------
 

@@ -102,12 +102,18 @@ class CheckContext:
     def on_kernel_release(self, runtime: "PthreadsRuntime") -> None:
         """Run every state rule; called with the kernel flag released."""
         self.checks_run += 1
-        self._check_mutexes()
+        # A fixed rule order (the first broken rule is the one
+        # reported); a rule over an empty registry has nothing to see.
+        if self.mutexes:
+            self._check_mutexes()
         self._check_counters(runtime)
         self._check_conds(runtime)
-        self._check_rwlocks()
-        self._check_sems()
-        self._check_workqueues()
+        if self.rwlocks:
+            self._check_rwlocks()
+        if self.sems:
+            self._check_sems()
+        if self.workqueues:
+            self._check_workqueues()
         self._check_threads(runtime)
         if runtime.net is not None and runtime.net.epoll_instances:
             self._check_epoll(runtime)
@@ -169,14 +175,16 @@ class CheckContext:
 
     def _check_counters(self, runtime: "PthreadsRuntime") -> None:
         ops = runtime.mutex_ops
-        contentions = sum(m.contentions for m in self.mutexes)
+        contentions = handoffs = 0
+        for m in self.mutexes:
+            contentions += m.contentions
+            handoffs += m.handoffs
         if contentions != ops.contentions:
             self._fail(
                 "mutex-counter-agreement",
                 "per-mutex contentions sum to %d, run-wide total is %d"
                 % (contentions, ops.contentions),
             )
-        handoffs = sum(m.handoffs for m in self.mutexes)
         if handoffs != ops.handoffs:
             self._fail(
                 "mutex-counter-agreement",
@@ -374,7 +382,8 @@ class CheckContext:
                         % (tcb.name, request.op, sock),
                     )
         for tcb in runtime.threads.values():
-            self.check_cleanup_balance(tcb)
+            if tcb.cleanup_stack and tcb.state is ThreadState.TERMINATED:
+                self.check_cleanup_balance(tcb)
 
     def check_cleanup_balance(self, tcb: Tcb) -> None:
         """``cleanup-balance`` on one thread: the sweep runs it on every

@@ -42,7 +42,9 @@ class Reducer:
         The returned :class:`RunResult` re-ran under the minimized
         vector and still exhibits the same failure; its ``decisions``
         are the minimal schedule and its ``schedule`` the dispatch
-        sequence to publish.
+        sequence to publish.  Trials run untraced; a winning trial's
+        schedule comes from one traced replay
+        (:meth:`Explorer.schedule_of`).
         """
         failure = result.failure
         if failure is None:
@@ -60,7 +62,9 @@ class Reducer:
             # Zero decisions from the back: late forced switches are
             # the likeliest to be incidental.
             for index in reversed(range(len(vector))):
-                if vector[index] == 0:
+                # A kept trial strips its new zero tail: indices past
+                # the end are defaults already.
+                if index >= len(vector) or vector[index] == 0:
                     continue
                 trial = _strip(vector[:index] + [0] + vector[index + 1:])
                 candidate = self._try(trial, best)
@@ -70,11 +74,13 @@ class Reducer:
                     improved = True
                 if self.attempts >= self.max_attempts:
                     break
+        if best is not result:
+            best.schedule = self.explorer.schedule_of(best)
         return best
 
     def _try(self, vector: List[int], best: RunResult):
         self.attempts += 1
-        run = self.explorer.run_once(vector)
+        run = self.explorer.run_once(vector, extract=False)
         if run.failure is not None and run.failure.same_as(best.failure):
             run.decisions = list(vector)
             return run

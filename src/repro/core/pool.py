@@ -43,15 +43,19 @@ class ThreadPool:
         self._heap = heap
         self.stack_size = stack_size
         self.capacity = size
+        #: The prefill, reserved in one heap pass: flat ``tcb_addr,
+        #: stack_lo`` pairs whose ``Stack`` is built on first acquire.
+        self._reserved: List[int] = heap.carve(
+            (TCB_BYTES, stack_size), size
+        )
+        #: Released pairs, taken before any reserved one (LIFO).
         self._entries: List[Tuple[int, Stack]] = []
         self.hits = 0
         self.misses = 0
         self.returns = 0
-        for _ in range(size):
-            self._entries.append(self._allocate(stack_size))
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._entries) + len(self._reserved) // 2
 
     def acquire(self, stack_size: Optional[int] = None) -> Tuple[int, Stack]:
         """Take a TCB/stack pair, from the pool when possible.
@@ -60,25 +64,26 @@ class ThreadPool:
         dynamic allocation (and possibly ``sbrk``).
         """
         want = stack_size if stack_size is not None else self.stack_size
-        if self._entries and want <= self.stack_size:
+        if want <= self.stack_size and (self._entries or self._reserved):
             self.hits += 1
             self._world.spend(costs.POOL_POP)
-            tcb_addr, stack = self._entries.pop()
-            stack.reset()
-            return tcb_addr, stack
+            if self._entries:
+                tcb_addr, stack = self._entries.pop()
+                stack.reset()
+                return tcb_addr, stack
+            stack_lo = self._reserved.pop()
+            return self._reserved.pop(), _stack(stack_lo, self.stack_size)
         self.misses += 1
         # A freshly allocated stack is cold: its first use takes
         # zero-fill page faults.  Cached stacks stay resident, which is
         # the cache's whole justification -- hits skip this entirely.
         self._world.spend(costs.STACK_FAULT_IN)
-        return self._allocate(want)
+        tcb_addr, stack_lo = self._heap.carve((TCB_BYTES, want))
+        return tcb_addr, _stack(stack_lo, want)
 
     def release(self, tcb_addr: int, stack: Stack) -> None:
         """Return a pair to the pool (or free it if it doesn't fit)."""
-        fits = (
-            stack.size == self.stack_size
-            and len(self._entries) < self.capacity
-        )
+        fits = stack.size == self.stack_size and len(self) < self.capacity
         if fits:
             self.returns += 1
             self._world.spend(costs.POOL_PUSH)
@@ -87,13 +92,9 @@ class ThreadPool:
             self._heap.free(tcb_addr)
             self._heap.free(stack.base - stack.size)
 
-    def _allocate(self, stack_size: int) -> Tuple[int, Stack]:
-        tcb_addr = self._heap.malloc(TCB_BYTES)
-        stack_lo = self._heap.malloc(stack_size)
-        # A generous redzone doubles as the signal stack: fake-call
-        # wrappers and handlers still run after user code exhausts the
-        # regular area.
-        stack = Stack(
-            base=stack_lo + stack_size, size=stack_size, redzone=2048
-        )
-        return tcb_addr, stack
+
+def _stack(stack_lo: int, stack_size: int) -> Stack:
+    # A generous redzone doubles as the signal stack: fake-call
+    # wrappers and handlers still run after user code exhausts the
+    # regular area.
+    return Stack(base=stack_lo + stack_size, size=stack_size, redzone=2048)

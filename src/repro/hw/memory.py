@@ -15,7 +15,9 @@ stack growth" design objective protects against.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from bisect import bisect_right
+from itertools import accumulate
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.hw import costs
 from repro.hw.clock import VirtualClock
@@ -73,24 +75,75 @@ class Heap:
 
     def malloc(self, size: int) -> int:
         """Allocate ``size`` bytes; returns a simulated address."""
-        if size <= 0:
-            raise ValueError("allocation size must be positive: %r" % size)
-        self._charge(costs.HEAP_ALLOC)
-        bucket = self._free.get(size)
-        if bucket:
-            addr = bucket.pop()
-        else:
-            while self._brk + size > self._arena:
-                self._grow(max(size, self._arena))
-            self._brk += size
-            addr = self._next_addr
-            self._next_addr += size
-        self._sizes[addr] = size
-        self.allocated_bytes += size
-        return addr
+        return self.carve((size,))[0]
+
+    def carve(self, sizes: Sequence[int], count: int = 1) -> List[int]:
+        """Allocate ``count`` runs of blocks sized ``sizes``, in order.
+
+        Returns the addresses in allocation order.  The result is that
+        of ``count * len(sizes)`` one-block allocations -- the same
+        addresses, free-list reuse, arena growth points, ``sbrk`` calls
+        and final clock -- but the blocks carved off the arena top
+        between two growths charge ``HEAP_ALLOC`` as one keyed clock
+        advance.
+        """
+        for size in sizes:
+            if size <= 0:
+                raise ValueError("allocation size must be positive: %r" % size)
+        blocks = list(sizes) * count
+        free = self._free
+        if not any(free.get(size) for size in sizes):
+            return self._bump(blocks)
+        # A freed block of the same size is reused before the arena
+        # grows.
+        out: List[int] = []
+        for size in blocks:
+            bucket = free.get(size)
+            if bucket:
+                self._charge(costs.HEAP_ALLOC)
+                addr = bucket.pop()
+                self._sizes[addr] = size
+                self.allocated_bytes += size
+                out.append(addr)
+            else:
+                out += self._bump([size])
+        return out
+
+    def _bump(self, blocks: List[int]) -> List[int]:
+        """Carve ``blocks`` off the top of the arena, growing it before
+        each block that does not fit (after charging that block)."""
+        each = self._model.cost(costs.HEAP_ALLOC)
+        # tops[i]: the break before block i; tops[-1]: after the last.
+        tops = list(accumulate(blocks, initial=self._brk))
+        n = len(blocks)
+        charged = 0
+        carved = n
+        try:
+            while True:
+                # The first uncharged block that overflows the arena.
+                i = bisect_right(tops, self._arena, charged + 1) - 1
+                if i == n:
+                    break
+                self._clock.advance((i + 1 - charged) * each, costs.HEAP_ALLOC)
+                charged = i + 1
+                carved = i
+                while tops[i + 1] > self._arena:
+                    self._grow(max(blocks[i], self._arena))
+                carved = n
+            self._clock.advance((n - charged) * each, costs.HEAP_ALLOC)
+        finally:
+            # Commit every block that fit (all of them, unless sbrk
+            # failed part way).
+            shift = self._next_addr - self._brk
+            addrs = [top + shift for top in tops[:carved]]
+            self._sizes.update(zip(addrs, blocks))
+            self._brk = tops[carved]
+            self._next_addr = tops[carved] + shift
+            self.allocated_bytes += tops[carved] - tops[0]
+        return addrs
 
     def free(self, addr: int) -> None:
-        """Release a block previously returned by :meth:`malloc`."""
+        """Release a block previously returned by :meth:`carve`."""
         self._charge(costs.HEAP_FREE)
         try:
             size = self._sizes.pop(addr)

@@ -136,7 +136,7 @@ class EnumerableSwitchPolicy(SchedulingPolicy):
         world = runtime.world
         if world.choices is None:
             return
-        ready = runtime.sched.ready.threads()
+        ready = runtime.sched.ready
         if not ready:
             return
         self.choice_points += 1
@@ -146,7 +146,8 @@ class EnumerableSwitchPolicy(SchedulingPolicy):
         self.forced_switches += 1
         # Like the RR-ordered policy: the leaver goes to the lowest
         # tail, and select() steers the dispatch at the chosen thread.
-        self._pick = ready[chosen - 1]
+        # Only a forced switch needs the queue's order.
+        self._pick = ready.threads()[chosen - 1]
         runtime.sched.pervert_current_to_lowest()
 
     def select(self, runtime: "PthreadsRuntime") -> Optional["Tcb"]:
@@ -154,7 +155,7 @@ class EnumerableSwitchPolicy(SchedulingPolicy):
         if pick is None:
             return None
         self._pick = None
-        if pick in runtime.sched.ready.threads():
+        if pick in runtime.sched.ready:
             return pick
         return None
 
