@@ -23,7 +23,7 @@ everything unlocked, no waiters, no leaked ``waiting_writers`` claims
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.core.tcb import Tcb, ThreadState
 from repro.unix.net import EpollInstance
@@ -100,21 +100,33 @@ class CheckContext:
         raise InvariantViolation(rule, detail)
 
     def on_kernel_release(self, runtime: "PthreadsRuntime") -> None:
-        """Run every state rule; called with the kernel flag released."""
+        """Run every state rule; called with the kernel flag released.
+
+        One pass per kind of object: mutexes (the counter sums folded
+        in), condition variables, then one walk of the thread table for
+        the four rules over threads.  The rule order is fixed, so the
+        first broken rule is the one reported: the thread walk notes
+        the first breach of each of its rules, and each is raised at
+        its rule's place in that order.  A registry that is empty has
+        nothing to see.
+        """
         self.checks_run += 1
-        # A fixed rule order (the first broken rule is the one
-        # reported); a rule over an empty registry has nothing to see.
-        if self.mutexes:
-            self._check_mutexes()
-        self._check_counters(runtime)
-        self._check_conds(runtime)
+        self._sweep_mutexes(runtime.mutex_ops)
+        if self.conds:
+            self._sweep_conds()
+        lost_wakeup, thread_breach, unbalanced = self._sweep_threads(runtime)
+        if lost_wakeup is not None:
+            self._fail("cond-lost-wakeup", lost_wakeup)
         if self.rwlocks:
             self._check_rwlocks()
         if self.sems:
             self._check_sems()
         if self.workqueues:
             self._check_workqueues()
-        self._check_threads(runtime)
+        if thread_breach is not None:
+            self._fail(*thread_breach)
+        if unbalanced is not None:
+            self.check_cleanup_balance(unbalanced)
         if runtime.net is not None and runtime.net.epoll_instances:
             self._check_epoll(runtime)
         if runtime.world.smp is not None:
@@ -128,38 +140,49 @@ class CheckContext:
 
     # -- state rules --------------------------------------------------------
 
-    def _check_mutexes(self) -> None:
+    def _sweep_mutexes(self, ops) -> None:
+        """The mutex rules on every mutex, then ``mutex-counter-agreement``
+        over the per-mutex counters summed on the way."""
+        contentions = handoffs = 0
         for m in self.mutexes:
+            contentions += m.contentions
+            handoffs += m.handoffs
+            owner = m.owner
+            waiters = m.waiters.order
             if m.destroyed:
-                if m.locked or m.owner is not None or m.waiters:
+                if m.locked or owner is not None or waiters:
                     self._fail(
                         "mutex-destroyed-clean",
                         "%r destroyed but still in use" % m,
                     )
                 continue
-            if m.locked != (m.owner is not None):
+            locked = m.locked
+            if locked != (owner is not None):
                 self._fail(
                     "mutex-owner-cell",
                     "%r: cell=%d but owner=%s"
-                    % (m, m.cell.value, m.owner and m.owner.name),
+                    % (m, m.cell.value, owner and owner.name),
                 )
-            if m.owner is not None and not m.owner.alive:
-                self._fail(
-                    "mutex-owner-dead",
-                    "%r held by %s, which terminated without unlocking"
-                    % (m, m.owner.name),
-                )
-            if m.owner is not None and m.owner in m.waiters:
-                self._fail(
-                    "mutex-owner-queued",
-                    "%r: owner %s is also queued on it" % (m, m.owner.name),
-                )
-            if not m.locked and m.waiters:
+            if owner is not None:
+                if not owner.alive:
+                    self._fail(
+                        "mutex-owner-dead",
+                        "%r held by %s, which terminated without unlocking"
+                        % (m, owner.name),
+                    )
+                if owner in waiters:
+                    self._fail(
+                        "mutex-owner-queued",
+                        "%r: owner %s is also queued on it" % (m, owner.name),
+                    )
+            if not waiters:
+                continue
+            if not locked:
                 self._fail(
                     "mutex-free-with-waiters",
-                    "%r: unlocked but %d waiters queued" % (m, len(m.waiters)),
+                    "%r: unlocked but %d waiters queued" % (m, len(waiters)),
                 )
-            for tcb in m.waiters:
+            for tcb in waiters:
                 wait = tcb.wait
                 if (
                     tcb.state is not ThreadState.BLOCKED
@@ -172,13 +195,11 @@ class CheckContext:
                         "%s queued on %r but its wait is %r (state %s)"
                         % (tcb.name, m, wait, tcb.state.value),
                     )
+        self._check_counter_sums(ops, contentions, handoffs)
 
-    def _check_counters(self, runtime: "PthreadsRuntime") -> None:
-        ops = runtime.mutex_ops
-        contentions = handoffs = 0
-        for m in self.mutexes:
-            contentions += m.contentions
-            handoffs += m.handoffs
+    def _check_counter_sums(
+        self, ops, contentions: int, handoffs: int
+    ) -> None:
         if contentions != ops.contentions:
             self._fail(
                 "mutex-counter-agreement",
@@ -192,14 +213,17 @@ class CheckContext:
                 % (handoffs, ops.handoffs),
             )
 
-    def _check_conds(self, runtime: "PthreadsRuntime") -> None:
+    def _sweep_conds(self) -> None:
         for c in self.conds:
-            if c.destroyed and c.waiters:
+            waiters = c.waiters.order
+            if not waiters:
+                continue
+            if c.destroyed:
                 self._fail(
                     "cond-destroyed-clean",
-                    "%r destroyed with %d waiters" % (c, len(c.waiters)),
+                    "%r destroyed with %d waiters" % (c, len(waiters)),
                 )
-            for tcb in c.waiters:
+            for tcb in waiters:
                 wait = tcb.wait
                 if (
                     tcb.state is not ThreadState.BLOCKED
@@ -212,22 +236,72 @@ class CheckContext:
                         "%s queued on %r but its wait is %r (state %s)"
                         % (tcb.name, c, wait, tcb.state.value),
                     )
-        # The converse is the lost-wakeup rule: a thread blocked "on a
-        # condvar" but missing from that condvar's queue can never be
-        # signalled.
+
+    def _sweep_threads(
+        self, runtime: "PthreadsRuntime"
+    ) -> Tuple[Optional[str], Optional[Tuple[str, str]], Optional[Tcb]]:
+        """One walk of the thread table for its four rules.
+
+        Returns ``(lost_wakeup, thread_breach, unbalanced)``, each None
+        where its rule holds: the detail of the first
+        ``cond-lost-wakeup``; ``(rule, detail)`` of the first thread
+        breaking ``priority-boost-bounds`` or ``net-parked-on-closed``
+        (in that order within a thread); and the first zombie that
+        breaks ``cleanup-balance``.
+        """
+        lost_wakeup = thread_breach = unbalanced = None
         for tcb in runtime.threads.values():
+            effective = tcb.effective_priority
+            base = tcb.base_priority
+            if effective != base and thread_breach is None:
+                if effective < base:
+                    thread_breach = (
+                        "priority-boost-bounds",
+                        "%s: effective %d below base %d"
+                        % (tcb.name, effective, base),
+                    )
+                elif not tcb.held_mutexes and not tcb.srp_stack:
+                    thread_breach = (
+                        "priority-boost-bounds",
+                        "%s: boosted to %d holding nothing (base %d)"
+                        % (tcb.name, effective, base),
+                    )
             wait = tcb.wait
+            if wait is not None:
+                kind = wait.kind
+                if kind == "cond":
+                    # cond-lost-wakeup, the converse of cond-waiter-state:
+                    # a thread blocked "on a condvar" but missing from
+                    # that condvar's queue can never be signalled.
+                    if (
+                        lost_wakeup is None
+                        and tcb.state is ThreadState.BLOCKED
+                        and tcb not in wait.obj.waiters.order
+                    ):
+                        lost_wakeup = (
+                            "%s waits on %r but is not in its queue"
+                            % (tcb.name, wait.obj)
+                        )
+                elif kind == "io" and thread_breach is None:
+                    request = wait.data["request"]
+                    sock = request.sock
+                    if (
+                        sock is not None
+                        and sock.state == "closed"
+                        and not request.done
+                    ):
+                        thread_breach = (
+                            "net-parked-on-closed",
+                            "%s parked in %s on closed %r"
+                            % (tcb.name, request.op, sock),
+                        )
             if (
-                wait is not None
-                and wait.kind == "cond"
-                and tcb.state is ThreadState.BLOCKED
-                and tcb not in wait.obj.waiters
+                tcb.cleanup_stack
+                and unbalanced is None
+                and tcb.state is ThreadState.TERMINATED
             ):
-                self._fail(
-                    "cond-lost-wakeup",
-                    "%s waits on %r but is not in its queue"
-                    % (tcb.name, wait.obj),
-                )
+                unbalanced = tcb
+        return lost_wakeup, thread_breach, unbalanced
 
     def _check_rwlocks(self) -> None:
         for rw in self.rwlocks:
@@ -349,42 +423,6 @@ class CheckContext:
                         % (ep, fd, item.sock, chain.count(item), len(chain)),
                     )
 
-    def _check_threads(self, runtime: "PthreadsRuntime") -> None:
-        for tcb in runtime.threads.values():
-            if tcb.effective_priority < tcb.base_priority:
-                self._fail(
-                    "priority-boost-bounds",
-                    "%s: effective %d below base %d"
-                    % (tcb.name, tcb.effective_priority, tcb.base_priority),
-                )
-            if (
-                not tcb.held_mutexes
-                and not tcb.srp_stack
-                and tcb.effective_priority != tcb.base_priority
-            ):
-                self._fail(
-                    "priority-boost-bounds",
-                    "%s: boosted to %d holding nothing (base %d)"
-                    % (tcb.name, tcb.effective_priority, tcb.base_priority),
-                )
-            wait = tcb.wait
-            if wait is not None and wait.kind == "io":
-                request = wait.data["request"]
-                sock = request.sock
-                if (
-                    sock is not None
-                    and sock.state == "closed"
-                    and not request.done
-                ):
-                    self._fail(
-                        "net-parked-on-closed",
-                        "%s parked in %s on closed %r"
-                        % (tcb.name, request.op, sock),
-                    )
-        for tcb in runtime.threads.values():
-            if tcb.cleanup_stack and tcb.state is ThreadState.TERMINATED:
-                self.check_cleanup_balance(tcb)
-
     def check_cleanup_balance(self, tcb: Tcb) -> None:
         """``cleanup-balance`` on one thread: the sweep runs it on every
         zombie, and ``ThreadOps._reclaim`` on a thread leaving the table
@@ -406,7 +444,11 @@ class CheckContext:
         nonzero forever, with no live thread to account for it.
         """
         self.checks_run += 1
-        self._check_counters(runtime)
+        self._check_counter_sums(
+            runtime.mutex_ops,
+            sum(m.contentions for m in self.mutexes),
+            sum(m.handoffs for m in self.mutexes),
+        )
         for m in self.mutexes:
             if m.destroyed:
                 continue

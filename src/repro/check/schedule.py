@@ -13,15 +13,16 @@ deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 from repro.sim.rng import DeterministicRng
 
 
-@dataclass(frozen=True)
-class ChoicePoint:
-    """One recorded decision: ``chosen`` out of ``options`` behaviours."""
+class ChoicePoint(NamedTuple):
+    """One recorded decision: ``chosen`` out of ``options`` behaviours.
+
+    An immutable tuple: a run records one per choice point.
+    """
 
     options: int
     chosen: int

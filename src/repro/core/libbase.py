@@ -9,7 +9,7 @@ thread wakes).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict
+from typing import TYPE_CHECKING, Dict
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.runtime import PthreadsRuntime
@@ -31,16 +31,11 @@ class LibraryOps:
     """A bundle of library entry points.
 
     Subclasses set :attr:`ENTRIES` mapping public call names (the names
-    :class:`~repro.core.api.PT` ops carry) to method names.
+    :class:`~repro.core.api.PT` ops carry) to method names; the runtime
+    binds them into its call registry.
     """
 
     ENTRIES: Dict[str, str] = {}
 
     def __init__(self, runtime: "PthreadsRuntime") -> None:
         self.rt = runtime
-
-    def register(self, registry: Dict[str, Callable]) -> None:
-        for public, method in self.ENTRIES.items():
-            if public in registry:
-                raise ValueError("duplicate library entry point: %r" % public)
-            registry[public] = getattr(self, method)

@@ -156,25 +156,28 @@ class ReadyQueue:
 class PrioWaitQueue:
     """Priority-ordered waiter list (highest first, FIFO among equals)."""
 
-    __slots__ = ("_items", "_keys")
+    __slots__ = ("order", "_keys")
 
     def __init__(self) -> None:
-        self._items: List[Tcb] = []
+        #: The waiters, highest priority first.  Read it freely (the
+        #: invariant sweep walks it without a call per queue); change
+        #: it only through the methods, which keep ``_keys`` in step.
+        self.order: List[Tcb] = []
         #: Parallel sort keys (negated priority: ascending keys give the
         #: highest priority first; bisect_right keeps FIFO among equals).
         self._keys: List[int] = []
 
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self.order)
 
     def __bool__(self) -> bool:
-        return bool(self._items)
+        return bool(self.order)
 
     def __contains__(self, tcb: Tcb) -> bool:
-        return tcb in self._items
+        return tcb in self.order
 
     def __iter__(self) -> Iterator[Tcb]:
-        return iter(self._items)
+        return iter(self.order)
 
     def add(self, tcb: Tcb) -> None:
         """Insert behind all waiters of >= priority (stable)."""
@@ -183,20 +186,20 @@ class PrioWaitQueue:
         # before the first strictly-lower-priority waiter.
         index = bisect_right(self._keys, key)
         self._keys.insert(index, key)
-        self._items.insert(index, tcb)
+        self.order.insert(index, tcb)
 
     def pop_highest(self) -> Optional[Tcb]:
-        if not self._items:
+        if not self.order:
             return None
         del self._keys[0]
-        return self._items.pop(0)
+        return self.order.pop(0)
 
     def remove(self, tcb: Tcb) -> bool:
         try:
-            index = self._items.index(tcb)
+            index = self.order.index(tcb)
         except ValueError:
             return False
-        del self._items[index]
+        del self.order[index]
         del self._keys[index]
         return True
 
@@ -206,14 +209,14 @@ class PrioWaitQueue:
             self.add(tcb)
 
     def highest_priority(self) -> Optional[int]:
-        if not self._items:
+        if not self.order:
             return None
-        return self._items[0].effective_priority
+        return self.order[0].effective_priority
 
     def threads(self) -> List[Tcb]:
-        return list(self._items)
+        return list(self.order)
 
     def __repr__(self) -> str:
         return "PrioWaitQueue([%s])" % ", ".join(
-            "%s@%d" % (t.name, t.effective_priority) for t in self._items
+            "%s@%d" % (t.name, t.effective_priority) for t in self.order
         )

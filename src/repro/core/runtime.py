@@ -18,7 +18,7 @@ resumes whatever thread the dispatcher chose.
 from __future__ import annotations
 
 from types import GeneratorType
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.core import config as cfg
 from repro.core.attr import ThreadAttr
@@ -46,6 +46,76 @@ from repro.unix.signals import (
 )
 from repro.unix.sigset import NSIG, SIGCANCEL, SIGSEGV, UNMASKABLE, SigSet
 from repro.unix.timers import IntervalTimer
+
+
+#: ``(attribute, class, entries)`` per subsystem (see :func:`_library`).
+_Layout = Tuple[Tuple[str, type, Tuple[Tuple[str, str], ...]], ...]
+#: The library's layout, built by the first :func:`_library` call.
+_LIBRARY: Optional[_Layout] = None
+
+
+def _library() -> _Layout:
+    """The library's layout, the same for every runtime of the process.
+
+    One ``(attribute, class, entries)`` per subsystem, in construction
+    order; ``entries`` are the ``(public name, method name)`` pairs of
+    an ``*Ops`` class (``LibraryOps.ENTRIES``), checked once for
+    duplicate public names across the library.
+    """
+    global _LIBRARY
+    if _LIBRARY is not None:
+        return _LIBRARY
+    # Imported here to keep module import order acyclic.
+    from repro.core.barrier import BarrierOps
+    from repro.core.cancel import CancelOps
+    from repro.core.cleanup import CleanupOps
+    from repro.core.cond import CondOps
+    from repro.core.fakecall import FakeCalls
+    from repro.core.iolib import IoOps
+    from repro.core.jmp import JmpOps
+    from repro.core.netlib import NetOps
+    from repro.core.mutex import MutexOps
+    from repro.core.once import OnceOps
+    from repro.core.protocols import ProtocolManager
+    from repro.core.rwlock import RwLockOps
+    from repro.core.stdio import StdioOps
+    from repro.core.semaphore import SemOps
+    from repro.core.sigdeliver import SignalDelivery
+    from repro.core.signals import SignalOps
+    from repro.core.threads import ThreadOps
+    from repro.core.timerq import TimerOps
+    from repro.core.tsd import TsdOps
+
+    ops = (
+        ("thread_ops", ThreadOps),
+        ("mutex_ops", MutexOps),
+        ("cond_ops", CondOps),
+        ("sem_ops", SemOps),
+        ("signal_ops", SignalOps),
+        ("cancel_ops", CancelOps),
+        ("cleanup_ops", CleanupOps),
+        ("tsd_ops", TsdOps),
+        ("once_ops", OnceOps),
+        ("jmp_ops", JmpOps),
+        ("timer_ops", TimerOps),
+        ("io_ops", IoOps),
+        ("net_ops", NetOps),
+        ("rwlock_ops", RwLockOps),
+        ("barrier_ops", BarrierOps),
+        ("stdio_ops", StdioOps),
+    )
+    seen = set()
+    for __, cls in ops:
+        for public in cls.ENTRIES:
+            if public in seen:
+                raise ValueError("duplicate library entry point: %r" % public)
+            seen.add(public)
+    _LIBRARY = (
+        ("fakecalls", FakeCalls, ()),
+        ("sigdeliver", SignalDelivery, ()),
+        ("protocols", ProtocolManager, ()),
+    ) + tuple((attr, cls, tuple(cls.ENTRIES.items())) for attr, cls in ops)
+    return _LIBRARY
 
 
 class HostProcess:
@@ -135,7 +205,6 @@ class PthreadsRuntime:
         self.steps = 0
 
         # Subsystems (registered entry points).
-        self.registry: Dict[str, Callable] = {}
         self._build_subsystems()
 
         # The PT facade is stateless apart from the runtime reference;
@@ -146,13 +215,14 @@ class PthreadsRuntime:
         self._pt = PT(self)
 
         # Segment compiler (see repro.sim.segments): replays recorded
-        # straight-line op runs.  Dynamic preconditions (clock
-        # watchers, choice sources, traces, policies) are re-checked on
-        # every step, so the cache is constructed unconditionally
-        # unless configured off.
+        # straight-line op runs.  A scheduling policy or a check context
+        # is fixed for the runtime's life and bypasses every replay, so
+        # a runtime built with either carries no cache at all; clock
+        # watchers, choice sources and traces come and go, and the
+        # cache re-checks them on every step.
         self._max_steps: Optional[int] = None
         self._until_cycles: Optional[int] = None
-        if self.config.segments:
+        if self.config.segments and policy is None and check is None:
             from repro.sim.segments import SegmentSpace
 
             self._segments: Optional[SegmentSpace] = SegmentSpace(self)
@@ -179,65 +249,15 @@ class PthreadsRuntime:
     # -- construction helpers ----------------------------------------------------
 
     def _build_subsystems(self) -> None:
-        # Imported here to keep module import order acyclic.
-        from repro.core.barrier import BarrierOps
-        from repro.core.cancel import CancelOps
-        from repro.core.cleanup import CleanupOps
-        from repro.core.cond import CondOps
-        from repro.core.fakecall import FakeCalls
-        from repro.core.iolib import IoOps
-        from repro.core.jmp import JmpOps
-        from repro.core.netlib import NetOps
-        from repro.core.mutex import MutexOps
-        from repro.core.once import OnceOps
-        from repro.core.protocols import ProtocolManager
-        from repro.core.rwlock import RwLockOps
-        from repro.core.stdio import StdioOps
-        from repro.core.semaphore import SemOps
-        from repro.core.sigdeliver import SignalDelivery
-        from repro.core.signals import SignalOps
-        from repro.core.threads import ThreadOps
-        from repro.core.timerq import TimerOps
-        from repro.core.tsd import TsdOps
-
-        self.fakecalls = FakeCalls(self)
-        self.sigdeliver = SignalDelivery(self)
-        self.protocols = ProtocolManager(self)
-        self.thread_ops = ThreadOps(self)
-        self.mutex_ops = MutexOps(self)
-        self.cond_ops = CondOps(self)
-        self.sem_ops = SemOps(self)
-        self.signal_ops = SignalOps(self)
-        self.cancel_ops = CancelOps(self)
-        self.cleanup_ops = CleanupOps(self)
-        self.tsd_ops = TsdOps(self)
-        self.once_ops = OnceOps(self)
-        self.jmp_ops = JmpOps(self)
-        self.timer_ops = TimerOps(self)
-        self.io_ops = IoOps(self)
-        self.net_ops = NetOps(self)
-        self.rwlock_ops = RwLockOps(self)
-        self.barrier_ops = BarrierOps(self)
-        self.stdio_ops = StdioOps(self)
-        for ops in (
-            self.thread_ops,
-            self.mutex_ops,
-            self.cond_ops,
-            self.sem_ops,
-            self.signal_ops,
-            self.cancel_ops,
-            self.cleanup_ops,
-            self.tsd_ops,
-            self.once_ops,
-            self.jmp_ops,
-            self.timer_ops,
-            self.io_ops,
-            self.net_ops,
-            self.rwlock_ops,
-            self.barrier_ops,
-            self.stdio_ops,
-        ):
-            ops.register(self.registry)
+        registry: Dict[str, Callable] = {}
+        for attr, cls, entries in _library():
+            subsystem = cls(self)
+            setattr(self, attr, subsystem)
+            # Bound per runtime, by name: a method patched on its class
+            # (a tracer's span) is the one registered.
+            for public, method in entries:
+                registry[public] = getattr(subsystem, method)
+        self.registry = registry
 
     def _install_universal_handler(self) -> None:
         """Install the universal handler for every maskable UNIX signal

@@ -16,6 +16,7 @@ Cost keys are module-level string constants so that typos fail loudly:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Mapping, Tuple
 
 # ---------------------------------------------------------------------------
@@ -305,8 +306,13 @@ class CostModel:
         included (each the sum of its parts).
 
         Hot paths (``World.spend``) use this flat dict instead of
-        paying the two-stage ``cost`` lookup per charge.
+        paying the two-stage ``cost`` lookup per charge.  Each call
+        returns a fresh copy of a table merged once per model.
         """
+        return dict(self._merged)
+
+    @cached_property
+    def _merged(self) -> Dict[str, int]:
         merged = dict(_DEFAULT_CYCLES)
         merged.update(self.overrides)
         for key, parts in PATHS.items():

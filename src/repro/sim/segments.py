@@ -54,15 +54,21 @@ in ``tests/properties/test_prop_segment_equivalence.py`` assert
 equality against forced interpretation
 (``RuntimeConfig(segments=False)``).
 
-Bypass rules (checked before any replay or recording):
+Bypass rules.  A runtime built with a scheduling policy or a check
+context (the explorer attaches both) has no cache at all: either one
+is fixed for the runtime's life and would bypass every step, so
+``PthreadsRuntime`` builds no :class:`SegmentSpace` and its executor
+skips the segment guard.  Everything else is checked before each
+replay or recording, because it can come and go mid-run:
 
 - the clock has a watcher (the cycle profiler, the only one, needs
   every charge with its cost key -- the cache is bypassed rather than
-  distributing breakdowns, so attribution stays exact);
+  distributing breakdowns, so attribution stays exact, and
+  ``python -m repro.obs report`` still lists the all-zero
+  ``exec.segment.*`` counters);
 - a choice source is attached (``repro.check``): segments would hide
-  ``choose()`` points from the explorer, so the cache is bypassed and
-  DFS reports are byte-identical with the cache on or off;
-- a scheduling policy, trace sink, or check context is attached;
+  ``choose()`` points from the explorer;
+- a trace sink is attached;
 - the kernel/dispatcher flags are set or signals are deferred.
 
 Keying: segments are keyed by (generator code object, ``f_lasti``)
@@ -250,12 +256,12 @@ class SegmentSpace:
         if frame.pending_exc is not None:
             return False
         world = rt.world
+        # A policy or a check context never reaches here: a runtime
+        # built with either carries no cache (PthreadsRuntime.__init__).
         if (
             world.clock._watcher is not None
             or world.choices is not None
             or world.trace is not None
-            or rt.policy is not None
-            or rt.check is not None
         ):
             return False
         kern = rt.kern

@@ -71,7 +71,7 @@ class SigCause:
             raise ValueError("invalid signal cause kind: %r" % (self.kind,))
 
 
-@dataclass
+@dataclass(frozen=True)
 class SigAction:
     """Disposition installed by ``sigaction``."""
 
@@ -163,6 +163,12 @@ class PendingSignals:
         return SigSet(self.order)
 
 
+#: The disposition of a signal no ``sigaction`` has set.  One shared
+#: instance: an action is never changed in place, and a fresh runtime
+#: would otherwise build and drop one per signal it installs.
+_DEFAULT_ACTION = SigAction()
+
+
 class ProcessSignals:
     """Signal state of one UNIX process."""
 
@@ -178,13 +184,13 @@ class ProcessSignals:
     def set_action(self, sig: int, action: SigAction) -> SigAction:
         """Install a disposition; returns the previous one."""
         check_signal(sig)
-        previous = self.actions.get(sig, SigAction())
+        previous = self.actions.get(sig, _DEFAULT_ACTION)
         self.actions[sig] = action
         return previous
 
     def get_action(self, sig: int) -> SigAction:
         check_signal(sig)
-        return self.actions.get(sig, SigAction())
+        return self.actions.get(sig, _DEFAULT_ACTION)
 
     # -- masking ------------------------------------------------------------
 

@@ -8,7 +8,7 @@ from repro.check.workloads import cond_relay, epoll_server, pooled_server
 from repro.core.config import RuntimeConfig
 from repro.core.errors import EBADF
 from repro.core.runtime import PthreadsRuntime
-from repro.core.tcb import ThreadState
+from repro.core.tcb import ThreadState, WaitRecord
 from repro.unix.net import EpollItem, NetStack
 
 
@@ -99,6 +99,145 @@ def test_cleanup_imbalance_at_termination_fires():
     dead.cleanup_stack.append(object())
     with pytest.raises(InvariantViolation, match="cleanup-balance"):
         check.on_kernel_release(runtime)
+
+
+def _block_on(tcb, kind, obj):
+    tcb.state = ThreadState.BLOCKED
+    tcb.wait = WaitRecord(kind, obj, None)
+
+
+def _held_by(mutex, tcb):
+    mutex.cell.value = 0xFF
+    mutex.owner = tcb
+
+
+def _queue_owner(rt, live, zombie):
+    m = rt.mutex_ops.lib_mutex_init(None)
+    _held_by(m, live)
+    m.waiters.add(live)
+
+
+def _queue_on_free(rt, live, zombie):
+    m = rt.mutex_ops.lib_mutex_init(None)
+    _block_on(live, "mutex", m)
+    m.waiters.add(live)
+
+
+def _queue_zombie(rt, live, zombie):
+    m = rt.mutex_ops.lib_mutex_init(None)
+    _held_by(m, live)
+    m.waiters.add(zombie)
+
+
+def _queue_on_other_mutex(rt, live, zombie):
+    m = rt.mutex_ops.lib_mutex_init(None)
+    _held_by(m, rt.main(cond_relay(waiters=1), name="owner", priority=100))
+    _block_on(live, "mutex", rt.mutex_ops.lib_mutex_init(None))
+    m.waiters.add(live)
+
+
+def _destroy_held(rt, live, zombie):
+    m = rt.mutex_ops.lib_mutex_init(None)
+    _held_by(m, live)
+    m.destroyed = True
+
+
+def _cond_queue_unblocked(rt, live, zombie):
+    rt.cond_ops.lib_cond_init(None).waiters.add(live)
+
+
+def _cond_wait_unqueued(rt, live, zombie):
+    _block_on(live, "cond", rt.cond_ops.lib_cond_init(None))
+
+
+def _destroy_waited_cond(rt, live, zombie):
+    c = rt.cond_ops.lib_cond_init(None)
+    _block_on(live, "cond", c)
+    c.waiters.add(live)
+    c.destroyed = True
+
+
+def _writer_beside_reader(rt, live, zombie):
+    rw = rt.rwlock_ops.lib_rwlock_init(None, "r")
+    rw.active_writer = live
+    rw.active_readers = 1
+
+
+def _unclaimed_writer(rt, live, zombie):
+    rw = rt.rwlock_ops.lib_rwlock_init(None, "r")
+    _block_on(live, "cond", rw.writers_cond)
+    rw.writers_cond.waiters.add(live)
+
+
+def _negative_sem(rt, live, zombie):
+    rt.sem_ops.lib_sem_init(None, 1).count = -1
+
+
+class _Queue:
+    """A work queue as the rules see one (``repro.net.servers``)."""
+
+    def __init__(self, depth, enqueued, dequeued):
+        self.items = [None] * depth
+        self.enqueued = enqueued
+        self.dequeued = dequeued
+        self.closed = False
+
+
+def _overdrawn_queue(rt, live, zombie):
+    rt.check.register_workqueue(_Queue(0, 1, 2))
+
+
+def _queue_losing_an_item(rt, live, zombie):
+    rt.check.register_workqueue(_Queue(0, 2, 1))
+
+
+def _below_base(rt, live, zombie):
+    live.effective_priority = live.base_priority - 1
+
+
+def _boosted_holding_nothing(rt, live, zombie):
+    live.effective_priority = live.base_priority + 1
+
+
+@pytest.mark.parametrize(
+    "rule, corrupt",
+    [
+        ("mutex-owner-queued", _queue_owner),
+        ("mutex-free-with-waiters", _queue_on_free),
+        ("mutex-waiter-state", _queue_zombie),
+        ("mutex-waiter-state", _queue_on_other_mutex),
+        ("mutex-destroyed-clean", _destroy_held),
+        ("cond-waiter-state", _cond_queue_unblocked),
+        ("cond-lost-wakeup", _cond_wait_unqueued),
+        ("cond-destroyed-clean", _destroy_waited_cond),
+        ("rwlock-exclusion", _writer_beside_reader),
+        ("rwlock-writer-claims", _unclaimed_writer),
+        ("sem-count", _negative_sem),
+        ("workqueue-counts", _overdrawn_queue),
+        ("workqueue-depth", _queue_losing_an_item),
+        ("priority-boost-bounds", _below_base),
+        ("priority-boost-bounds", _boosted_holding_nothing),
+    ],
+)
+def test_each_corrupted_state_fires_its_rule(rule, corrupt):
+    """Each rule of docs/CHECKING.md's table that the tests around this
+    one leave out fires at a kernel release on a state broken for it
+    alone (smp-runq-disjoint fires in tests/check/test_smp_explore.py)."""
+    runtime, check = checked_runtime()
+    runtime.main(cond_relay(waiters=1), priority=100)
+    runtime.run()
+    zombie = next(
+        t
+        for t in runtime.threads.values()
+        if t.state is ThreadState.TERMINATED
+    )
+    live = runtime.main(cond_relay(waiters=1), name="live", priority=100)
+    check.on_kernel_release(runtime)  # consistent as built
+    corrupt(runtime, live, zombie)
+    with pytest.raises(InvariantViolation) as raised:
+        check.on_kernel_release(runtime)
+    assert raised.value.rule == rule
+    assert check.violations_found == 1
 
 
 def test_quiescent_rules_catch_leaked_writer_claim():

@@ -4,21 +4,25 @@ The explorer runs every schedule on a fresh runtime, so whatever a
 runtime builds and whatever a run records is paid once per schedule.
 A schedule pays only for what it explores: the TCB/stack pool reserves
 its prefill in one heap pass and builds a ``Stack`` only when a thread
-takes one, a passing walk runs without a tracer, and the enumerating
+takes one, a passing walk runs without a tracer, the enumerating
 policy asks the ready queue for its order only when it forces a
-switch.  None of this changes a simulated result, so only a count can
-pin it.
+switch, and a runtime built with a policy or a check context carries
+no segment cache (the cache would bypass itself on every step).  None
+of this changes a simulated result, so only a count can pin it.
 """
 
 import pytest
 
 from repro.check.explore import Explorer
+from repro.check.invariants import CheckContext
 from repro.check.workloads import pooled_server
+from repro.core.runtime import PthreadsRuntime
 from repro.core.queues import ReadyQueue
 from repro.core.tcb import Tcb
 from repro.debug.trace import Tracer
 from repro.hw.memory import Stack
 from repro.sched.perverted import EnumerableSwitchPolicy
+from repro.sim.segments import SegmentSpace
 
 WALKS = 20
 
@@ -36,7 +40,15 @@ CHOICE_POINTS = 458
 
 @pytest.fixture(scope="module")
 def measured():
-    counts = {"stack": 0, "tcb": 0, "threads": 0, "tracer": 0, "record": 0}
+    counts = {
+        "stack": 0,
+        "tcb": 0,
+        "threads": 0,
+        "tracer": 0,
+        "record": 0,
+        "segment_space": 0,
+        "try_step": 0,
+    }
     policies = []
 
     def counting(cls, name, key):
@@ -60,6 +72,8 @@ def measured():
     counting(ReadyQueue, "threads", "threads")
     counting(Tracer, "__init__", "tracer")
     counting(Tracer, "emit", "record")
+    counting(SegmentSpace, "__init__", "segment_space")
+    counting(SegmentSpace, "try_step", "try_step")
     mp.setattr(EnumerableSwitchPolicy, "__init__", policy_init)
     try:
         report = Explorer(
@@ -95,3 +109,25 @@ def test_ready_order_is_read_once_per_forced_switch(measured):
     assert sum(p.choice_points for p in policies) == CHOICE_POINTS
     assert sum(p.forced_switches for p in policies) == FORCED
     assert counts["threads"] == FORCED
+
+
+def test_explored_runtimes_carry_no_segment_cache(measured):
+    report, counts, __ = measured
+    assert counts["segment_space"] == 0
+    assert counts["try_step"] == 0
+    assert report.checks_run == CHECKS_RUN
+
+
+@pytest.mark.parametrize(
+    "kwargs, cached",
+    [
+        ({}, True),
+        ({"policy": EnumerableSwitchPolicy()}, False),
+        ({"check": CheckContext()}, False),
+    ],
+)
+def test_only_a_runtime_without_policy_or_check_builds_the_cache(
+    kwargs, cached
+):
+    runtime = PthreadsRuntime(**kwargs)
+    assert (runtime._segments is not None) == cached

@@ -77,6 +77,28 @@ def test_actions_default_until_installed():
     assert callable(ps.get_action(SIGUSR1).handler)
 
 
+def test_a_runtime_builds_one_sigaction(monkeypatch):
+    """The universal handler's action is the only one a runtime builds:
+    the 29 ``sigaction`` calls installing it, and every lookup of a
+    signal with no action, read one shared default disposition."""
+    from repro.core.runtime import PthreadsRuntime
+
+    built = []
+    init = SigAction.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SigAction, "__init__", counted)
+    runtime = PthreadsRuntime()
+    assert len(built) == 1
+    signals = ProcessSignals()
+    assert signals.get_action(SIGUSR1).is_default()
+    assert len(built) == 1
+    assert runtime.unix.syscall_counts["sigaction"] == 29
+
+
 def test_discard_pending():
     ps = ProcessSignals()
     ps.post(SIGUSR1, SigCause())
