@@ -33,7 +33,10 @@ from repro.core.tcb import Tcb, ThreadState, WaitRecord
 from repro.hw.memory import StackOverflow
 from repro.sim.frames import Frame, ProgramCrash, SimException
 from repro.sim.ops import Invoke, LibCall, SysCall, Work
-from repro.sim.segments import _BLACKLISTED as _SEG_BLACKLISTED
+from repro.sim.segments import (
+    SERVED as _SEG_SERVED,
+    _BLACKLISTED as _SEG_BLACKLISTED,
+)
 from repro.sim.world import DeadlockError, World
 from repro.unix.io import IoDevice
 from repro.unix.kernel import UnixKernel
@@ -218,8 +221,8 @@ class PthreadsRuntime:
         # straight-line op runs.  A scheduling policy or a check context
         # is fixed for the runtime's life and bypasses every replay, so
         # a runtime built with either carries no cache at all; clock
-        # watchers, choice sources and traces come and go, and the
-        # cache re-checks them on every step.
+        # watchers and traces come and go, and the cache re-checks them
+        # on every step.
         self._max_steps: Optional[int] = None
         self._until_cycles: Optional[int] = None
         if self.config.segments and policy is None and check is None:
@@ -516,10 +519,11 @@ class PthreadsRuntime:
         """Perform one executor step for the current thread.
 
         With ``op`` None this is the whole step: continue a compute
-        burst, or try the segment cache, or resume the top frame and
-        perform the op it yields.  The segment cache passes an op it
-        already took from the generator; only the dispatch half then
-        remains.  Returns the op performed, or None when the frame
+        burst, or resume the top frame and perform the op it yields,
+        unless the segment cache serves that op (and possibly many
+        after it).  A segment recording passes an op it already took
+        from the generator, its step counted; only the dispatch half
+        then remains.  Returns the op performed, or None when the frame
         returned, raised or was served by replay.
         """
         tcb = self.current
@@ -530,31 +534,6 @@ class PthreadsRuntime:
                 self.steps += 1
                 self._do_work(tcb, frame)
                 return None
-            segments = self._segments
-            if segments is not None:
-                # Segment guard: the frame keeps its code object's
-                # location table, so the common answer -- a blacklisted
-                # location, as at every location of a stream that never
-                # certifies -- costs one int-keyed dict hit and no
-                # try_step call.
-                gi = frame.gen.gi_frame
-                if gi is not None:
-                    table = frame.seg_table
-                    if table is None:
-                        table = frame.seg_table = segments.table_for(
-                            frame.gen.gi_code
-                        )
-                    lasti = gi.f_lasti
-                    # Let go of the frame object before the send: were a
-                    # returning generator's frame object still held, it
-                    # would link back to this frame (CPython 3.12 on),
-                    # and the cycle would keep the thread alive.
-                    gi = None
-                    if (
-                        table.get(lasti) is not _SEG_BLACKLISTED
-                        and segments.try_step(tcb, frame, table)
-                    ):
-                        return None  # step(s) performed, bookkeeping included
             self.steps += 1
             clock = self.world.clock
             started = clock.cycles
@@ -572,8 +551,28 @@ class PthreadsRuntime:
             except BaseException as ended:  # noqa: BLE001 - see _resume_ended
                 self._resume_ended(tcb, frame, ended, started)
                 return None
+            segments = self._segments
+            if segments is not None:
+                # Segment guard: the frame keeps its code object's
+                # location table, so the common answer -- a blacklisted
+                # location, as at every location of a stream that never
+                # certifies -- costs one int-keyed dict hit and no
+                # try_step call.  No local holds the generator's frame
+                # object: were a returning generator's frame object
+                # still held, it would link back to this frame (CPython
+                # 3.12 on), and the cycle would keep the thread alive.
+                table = frame.seg_table
+                if table is None:
+                    table = frame.seg_table = segments.table_for(
+                        frame.gen.gi_code
+                    )
+                lasti = frame.gen.gi_frame.f_lasti
+                if table.get(lasti) is not _SEG_BLACKLISTED:
+                    op = segments.try_step(tcb, frame, op)
+                    if op is _SEG_SERVED:
+                        return None  # served by replay, bookkeeping included
+                    started = clock.cycles  # replay charged what it ran
         else:
-            self.steps += 1
             clock = self.world.clock
             started = clock.cycles
         # Dispatch by exact class, LibCall first: most steps of a server

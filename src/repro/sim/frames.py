@@ -69,10 +69,13 @@ class Frame:
         Free-form per-frame metadata (fake-call records and the like).
     seg_table:
         The segment compiler's location table for ``gen``'s code object
-        (:meth:`repro.sim.segments.SegmentSpace.table_for`), resolved
-        the first time the frame steps with segments on; None before.
-        A generator never changes code object, so the executor's
-        per-step guard reads this slot instead of hashing the code.
+        (:meth:`repro.sim.segments.SegmentSpace.table_for`): the
+        ``f_lasti`` where the generator stopped -> that location's
+        segments, keyed by the op it yielded there, or its blacklist
+        mark.  Resolved the first time the frame steps with segments on;
+        None before.  A generator never changes code object, so the
+        executor's per-step guard reads this slot instead of hashing the
+        code.
     """
 
     __slots__ = (

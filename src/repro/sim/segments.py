@@ -8,18 +8,45 @@ a small set of guards (mutex ownership, empty waiter queues, no event
 due inside the window), so after interpreting it once the executor can
 *replay* it -- one compiled Python function per segment, one clock
 store per batch -- instead of re-dispatching every op through the
-interpreter loop.  One emitter writes every segment as a loop: a run
-that closes back on its own location repeats while the bounds allow,
-and any other run is a one-iteration segment.
+interpreter loop.  Every segment is a loop: a run that closes back on
+its own first op, replayed while the bounds allow.
+
+Keying
+------
+
+A segment is keyed by where its generator stopped and the op it
+yielded there: (generator code object, ``f_lasti``, op).  The executor
+resumes a frame first and then hands the op in hand to
+:meth:`SegmentSpace.try_step`, which replays the segment keyed by that
+location and op.  Every segment starts from an op in hand and ends with
+the next op in hand (its last resume happens inside the replay), so
+after a mismatch -- an op the segment does not expect -- the lookup
+simply repeats at the location and op the generator stopped on.  One
+code location may run against different library objects (each pipeline
+stage signals its own condvar); each canonical op there keys its own
+segment.
+
+The executor resolves a frame's per-code location table once
+(:meth:`SegmentSpace.table_for`, cached on ``Frame.seg_table``), so the
+per-step guard is one int-keyed lookup and no step hashes a code
+object.  A location's entry is either ``_BLACKLISTED`` or a dict from
+op to compiled segment, plus one visit counter under a private key.
+Only ``Work`` and ``LibCall`` ops are looked up (anything else, a bad
+op included, only counts a visit and goes on to the executor's
+dispatch), and only an op that can certify -- the shared instance
+``core/api.py`` hands out for ``Work``, ``mutex_lock``,
+``mutex_unlock`` and ``cond_signal`` -- is ever recorded, so a
+location fed a fresh op on every visit ends as one blacklisted slot.
 
 Correctness model
 -----------------
 
 A segment is recorded by performing each op with the executor's own
-step (``PthreadsRuntime._step_current``; :meth:`SegmentSpace.try_step`
-answers False while a recording runs, so nothing nests) while a
-*certifier* checks, after each op, that the op's entire observable
-effect is captured by a closed-form template:
+step (``PthreadsRuntime._step_current``, always with the op in hand,
+so the cache is never re-entered; a recording stops before an op that
+cannot certify and hands it back) while a *certifier* checks, after
+each op, that the op's entire observable effect is captured by a
+closed-form template:
 
 - the op object is the canonical cached instance (so replay can match
   it with a single ``is``);
@@ -30,6 +57,10 @@ effect is captured by a closed-form template:
 - every mutated field (owner/cell/counters/held list) matches the
   template's effect list.
 
+The generator body that runs between two ops (replay runs it too) must
+leave the clock, the event horizon, the library kernel and the
+dispatcher untouched, or the recording fails.
+
 Replay then re-applies exactly those effects, under guard checks that
 re-establish the recorded preconditions, while a *limit* derived from
 the event horizon guarantees no event becomes due inside the replayed
@@ -38,9 +69,9 @@ either splits the segment at record time (the event fired while
 recording, so certification stopped there) or forces interpretation at
 replay time (the horizon bound fails, the step budget fails, or a
 clock watcher is attached).  Replay hands back to the interpreter
-through the same executor step: an op no variant takes goes to
-``_step_current(op)``, and a resume that raised goes to the runtime's
-``_resume_ended``.
+through the same executor step: ``try_step`` returns the op in hand
+for the executor to perform (or :data:`SERVED`), and a resume that
+raised goes to the runtime's ``_resume_ended``.
 
 The replay contract: ``world.now`` is exact at every resume of a
 generator body (replay publishes the clock before each send).
@@ -66,19 +97,8 @@ replay or recording, because it can come and go mid-run:
   distributing breakdowns, so attribution stays exact, and
   ``python -m repro.obs report`` still lists the all-zero
   ``exec.segment.*`` counters);
-- a choice source is attached (``repro.check``): segments would hide
-  ``choose()`` points from the explorer;
 - a trace sink is attached;
 - the kernel/dispatcher flags are set or signals are deferred.
-
-Keying: segments are keyed by (generator code object, ``f_lasti``)
-with a small list of *variants* per location, because one code
-location may run against different library objects (each pipeline
-stage locks its own queue mutex).  Variants are matched by the first
-op's identity and kept in MRU order.  The executor resolves a frame's
-per-code location table once (:meth:`SegmentSpace.table_for`, cached on
-``Frame.seg_table``), so the per-step guard is one int-keyed lookup and
-no step hashes a code object.
 
 Charges inside a recorded op never fire events: ``World.spend`` only
 charges, and due events fire at kernel enter/leave and in compute
@@ -95,30 +115,38 @@ from repro.core import config as cfg
 from repro.hw import costs
 from repro.sim.ops import LibCall, Work
 
-#: Location states (``table[lasti]``) besides a variant list.
+#: A location (or, as its visit count, a location's recording) given up.
 _BLACKLISTED = object()
+#: The key of a location's visit count.
+_VISITS = object()
+#: What :meth:`SegmentSpace.try_step` returns when it performed every
+#: op it took from the generator (None is an op: a bare ``yield``).
+SERVED = object()
 
-#: Visits to a location before a recording is attempted.
+#: Visits without a segment between two recordings at a location.
 _RECORD_AFTER = 8
-#: Failed recordings per location before it stops recording: a
-#: location with no compiled variant is blacklisted, one with variants
-#: keeps them but records no new one.
+#: Failed recordings in a row before a location stops recording: one
+#: with no segment is blacklisted, one with segments keeps them.
 _MAX_FAILS = 3
 #: Maximum ops recorded into one segment (also bounds generated-code
 #: size, and with it the one-time host cost of compiling a segment).
 _MAX_OPS = 16
 #: Minimum certified ops worth compiling.
 _MIN_OPS = 2
-#: Maximum compiled variants per location.
-_MAX_VARIANTS = 6
-#: Global cap on compiled segments per runtime.
+#: Global cap on compiled segments per runtime, and on the failed
+#: recordings it does not hold against their locations.
 _MAX_SEGMENTS = 512
-#: First-op mismatches at a compiled location before a new variant is
-#: recorded from the in-hand op.
-_VARIANT_AFTER = 8
 
 #: Step budget / until sentinel: effectively unbounded.
 _NO_BOUND = 1 << 62
+
+#: The library calls that can certify, by the attribute of their first
+#: argument that holds the call's shared op (``core/api.py``).
+_CANONICAL = {
+    "mutex_lock": "_seg_lock_op",
+    "mutex_unlock": "_seg_unlock_op",
+    "cond_signal": "_seg_signal_op",
+}
 
 #: Process-wide generated-source -> code-object cache.  Generated
 #: source carries no object identities (those go through the closure
@@ -126,27 +154,6 @@ _NO_BOUND = 1 << 62
 #: guard; overflow simply recompiles.
 _SOURCE_CACHE: Dict[str, Any] = {}
 _SOURCE_CACHE_MAX = 4096
-
-
-class _LocState:
-    """Visit/fail counters for a not-yet-compiled location."""
-
-    __slots__ = ("visits", "fails")
-
-    def __init__(self) -> None:
-        self.visits = 0
-        self.fails = 0
-
-
-class _Variants(list):
-    """Compiled segments at one location, MRU first."""
-
-    __slots__ = ("mismatches", "fails")
-
-    def __init__(self, items) -> None:
-        super().__init__(items)
-        self.mismatches = 0
-        self.fails = 0  # failed variant recordings (see _MAX_FAILS)
 
 
 class _SegStep:
@@ -160,16 +167,6 @@ class _SegStep:
         self.cycles = cycles
         self.guards = guards  # tuple of guard IR tuples
         self.effects = effects  # tuple of effect IR tuples
-
-
-class _Segment:
-    """A compiled segment: its replay function, keyed by its first op."""
-
-    __slots__ = ("fn", "first_op")
-
-    def __init__(self, fn, first_op) -> None:
-        self.fn = fn
-        self.first_op = first_op
 
 
 class SegmentSpace:
@@ -194,9 +191,6 @@ class SegmentSpace:
             table[costs.ENTER_KERNEL] + table[costs.COND_SIGNAL_WORK]
             + table[costs.LEAVE_KERNEL]
         )
-        #: Set while :meth:`_record` interprets: the executor steps it
-        #: drives must not nest a replay or another recording.
-        self._recording = False
         # exec.segment.* counters (harvested into the host bench records
         # and ``python -m repro.obs report``).
         self.segments_compiled = 0
@@ -237,33 +231,21 @@ class SegmentSpace:
             by_code[code] = table = {}
         return table
 
-    def try_step(self, tcb, frame, table) -> bool:
-        """Attempt to serve the current executor step from the cache.
+    def try_step(self, tcb, frame, op) -> Any:
+        """Serve the op in hand, and the ops after it, from the cache.
 
-        ``table`` is the frame's location table (:meth:`table_for`);
-        the frame's generator must be suspended (``gi_frame`` set).
-        Returns True when the step (and possibly many following steps)
-        was fully performed -- bookkeeping included -- and False when
-        the caller must interpret normally (always, while recording).
+        ``frame``'s generator has just yielded ``op`` (the executor
+        counted the step but has not performed the op).  Returns the op
+        the executor must still perform -- ``op`` itself, or the op a
+        replay or recording stopped on, its step counted likewise -- or
+        :data:`SERVED` when every op taken from the generator was
+        performed, bookkeeping included.
         """
-        if self._recording:
-            return False
-        lasti = frame.gen.gi_frame.f_lasti
-        entry = table.get(lasti)
-        if entry is _BLACKLISTED:
-            return False
         rt = self.rt
-        if frame.pending_exc is not None:
-            return False
         world = rt.world
-        # A policy or a check context never reaches here: a runtime
-        # built with either carries no cache (PthreadsRuntime.__init__).
-        if (
-            world.clock._watcher is not None
-            or world.choices is not None
-            or world.trace is not None
-        ):
-            return False
+        clock = world.clock
+        if clock._watcher is not None or world.trace is not None:
+            return op
         kern = rt.kern
         if (
             kern.kernel_flag
@@ -272,24 +254,90 @@ class SegmentSpace:
             or kern.deferred_upcalls
             or tcb.pending_interrupt_frames
         ):
-            return False
-        if type(entry) is _Variants:
-            return self._replay(tcb, frame, entry, table, lasti)
-        if entry is None:
-            table[lasti] = entry = _LocState()
-        entry.visits += 1
-        if entry.visits >= _RECORD_AFTER:
-            entry.visits = 0
-            if (
-                entry.fails >= _MAX_FAILS
-                or self.segments_compiled >= _MAX_SEGMENTS
-            ):
-                table[lasti] = _BLACKLISTED
-                return False
-            return self._record(tcb, frame, table, lasti, None)
+            return op
+        table = frame.seg_table
+        gen = frame.gen
+        budget = None
+        total = 0
+        while True:
+            lasti = gen.gi_frame.f_lasti
+            slots = table.get(lasti)
+            if slots is _BLACKLISTED:
+                break
+            if slots is None:
+                table[lasti] = slots = {_VISITS: 0}
+            op_class = op.__class__
+            # Only these are keys: a bad op may be None or unhashable.
+            if op_class is Work or op_class is LibCall:
+                fn = slots.get(op)
+            else:
+                fn = None
+            if fn is None:
+                visits = slots[_VISITS]
+                if visits is _BLACKLISTED:
+                    break
+                slots[_VISITS] = visits = visits + 1
+                if visits % _RECORD_AFTER:
+                    break
+                if (
+                    not self._canonical(op)
+                    or self.segments_compiled >= _MAX_SEGMENTS
+                ):
+                    self._failed(table, lasti, slots)
+                    break
+                op = self._record(tcb, frame, op, table, lasti, slots)
+                if op is SERVED:
+                    break
+                budget = None  # the recording moved the clock and steps
+                continue
+            if budget is None:
+                limit, until, budget = self._bounds()
+            t_before = clock.cycles
+            code, n, t, op = fn(rt, tcb, frame, limit, until, budget, op)
+            if not n:
+                self.misses += 1
+                break
+            clock.cycles = t
+            rt.steps += n
+            tcb.cpu_cycles += t - t_before
+            self.cycles_replayed += t - t_before
+            total += n
+            budget -= n
+            if code:
+                # The resume raised (``op`` holds the exception): the
+                # interpreter's own handler takes it.  Then drop it: its
+                # traceback holds the replay's frame, whose ``f_back``
+                # is this one, and the cycle would keep the thread alive.
+                self.hits += 1
+                self.steps_replayed += total
+                rt._resume_ended(tcb, frame, op, t)
+                op = None
+                return SERVED
+        if total:
+            self.hits += 1
+            self.steps_replayed += total
+        return op
+
+    def _canonical(self, op) -> bool:
+        """Whether ``op`` is the one shared instance its builder hands
+        out (``core/api.py``): replay matches ops by identity."""
+        op_class = op.__class__
+        if op_class is Work:
+            return self._work_cache.get(op.cycles) is op
+        if op_class is LibCall:
+            attr = _CANONICAL.get(op.name)
+            return (
+                attr is not None and getattr(op.args[0], attr, None) is op
+            )
         return False
 
-    # -- replay ------------------------------------------------------------
+    def _failed(self, table, lasti, slots) -> None:
+        """Count a failed recording attempt at ``lasti``."""
+        if slots[_VISITS] >= _RECORD_AFTER * _MAX_FAILS:
+            if len(slots) == 1:
+                table[lasti] = _BLACKLISTED
+            else:
+                slots[_VISITS] = _BLACKLISTED
 
     def _bounds(self) -> Tuple[Optional[int], int, int]:
         rt = self.rt
@@ -301,193 +349,125 @@ class SegmentSpace:
         budget = _NO_BOUND if max_steps is None else max_steps - rt.steps
         return limit, until, budget
 
-    def _replay(self, tcb, frame, variants, table, lasti) -> bool:
-        rt = self.rt
-        clock = rt.world.clock
-        limit, until, budget = self._bounds()
-        value = frame.pending_value
-        frame.pending_value = None
-        op = None
-        total = 0
-        scan = 0
-        while True:
-            seg = None
-            i = scan
-            n_var = len(variants)
-            while i < n_var:
-                cand = variants[i]
-                if op is None or cand.first_op is op:
-                    seg = cand
-                    break
-                i += 1
-            if seg is None:
-                break
-            t_before = clock.cycles
-            code, n, t, val, op = seg.fn(
-                rt, tcb, frame, value, limit, until, budget, op
-            )
-            if n:
-                clock.cycles = t
-                rt.steps += n
-                tcb.cpu_cycles += t - t_before
-                self.cycles_replayed += t - t_before
-                total += n
-                if budget is not _NO_BOUND:
-                    budget -= n
-                if i:
-                    variants.insert(0, variants.pop(i))
-                scan = 0
-            else:
-                scan = i + 1
-            if code == 0:
-                if op is None:
-                    frame.pending_value = val
-                    if total:
-                        self.hits += 1
-                        self.steps_replayed += total
-                        return True
-                    return False
-                value = None
-                continue
-            # The resume raised (code 1): the interpreter's own step.
-            if total:
-                self.hits += 1
-                self.steps_replayed += total
-            rt.steps += 1
-            rt._resume_ended(tcb, frame, val, clock.cycles)
-            return True
-        if op is not None:
-            # No variant takes the in-hand op: the interpreter performs
-            # it (the send already happened).  Repeated mismatches grow
-            # a new variant recorded from the in-hand op, until
-            # _MAX_FAILS such recordings have failed here.
-            self.misses += 1
-            if total:
-                self.hits += 1
-                self.steps_replayed += total
-            variants.mismatches += 1
-            if (
-                variants.mismatches >= _VARIANT_AFTER
-                and variants.fails < _MAX_FAILS
-                and len(variants) < _MAX_VARIANTS
-                and self.segments_compiled < _MAX_SEGMENTS
-            ):
-                variants.mismatches = 0
-                return self._record(tcb, frame, table, lasti, op)
-            rt._step_current(op)
-            return True
-        frame.pending_value = value
-        if total:
-            self.hits += 1
-            self.steps_replayed += total
-            return True
-        self.misses += 1
-        return False
-
     # -- recording ---------------------------------------------------------
 
-    def _record(self, tcb, frame, table, lasti, inhand) -> bool:
-        """Interpret ops through the executor's own step, certifying
-        each; compile the certified run into a segment.
+    def _mark(self) -> Tuple[int, int, int, int, int]:
+        """What no generator body may move, and what each op is
+        certified against."""
+        rt = self.rt
+        events = rt.world.events
+        return (
+            rt.world.clock.cycles, events._seq, events._live,
+            rt.kern.enters, rt.dispatcher.dispatch_calls,
+        )
 
-        The steps are *performed* regardless of whether certification
-        succeeds, so this is always a complete executor step (or
-        several) from the caller's point of view.
+    def _record(self, tcb, frame, op, table, lasti, slots) -> Any:
+        """Perform ops from the one in hand through the executor's own
+        step, certifying each, until the generator yields that first op
+        at ``lasti`` again; compile the closed run into the segment keyed
+        by both.
+
+        Returns the op in hand -- the first op again when the run closed,
+        or an op that cannot certify, not yet performed either way -- or
+        :data:`SERVED`: every op taken from the generator was performed.
         """
         rt = self.rt
-        self.recordings += 1
-        world = rt.world
-        clock = world.clock
-        events = world.events
         kern = rt.kern
+        gen = frame.gen
         frames = tcb.frames._frames
+        self.recordings += 1
+        first = op
         steps: List[_SegStep] = []
         closed = False
-        op = inhand
-        self._recording = True
-        try:
-            while len(steps) < _MAX_OPS:
-                pre_clock = clock.cycles
-                pre_seq = events._seq
-                pre_live = events._live
-                pre_enters = kern.enters
-                pre_dispatch = rt.dispatcher.dispatch_calls
-                op = rt._step_current(op)
-                if (
-                    op is None
-                    or rt.current is not tcb
-                    or not frames
-                    or frames[-1] is not frame
-                    or frame.pending_exc is not None
-                    or frame.remaining_work
-                    or kern.kernel_flag
-                    or kern.dispatcher_flag
-                ):
-                    break
-                step = self._certify(
-                    tcb, frame, op,
-                    pre_clock, pre_seq, pre_live, pre_enters, pre_dispatch,
-                )
-                if step is None:
-                    break
-                steps.append(step)
+        next_op = SERVED
+        pre = self._mark()
+        while True:
+            rt._step_current(op)
+            if (
+                rt.current is not tcb
+                or not frames
+                or frames[-1] is not frame
+                or frame.pending_exc is not None
+                or frame.remaining_work
+                or kern.kernel_flag
+                or kern.dispatcher_flag
+            ):
+                break
+            step = self._certify(tcb, frame, op, pre)
+            if step is None:
+                break
+            steps.append(step)
+            if len(steps) == _MAX_OPS:
+                break
+            # Take the next op as the executor would.
+            pre = self._mark()
+            rt.steps += 1
+            value = frame.pending_value
+            frame.pending_value = None
+            try:
+                op = gen.send(value)
+            except BaseException as ended:  # noqa: BLE001
+                rt._resume_ended(tcb, frame, ended, pre[0])
                 op = None
-                # No local holds the frame object across the next step
-                # (see PthreadsRuntime._step_current).
-                if getattr(frame.gen.gi_frame, "f_lasti", None) == lasti:
-                    closed = True
-                    break
-        finally:
-            self._recording = False
-        if len(steps) >= _MIN_OPS:
-            seg = self._compile(steps, closed)
-            if seg is not None:
-                entry = table.get(lasti)
-                if type(entry) is _Variants:
-                    entry.insert(0, seg)
-                else:
-                    table[lasti] = _Variants([seg])
+                break
+            # No local holds the frame object across the next step
+            # (see PthreadsRuntime._step_current).
+            if op is first and gen.gi_frame.f_lasti == lasti:
+                # Every replayed iteration runs the body that led back
+                # here, so it must have left the world as is.
+                closed = self._mark() == pre
+                next_op = op
+                break
+            if not self._canonical(op):
+                next_op = op  # the executor performs (or rejects) it
+                break
+        if closed and len(steps) >= _MIN_OPS:
+            fn = self._compile(steps)
+            if fn is not None:
+                slots[first] = fn
+                slots[_VISITS] = 0
                 self.segments_compiled += 1
-                return True
-        entry = table.get(lasti)
-        if type(entry) is _LocState:
-            entry.fails += 1
-            if entry.fails >= _MAX_FAILS:
-                table[lasti] = _BLACKLISTED
-        elif type(entry) is _Variants:
-            entry.fails += 1
+                return next_op
         self.record_failures += 1
-        return True
+        events = rt.world.events
+        if (
+            op.__class__ is Work
+            and next_op is SERVED
+            and (events._seq, events._live) != pre[1:3]
+            and self.record_failures <= _MAX_SEGMENTS
+        ):
+            # An event fired inside a compute burst that could certify:
+            # the timing stopped this run, not its path, so the attempt
+            # is not held against the location.  (A replay cut short by
+            # the event horizon hands its location exactly such visits.)
+            # Past the cap every failure counts, so a burst that always
+            # straddles an event (longer than a timeslice, say) still
+            # ends its location's recordings.
+            slots[_VISITS] -= _RECORD_AFTER
+        else:
+            self._failed(table, lasti, slots)
+        return next_op
 
     # -- certification -----------------------------------------------------
 
-    def _certify(
-        self, tcb, frame, op,
-        pre_clock, pre_seq, pre_live, pre_enters, pre_dispatch,
-    ) -> Optional[_SegStep]:
+    def _certify(self, tcb, frame, op, pre) -> Optional[_SegStep]:
         rt = self.rt
         world = rt.world
         events = world.events
+        pre_clock, pre_seq, pre_live, pre_enters, pre_dispatch = pre
         if events._seq != pre_seq or events._live != pre_live:
             return None  # an event was scheduled, cancelled, or fired
         delta = world.clock.cycles - pre_clock
-        op_class = op.__class__
-        if op_class is Work:
-            if self._work_cache.get(op.cycles) is not op:
-                return None
+        if op.__class__ is Work:
             if delta != op.cycles or frame.pending_value is not None:
                 return None
             if rt.kern.enters != pre_enters:
                 return None
             return _SegStep(op, "none", delta, (), ())
-        if op_class is not LibCall:
-            return None
         name = op.name
         result = frame.pending_value
         if name == "mutex_lock":
             m = op.args[0]
-            if getattr(m, "_seg_lock_op", None) is not op:
-                return None
             seq = m.lock_sequence
             if (
                 result != 0
@@ -518,8 +498,6 @@ class SegmentSpace:
             )
         if name == "mutex_unlock":
             m = op.args[0]
-            if getattr(m, "_seg_unlock_op", None) is not op:
-                return None
             if (
                 result != 0
                 or m.protocol != cfg.PRIO_NONE
@@ -544,50 +522,47 @@ class SegmentSpace:
                     ("held_remove", m, None),
                 ),
             )
-        if name == "cond_signal":
-            c = op.args[0]
-            if getattr(c, "_seg_signal_op", None) is not op:
-                return None
-            if (
-                result != 0
-                or c.destroyed
-                or c.waiters
-                or rt.kern.enters != pre_enters + 1
-                or rt.dispatcher.dispatch_calls != pre_dispatch
-                or delta != self._c_signal
-            ):
-                return None
-            return _SegStep(
-                op, "zero", delta,
-                (
-                    ("not_attr", c, "destroyed"),
-                    ("empty", c.waiters, None),
-                ),
-                (
-                    ("inc", rt.kern, "enters", 1),
-                    ("inc", c, "signals_sent", 1),
-                ),
-            )
-        return None
+        c = op.args[0]  # cond_signal
+        if (
+            result != 0
+            or c.destroyed
+            or c.waiters
+            or rt.kern.enters != pre_enters + 1
+            or rt.dispatcher.dispatch_calls != pre_dispatch
+            or delta != self._c_signal
+        ):
+            return None
+        return _SegStep(
+            op, "zero", delta,
+            (
+                ("not_attr", c, "destroyed"),
+                ("empty", c.waiters, None),
+            ),
+            (
+                ("inc", rt.kern, "enters", 1),
+                ("inc", c, "signals_sent", 1),
+            ),
+        )
 
     # -- compilation -------------------------------------------------------
 
-    def _compile(self, steps: List[_SegStep], closed: bool):
-        """Generate and exec the replay function for a certified run.
+    def _compile(self, steps: List[_SegStep]):
+        """Generate and exec the replay function for a closed run.
 
-        Every segment is one emitted form, a ``while it < k`` loop.
-        A closed run whose per-iteration effects net-restore every
-        guarded field iterates while the step budget, the event horizon
-        and the run's end allow; any other run is a one-iteration
-        segment (``k`` capped at 1).  The generated code keeps no per-op
-        bookkeeping: every exit site (op mismatch, exception, clean
-        stop) statically knows how many ops completed and how many
-        cycles they cost, so the hot loop is just sends, identity
-        checks and one add per iteration.  Effects are deferred:
-        counters are applied once at exit (``delta * iterations``),
-        mid-iteration exits carry statically-known fix-up assignments,
-        and a one-iteration segment stores its final state as its
-        iteration ends.
+        Every segment is one emitted form, a ``while it < k`` loop that
+        takes its first op in hand and resumes the generator after its
+        last op, so it always ends with the next op in hand.  It
+        iterates while that next op is its first one and the step
+        budget, the event horizon and the run's end allow.  A run
+        compiles only if one iteration net-restores every guarded
+        field, so the guards hoist out of the loop.  The generated code
+        keeps no per-op bookkeeping: every exit site (op mismatch,
+        exception, clean stop) statically knows how many ops completed
+        and how many cycles they cost, so the hot loop is just sends,
+        identity checks and one add per iteration.  Effects are
+        deferred: counters are applied once at exit (``delta *
+        iterations``), and mid-iteration exits carry statically-known
+        fix-up assignments.
         """
         env_names: Dict[int, str] = {}
         env_objs: List[Any] = []
@@ -608,6 +583,8 @@ class SegmentSpace:
 
         # Pass 1: entry guards, symbolic state, aggregated effects, and
         # a per-site snapshot of the prefix state (for exit fix-ups).
+        # Site i is the resume after op i - 1; site n_ops is the resume
+        # that ends the iteration.
         entry_guards: List[str] = []
         guard_expect: Dict[Tuple[str, str], Any] = {}
         sym: Dict[Tuple[str, str], Any] = {}
@@ -679,21 +656,16 @@ class SegmentSpace:
                 else:  # pragma: no cover - unknown effect kind
                     return None
             cycles_so_far += step.cycles
+        prefix_cycles.append(total)
+        snapshots.append((state_now, counter_now, held_now))
 
-        # A closed run compiles to a loop only when every guarded field
-        # is provably restored by one full iteration (then guards hoist
-        # out of the loop).  Any other run is a one-iteration segment.
-        loops = closed
-        if loops:
-            for var, expect in guard_expect.items():
-                final = sym.get(var)
-                if final is not None and final != expect:
-                    loops = False
-                    break
-            if any(held_balance.values()):
-                loops = False
-            if set(counter_now) & set(state_now):
-                loops = False
+        # One full iteration must restore every guarded field.
+        for var, expect in guard_expect.items():
+            final = sym.get(var)
+            if final is not None and final != expect:
+                return None
+        if any(held_balance.values()) or set(counter_now) & set(state_now):
+            return None
 
         out: List[Tuple[int, str]] = []
 
@@ -707,16 +679,13 @@ class SegmentSpace:
                 return "None"
             return repr(tok)
 
-        def restore(indent: int, state, held_ops) -> None:
+        def fixup(indent: int, i: int) -> None:
+            """State/counter/held repair for 'i ops completed'."""
+            state, cnt, held_ops = snapshots[i]
             for (nm, attr), tok in state.items():
                 emit(indent, "%s.%s = %s" % (nm, attr, render_tok(tok)))
             for verb, nm in held_ops:
                 emit(indent, "held.%s(%s)" % (verb, nm))
-
-        def fixup(indent: int, i: int) -> None:
-            """State/counter/held repair for 'i ops completed'."""
-            state, cnt, held_ops = snapshots[i]
-            restore(indent, state, held_ops)
             for (nm, attr), prefix in cnt.items():
                 full = counter_now.get((nm, attr), 0)
                 if full and prefix:
@@ -734,47 +703,18 @@ class SegmentSpace:
                 if (nm, attr) not in cnt and full:
                     emit(indent, "%s.%s += %d * it" % (nm, attr, full))
 
-        def n_expr(i: int) -> str:
-            if i:
-                return "%d * it + %d" % (n_ops, i)
-            return "%d * it" % n_ops
-
         def t_expr(i: int) -> str:
             p = prefix_cycles[i]
             return "t + %d" % p if p else "t"
 
-        def classify(indent: int, i: int) -> None:
-            # The resume raised: the runtime's _resume_ended takes it.
+        def exit_at(indent: int, i: int, code: int, value: str) -> None:
+            """Leave at site i (1 <= i <= n_ops): i ops of this
+            iteration done, as many resumes made."""
             fixup(indent, i)
             emit(
                 indent,
-                "return (1, %s, %s, exc, None)" % (n_expr(i), t_expr(i)),
-            )
-
-        def op_block(indent: int, i: int) -> None:
-            # The generator body runs inside each send and may read
-            # ``world.now``: publish the exact interpreted clock (the
-            # charge of every completed op) before resuming it, or
-            # mid-segment time observations would see a stale clock.
-            if i == 0:
-                emit(indent, "if op is None:")
-                emit(indent + 1, "ck.cycles = t")
-                emit(indent + 1, "try:")
-                emit(indent + 2, "op = send(value)")
-                emit(indent + 1, "except BaseException as exc:")
-                classify(indent + 2, 0)
-            else:
-                p = prefix_cycles[i]
-                emit(indent, "ck.cycles = t + %d" % p if p else "ck.cycles = t")
-                emit(indent, "try:")
-                emit(indent + 1, "op = send(%s)" % lit[steps[i - 1].result])
-                emit(indent, "except BaseException as exc:")
-                classify(indent + 1, i)
-            emit(indent, "if op is not %s:" % op_refs[i])
-            fixup(indent + 1, i)
-            emit(
-                indent + 1,
-                "return (0, %s, %s, None, op)" % (n_expr(i), t_expr(i)),
+                "return (%d, %d * it + %d, %s, %s)"
+                % (code, n_ops, i, t_expr(i), value),
             )
 
         emit(0, "def _make(env):")
@@ -784,19 +724,13 @@ class SegmentSpace:
                 "(%s,) = env"
                 % ", ".join("v%d" % j for j in range(len(env_objs))),
             )
-        emit(
-            1,
-            "def _replay(rt, tcb, frame, value, limit, until, budget, op):",
-        )
+        emit(1, "def _replay(rt, tcb, frame, limit, until, budget, op):")
         emit(2, "ck = rt.world.clock")
         emit(2, "t = ck.cycles")
         if entry_guards:
             emit(2, "if not (%s):" % " and ".join(entry_guards))
-            emit(3, "return (0, 0, t, value, op)")
-        if loops:
-            emit(2, "k = budget // %d" % n_ops)
-        else:
-            emit(2, "k = min(budget // %d, 1)" % n_ops)
+            emit(3, "return (0, 0, t, op)")
+        emit(2, "k = budget // %d" % n_ops)
         emit(2, "if limit is not None:")
         emit(3, "k2 = (limit - t - 1) // %d" % total)
         emit(3, "if k2 < k:")
@@ -806,26 +740,34 @@ class SegmentSpace:
         emit(3, "if k2 < k:")
         emit(4, "k = k2")
         emit(2, "if k <= 0:")
-        emit(3, "return (0, 0, t, value, op)")
+        emit(3, "return (0, 0, t, op)")
         emit(2, "send = frame.gen.send")
         if uses_held:
             emit(2, "held = tcb.held_mutexes")
         emit(2, "it = 0")
         emit(2, "while it < k:")
-        for i in range(n_ops):
-            op_block(3, i)
-        emit(3, "value = %s" % lit[steps[-1].result])
-        emit(3, "op = None")
+        for i in range(1, n_ops + 1):
+            # The generator body runs inside each send and may read
+            # ``world.now``: publish the exact interpreted clock (the
+            # charge of every completed op) before resuming it, or
+            # mid-segment time observations would see a stale clock.
+            emit(3, "ck.cycles = %s" % t_expr(i))
+            emit(3, "try:")
+            emit(4, "op = send(%s)" % lit[steps[i - 1].result])
+            emit(3, "except BaseException as exc:")
+            # The resume raised: the runtime's _resume_ended takes it.
+            exit_at(4, i, 1, "exc")
+            if i < n_ops:
+                emit(3, "if op is not %s:" % op_refs[i])
+                exit_at(4, i, 0, "op")
         emit(3, "t += %d" % total)
-        if not loops:
-            # The one iteration leaves the run's final state behind
-            # (a loop's iteration restores its entry state instead).
-            restore(3, state_now, held_now)
         emit(3, "it += 1")
+        emit(3, "if op is not %s:" % op_refs[0])
+        emit(4, "break")
         for (nm, attr), full in counter_now.items():
             if full:
                 emit(2, "%s.%s += %d * it" % (nm, attr, full))
-        emit(2, "return (0, %d * it, t, value, None)" % n_ops)
+        emit(2, "return (0, %d * it, t, op)" % n_ops)
         emit(1, "return _replay")
 
         code = "\n".join("    " * ind + text for ind, text in out) + "\n"
@@ -848,5 +790,4 @@ class SegmentSpace:
             if len(_SOURCE_CACHE) < _SOURCE_CACHE_MAX:
                 _SOURCE_CACHE[code] = code_obj
         exec(code_obj, namespace)  # noqa: S102
-        fn = namespace["_make"](tuple(env_objs))
-        return _Segment(fn, steps[0].op)
+        return namespace["_make"](tuple(env_objs))

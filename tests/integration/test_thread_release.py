@@ -65,6 +65,41 @@ def test_table_holds_only_unjoined_threads():
     assert alive == dict.fromkeys(refs, False)
 
 
+def test_thread_whose_body_ends_inside_replay_is_freed():
+    """A body that returns inside a replayed loop hands its
+    ``StopIteration`` to the executor through the segment cache; the
+    exception's traceback holds the replay's frames, so a reference
+    kept to it there would keep each joined thread in a cycle only the
+    collector frees."""
+    refs = []
+
+    def child(pt):
+        m = yield pt.mutex_init()
+        lock = pt.mutex_lock(m)
+        unlock = pt.mutex_unlock(m)
+        burn = pt.work(40)
+        for _ in range(200):
+            yield lock
+            yield burn
+            yield unlock
+
+    def main(pt):
+        for i in range(20):
+            t = yield pt.create(child, name="child-%d" % i)
+            refs.append(weakref.ref(t))
+            yield pt.join(t)
+
+    gc.collect()
+    gc.disable()
+    try:
+        rt = run_program(main)
+        alive = sum(ref() is not None for ref in refs)
+    finally:
+        gc.enable()
+    assert rt._segments.steps_replayed > 0
+    assert alive == 0
+
+
 def _retained_at_run_end(arch, monkeypatch):
     """Traced bytes still allocated when ``run`` returns, collector off."""
     box = {}

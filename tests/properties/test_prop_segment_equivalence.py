@@ -15,14 +15,16 @@ so a body that reads, say, ``m.owner`` right after an unlock inside a
 compiled segment sees the segment-entry value.
 
 Hypothesis drives random workload shapes and scheduling parameters;
-two deterministic regression tests pin down specific historical bugs:
+deterministic regression tests pin down specific historical bugs:
 
 - mid-segment ``world.now`` reads saw a stale clock when replay only
   published the batched spend at segment exit (caught by the Table 2
   golden: mutex_pair_uncontended measured 0.19us instead of 1.48us);
 - a timer expiring inside a formerly-straight-line run must fire at
   the exact interpreted cycle (replay refuses windows that reach the
-  event horizon and falls back to interpretation).
+  event horizon and falls back to interpretation);
+- a recording started from an op in hand closed after one op, so the
+  pipeline's stages never compiled their ``yield signal_out`` loops.
 """
 
 from __future__ import annotations
@@ -270,29 +272,56 @@ def test_zero_cycle_run_is_left_to_the_interpreter():
     assert _fingerprint(on) == _fingerprint(off)
 
 
-def test_failed_variant_recordings_are_capped():
-    """A compiled location whose in-hand op keeps missing records a new
-    variant every few mismatches; once those recordings have failed
-    ``_MAX_FAILS`` times it stops (it used to retry once per item)."""
-    on = assert_equivalent(lambda: pipeline(4, 3000, 500), seed=1)
-    counters = on._segments.counters()
-    assert counters["exec.segment.recordings"] <= 20
-    assert counters["exec.segment.steps_replayed"] == 68927
+def test_pipeline_replays_at_every_work_size():
+    """Regression: a recording that starts from an op in hand closes
+    only when the generator yields that op at that location again.  One
+    that tested the location alone closed after its first op and failed,
+    so every recording keyed at a pipeline stage's ``yield signal_out``
+    failed and 4.3% of the steps stayed interpreted at each of these
+    work sizes."""
+    for work in (500, 535, 546, 560):
+        on = assert_equivalent(lambda: pipeline(4, 3000, work), seed=1)
+        counters = on._segments.counters()
+        replayed = counters["exec.segment.steps_replayed"]
+        assert replayed / on.steps >= 0.99, work
+        assert replayed == 71923, work
+        assert counters["exec.segment.recordings"] <= 20, work
 
 
-def test_one_shot_segments_hold_locations_for_later_loops():
-    """A run that does not close into a loop still compiles, as a
-    one-iteration segment.  It replays few steps itself, but holding its
-    location lets later variants there compile as loops: with one-shot
-    runs left uncompiled, this pipeline replays 183,784 steps out of 19
-    recordings instead."""
-    on = assert_equivalent(
-        lambda: pipeline(4, 8000, 500), seed=1, timeslice_us=20_000.0,
-        priority=100,
-    )
-    counters = on._segments.counters()
-    assert counters["exec.segment.steps_replayed"] == 191786
-    assert counters["exec.segment.recordings"] == 12
+def test_location_fed_fresh_ops_ends_as_one_blacklisted_slot(monkeypatch):
+    """``mutex_trylock`` builds a new op on every call, and only the
+    shared ops ``core/api.py`` hands out can certify: the location
+    table stays O(1) however many distinct ops pass through it, every
+    location of the loop ends blacklisted, and from then on the
+    executor's guard answers with one lookup and no ``try_step``
+    call."""
+    from repro.sim.segments import _BLACKLISTED, SegmentSpace
+
+    calls = []
+    try_step = SegmentSpace.try_step
+
+    def counting(self, tcb, frame, op):
+        calls.append(op)
+        return try_step(self, tcb, frame, op)
+
+    monkeypatch.setattr(SegmentSpace, "try_step", counting)
+
+    def main(pt):
+        m = yield pt.mutex_init()
+        burn = pt.work(50)
+        for _ in range(10_000):
+            if (yield pt.mutex_trylock(m)) == 0:
+                yield pt.mutex_unlock(m)
+            yield burn
+
+    rt = _run(main, segments=True)
+    assert rt.steps > 30_000
+    (table,) = rt._segments._by_code.values()
+    entries = list(table.values())
+    size = sum(len(e) if isinstance(e, dict) else 1 for e in entries)
+    assert size <= 8
+    assert sum(e is _BLACKLISTED for e in entries) == 3
+    assert len(calls) < 100
 
 
 def test_dfs_exploration_identical_with_segments_disabled(monkeypatch):
@@ -459,3 +488,91 @@ def test_program_crash_out_of_a_replayed_loop_is_exact():
     on, off = outcomes
     assert on == off
     assert on[1] == "main" and on[2] is ValueError
+
+
+@pytest.mark.parametrize("bad", [None, []], ids=["bare-yield", "unhashable"])
+@pytest.mark.parametrize("at", [2, 8, 9, 16, 17, 300, 400])
+def test_bad_op_in_or_after_a_replayed_loop_crashes_exactly(bad, at):
+    """A bad op -- a bare ``yield`` or an unhashable object -- yielded
+    inside a replayed (or recording) lock/work/unlock loop, or right
+    after it (``at`` 400), ends the run in the same ProgramCrash, at the
+    same cycle, with the same state as interpretation."""
+
+    def make(log):
+        def main(pt):
+            world = pt.runtime.world
+            m = yield pt.mutex_init()
+            lock = pt.mutex_lock(m)
+            unlock = pt.mutex_unlock(m)
+            burn = pt.work(70)
+            for i in range(400):
+                yield lock
+                yield burn
+                yield unlock
+                if i == at:
+                    log.append(world.now)
+                    yield bad
+            log.append(world.now)
+            yield bad
+
+        return main
+
+    outcomes = []
+    for segments in (True, False):
+        log: list = []
+        rt = _runtime(make(log), segments=segments)
+        with pytest.raises(ProgramCrash) as info:
+            rt.run(max_steps=5_000_000)
+        crash = info.value
+        outcomes.append(
+            (
+                log,
+                crash.frame_name,
+                type(crash.original),
+                crash.original.args,
+                _fingerprint(rt),
+            )
+        )
+        if segments and at > 16:
+            assert rt._segments.steps_replayed > 0
+    on, off = outcomes
+    assert on == off
+    assert on[2] is TypeError and "bad op yielded" in on[3][0]
+    assert len(on[0]) == 1
+
+
+def test_bursts_that_always_straddle_an_event_end_their_recordings():
+    """A recording cut by an event firing inside a ``Work`` burst is not
+    held against its location, but only up to a cap: a loop whose burst
+    is longer than the timeslice fails every recording that way, and
+    every location of it still ends blacklisted instead of recording
+    every eighth visit for the whole run."""
+    from repro.sim.segments import _BLACKLISTED
+
+    def make():
+        def spinner(pt):
+            burn = pt.work(400)
+            for _ in range(3000):
+                yield burn
+
+        def main(pt):
+            t = yield pt.create(spinner, name="spinner")
+            m = yield pt.mutex_init()
+            lock = pt.mutex_lock(m)
+            unlock = pt.mutex_unlock(m)
+            burn = pt.work(30_000)
+            for _ in range(3000):
+                yield lock
+                yield burn
+                yield unlock
+            yield pt.join(t)
+
+        return main
+
+    on = assert_equivalent(make, timeslice_us=500.0)
+    seg = on._segments
+    assert seg.segments_compiled == 0
+    assert seg.recordings == seg.record_failures < 600
+    # The loop's three locations and the spinner's one.
+    entries = [e for t in seg._by_code.values() for e in t.values()]
+    assert sum(e is _BLACKLISTED for e in entries) == 4
