@@ -57,6 +57,12 @@ WORKLOADS.update(
             lambda scale: check_workloads.epoll_server(clients=3 * scale),
             100,
         ),
+        "timed_sleepers": (
+            lambda scale: check_workloads.timed_sleepers(
+                timeout_us=1_000.0 * scale
+            ),
+            100,
+        ),
         "smp_timer_mutex": (
             lambda scale: check_workloads.smp_timer_mutex(
                 workers=2 * scale, iterations=4 * scale

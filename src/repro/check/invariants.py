@@ -283,7 +283,7 @@ class CheckContext:
                             % (tcb.name, wait.obj)
                         )
                 elif kind == "io" and thread_breach is None:
-                    request = wait.data["request"]
+                    request = wait.request
                     sock = request.sock
                     if (
                         sock is not None
@@ -463,6 +463,12 @@ class CheckContext:
                     "quiescent-cond",
                     "%r still has waiters at end of run" % c,
                 )
+        leaked = runtime.timer_ops.pending_count
+        if leaked:
+            self._fail(
+                "timer-queue-drained",
+                "%d library deadline(s) outlived their waits" % leaked,
+            )
         for wq in self.workqueues:
             if wq.items or not wq.closed:
                 self._fail(

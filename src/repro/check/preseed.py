@@ -16,6 +16,11 @@ Known bugs:
 - ``grant-to-waker``: the condvar waker path queued a woken thread on
   a held mutex bumping only the run-wide contention counter, never the
   per-mutex one.  Caught by the ``mutex-counter-agreement`` rule.
+- ``stale-sleep-deadline``: delivery rule 2 (an alarm readies its
+  sleeping armer) ended the sleep without dropping the sleep's own
+  timer-queue deadline, which later woke the thread's next sleep early
+  and could outlive every wait.  Caught by the quiescent
+  ``timer-queue-drained`` rule.
 - ``wrlock-cancel``: the writer-lock path claimed ``waiting_writers``
   *before* registering the cleanup handler that withdraws the claim
   (and releases the internal mutex).  A cancellation landing in that
@@ -32,6 +37,7 @@ from typing import Iterator, Optional
 from repro.core import rwlock as _rwlock_mod
 from repro.core.errors import OK
 from repro.core.mutex import MutexOps
+from repro.core.sigdeliver import SignalDelivery
 from repro.core.tcb import Tcb, WaitRecord
 from repro.hw import costs
 
@@ -44,9 +50,7 @@ def _prefix_grant_to_waker(self, tcb: Tcb, mutex, result: int) -> bool:
         mutex.owner = tcb
         mutex.acquisitions += 1
         rt.protocols.on_acquired(tcb, mutex)
-        if tcb.wait is not None:
-            tcb.wait.deliver(result)
-        rt.sched.make_ready(tcb)
+        rt.end_wait(tcb, result)
         return True
     record = WaitRecord(
         kind="mutex",
@@ -55,13 +59,20 @@ def _prefix_grant_to_waker(self, tcb: Tcb, mutex, result: int) -> bool:
         since=rt.world.now,
         interruptible=False,
         teardown=lambda: mutex.waiters.remove(tcb),
-        data={"result": result},
+        result=result,
     )
     tcb.wait = record
     mutex.waiters.add(tcb)
     self.contentions += 1  # the bug: mutex.contentions not bumped
     rt.protocols.on_contention(tcb, mutex)
     return False
+
+
+def _prefix_wake_armer(self, tcb: Tcb) -> None:
+    """The pre-fix rule-2 wake: readies the sleeper, keeps its deadline."""
+    if tcb.wait is not None and tcb.wait.kind == "delay":
+        tcb.wait.deliver(OK)
+        self.rt.sched.make_ready(tcb)
 
 
 def _prefix_writer_cancel_cleanup(pt, rw):
@@ -101,6 +112,12 @@ def _seed_grant_to_waker():
     return lambda: setattr(MutexOps, "grant_to_waker", original)
 
 
+def _seed_stale_sleep_deadline():
+    original = SignalDelivery._wake_armer
+    SignalDelivery._wake_armer = _prefix_wake_armer
+    return lambda: setattr(SignalDelivery, "_wake_armer", original)
+
+
 def _seed_wrlock_cancel():
     original = _rwlock_mod.wrlock_body
     # The PT facade resolves the body from the module at call time, so
@@ -111,6 +128,7 @@ def _seed_wrlock_cancel():
 
 BUGS = {
     "grant-to-waker": _seed_grant_to_waker,
+    "stale-sleep-deadline": _seed_stale_sleep_deadline,
     "wrlock-cancel": _seed_wrlock_cancel,
 }
 

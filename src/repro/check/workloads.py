@@ -9,6 +9,8 @@ smallest programs that reach the reseeded bugs.
 
 from __future__ import annotations
 
+from repro.core.errors import ETIMEDOUT, OK
+
 
 def _relay_waiter(pt, mutex, cond, box):
     yield pt.mutex_lock(mutex)
@@ -171,5 +173,86 @@ def writer_cancel(hold_us: float = 500.0):
         yield pt.join(canceller)
         yield pt.join(writer)
         yield pt.join(reader)
+
+    return main
+
+
+def _timed_waiter(pt, mutex, cond, box, timeout_us):
+    """Wait on ``cond`` until ``box["go"]``, each wait timed."""
+    yield pt.mutex_lock(mutex)
+    err = OK
+    while not box["go"] and err != ETIMEDOUT:
+        err = yield pt.cond_timedwait(cond, mutex, timeout_us)
+    box["outcomes"].append(err)
+    yield pt.mutex_unlock(mutex)
+
+
+def _spinner(pt, chunk_us, chunks):
+    """Compute without entering the library kernel."""
+    for __ in range(chunks):
+        yield pt.work_us(chunk_us)
+
+
+def timed_sleepers(timeout_us: float = 1_000.0):
+    """Every way out of a timed wait, each leaving no deadline behind.
+
+    - A ``cond_timedwait`` whose signal and timeout race: by default
+      main signals before the waiter's deadline, and a forced switch to
+      a computing thread at main's ``yield`` holds the signal back past
+      it, so the schedule decides which of the two ends the wait.
+    - A user handler interrupting a timed wait with EINTR; the waiter
+      waits again and is signalled.
+    - A sleep woken half way by its armer's alarm (delivery rule 2),
+      the last wait of the run.
+
+    The quiescent ``timer-queue-drained`` rule audits that no library
+    deadline outlived its wait.  Completes cleanly under every
+    schedule.  With the ``stale-sleep-deadline`` preseed the alarm's
+    wake leaves the sleep's deadline queued when the run ends.
+    """
+    from repro.unix.sigset import SIGUSR1
+    from repro.unix.timers import alarm
+
+    def handler(pt, sig):
+        return
+        yield  # pragma: no cover - makes it a generator
+
+    def main(pt):
+        mutex = yield pt.mutex_init()
+        cond = yield pt.cond_init()
+        box = {"go": False, "outcomes": []}
+        # The signal and the timeout race.
+        waiter = yield pt.create(
+            _timed_waiter, mutex, cond, box, timeout_us
+        )
+        spinner = yield pt.create(_spinner, timeout_us / 4, 5)
+        yield pt.delay_us(timeout_us / 2)
+        yield pt.yield_()
+        yield pt.mutex_lock(mutex)
+        box["go"] = True
+        yield pt.cond_signal(cond)
+        yield pt.mutex_unlock(mutex)
+        yield pt.join(waiter)
+        yield pt.join(spinner)
+        # A handler interrupts a timed wait.
+        yield pt.sigaction(SIGUSR1, handler)
+        box["go"] = False
+        waiter = yield pt.create(
+            _timed_waiter, mutex, cond, box, 10 * timeout_us
+        )
+        yield pt.delay_us(timeout_us / 2)
+        yield pt.kill(waiter, SIGUSR1)
+        yield pt.delay_us(timeout_us / 2)
+        yield pt.mutex_lock(mutex)
+        box["go"] = True
+        yield pt.cond_signal(cond)
+        yield pt.mutex_unlock(mutex)
+        yield pt.join(waiter)
+        assert len(box["outcomes"]) == 2
+        # The armer's alarm ends the sleep half way.
+        rt = pt.runtime
+        me = yield pt.self_id()
+        alarm(rt.world, rt.unix, rt.proc, timeout_us / 2, armer=me)
+        yield pt.delay_us(timeout_us)
 
     return main

@@ -169,18 +169,10 @@ class CancelOps(LibraryOps):
         tcb.sigmask = SigSet.full()  # all other signals disabled
         rt.world.emit("cancelled", thread=tcb.name)
 
-        reacquire = None
         if tcb.state is ThreadState.BLOCKED and tcb.wait is not None:
-            wait = tcb.wait
-            if wait.teardown is not None:
-                wait.teardown()
-            handle = wait.data.get("timeout_handle")
-            if handle is not None:
-                rt.timer_ops.cancel_timeout(handle)
             # POSIX: cancellation inside a conditional wait reacquires
             # the mutex before the cleanup handlers run.
-            reacquire = wait.data.get("mutex")
-            tcb.wait = None
+            reacquire = rt.abandon_wait(tcb)
             tcb.state = ThreadState.READY  # transitional; ready below
             rt.push_frame(
                 tcb,

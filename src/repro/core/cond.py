@@ -139,10 +139,9 @@ class CondOps(LibraryOps):
             mutex=mutex,
         )
         if timeout_us is not None:
-            handle = rt.timer_ops.add_timeout(
+            record.timeout = rt.timer_ops.add_timeout(
                 timeout_us, lambda: self._timeout_fire(tcb, cond, mutex)
             )
-            record.data["timeout_handle"] = handle
         # Atomic with the suspension: release the mutex (which may hand
         # it straight to a waiter).
         rt.mutex_ops.unlock_locked(tcb, mutex)
@@ -193,15 +192,16 @@ class CondOps(LibraryOps):
         if waiter is None:
             return
         record = waiter.wait
-        mutex = record.data["mutex"] if record is not None else None
-        handle = record.data.get("timeout_handle") if record else None
-        if handle is not None:
-            rt.timer_ops.cancel_timeout(handle)
+        mutex = None
+        if record is not None:
+            mutex = record.mutex
+            # The cond wait ends here even when the waker queues it on
+            # the mutex: its deadline goes before the hand-over.
+            if record.timeout is not None:
+                rt.drop_deadline(record)
         if rt.world.trace is not None:
             rt.world.emit("cond-wake", thread=waiter.name, cond=cond.name)
         if mutex is None:
-            if record is not None:
-                record.deliver(OK)
-            rt.sched.make_ready(waiter)
+            rt.end_wait(waiter, OK)
             return
         rt.mutex_ops.grant_to_waker(waiter, mutex, OK)

@@ -76,14 +76,8 @@ class FakeCalls:
                 # Terminate the interrupted wait with EINTR; a
                 # conditional wait additionally reacquires its mutex
                 # before the handler runs.
-                if wait.teardown is not None:
-                    wait.teardown()
-                handle = wait.data.get("timeout_handle")
-                if handle is not None:
-                    rt.timer_ops.cancel_timeout(handle)
-                reacquire = wait.data.get("mutex")
+                reacquire = rt.abandon_wait(tcb)
                 wait.deliver(EINTR)
-                tcb.wait = None
 
         if rt.world.trace is not None:
             rt.world.emit(

@@ -298,11 +298,8 @@ class MutexOps(LibraryOps):
         mutex.owner = heir
         mutex.acquisitions += 1
         rt.protocols.on_acquired(heir, mutex)
-        result = OK
-        if heir.wait is not None:
-            result = heir.wait.data.get("result", OK)
-            heir.wait.deliver(result)
-        rt.sched.make_ready(heir)
+        wait = heir.wait
+        rt.end_wait(heir, wait.result if wait is not None else OK)
         if rt.world.trace is not None:
             rt.world.emit("mutex-transfer", mutex=mutex.name, to=heir.name)
 
@@ -323,9 +320,7 @@ class MutexOps(LibraryOps):
             mutex.owner = tcb
             mutex.acquisitions += 1
             rt.protocols.on_acquired(tcb, mutex)
-            if tcb.wait is not None:
-                tcb.wait.deliver(result)
-            rt.sched.make_ready(tcb)
+            rt.end_wait(tcb, result)
             return True
         record = WaitRecord(
             kind="mutex",
@@ -334,7 +329,7 @@ class MutexOps(LibraryOps):
             since=rt.world.now,
             interruptible=False,
             teardown=lambda: mutex.waiters.remove(tcb),
-            data={"result": result},
+            result=result,
         )
         tcb.wait = record
         mutex.waiters.add(tcb)

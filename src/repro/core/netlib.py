@@ -328,7 +328,7 @@ class NetOps(LibraryOps):
         if rt.world.trace is not None:
             rt.world.emit("net-issue", thread=tcb.name, op=op, fd=fd)
         if timeout_us is not None:
-            record.data["timeout_handle"] = rt.timer_ops.add_timeout(
+            record.timeout = rt.timer_ops.add_timeout(
                 timeout_us, lambda: self._timed_out(request)
             )
 

@@ -96,8 +96,9 @@ class OnceOps(LibraryOps):
         result = OK if succeeded else EAGAIN
         for waiter in once.waiters:
             if waiter.wait is not None and waiter.wait.kind == "once":
-                waiter.wait.deliver(result)
-            rt.sched.make_ready(waiter)
+                rt.end_wait(waiter, result)
+            else:
+                rt.sched.make_ready(waiter)
         once.waiters = []
         rt.kern.leave()
 
@@ -117,8 +118,9 @@ def _once_shell(pt, once: Once, init_routine):
         once.running = False
         for blocked in once.waiters:
             if blocked.wait is not None and blocked.wait.kind == "once":
-                blocked.wait.deliver(EAGAIN)
-            rt.sched.make_ready(blocked)
+                rt.end_wait(blocked, EAGAIN)
+            else:
+                rt.sched.make_ready(blocked)
         once.waiters = []
         raise
     return result

@@ -414,25 +414,24 @@ class PthreadsRuntime:
         obj: Any = None,
         teardown: Optional[Callable[[], None]] = None,
         interruptible: bool = True,
-        **data: Any,
+        mutex: Any = None,
+        request: Any = None,
+        sigset: Any = None,
     ) -> WaitRecord:
         """Park the current thread; must run with the kernel flag set.
 
-        The caller's library-call frame receives its result later via
-        ``record.deliver(value)``.  Returns the wait record.
+        ``mutex``, ``request`` and ``sigset`` fill the wait record's
+        typed slots (see :class:`~repro.core.tcb.WaitRecord`).  The
+        wait ends through :meth:`end_wait` or :meth:`abandon_wait`.
+        Returns the wait record.
         """
         tcb = self.current
         if tcb is None:
             raise PthreadsInternalError("block_current with no current thread")
         world = self.world
         record = WaitRecord(
-            kind=kind,
-            obj=obj,
-            frame=tcb.frames._frames[-1],
-            since=world.clock.cycles,
-            interruptible=interruptible,
-            teardown=teardown,
-            data=data,  # already a fresh dict (built from **data)
+            kind, obj, tcb.frames._frames[-1], world.clock.cycles,
+            interruptible, teardown, mutex, request, sigset,
         )
         tcb.wait = record
         tcb.state = ThreadState.BLOCKED
@@ -441,6 +440,36 @@ class PthreadsRuntime:
         if world.trace is not None:
             world.emit("block", thread=tcb.name, wait=kind)
         return record
+
+    def end_wait(self, tcb: Tcb, value: Any) -> None:
+        """The normal end of a wait (kernel flag held): drop the wait's
+        deadline, return ``value`` from the blocked call and ready the
+        thread.  A thread with no wait is only readied."""
+        wait = tcb.wait
+        if wait is not None:
+            if wait.timeout is not None:
+                self.drop_deadline(wait)
+            wait.frame.pending_value = value
+        self.sched.make_ready(tcb)
+
+    def abandon_wait(self, tcb: Tcb) -> Any:
+        """The early end of a wait (kernel flag held), when a handler
+        or cancellation interrupts it: take the thread off whatever it
+        waits on, drop the wait's deadline and clear the wait.  Returns
+        the mutex a conditional wait must reacquire, else None."""
+        wait = tcb.wait
+        if wait.teardown is not None:
+            wait.teardown()
+        self.drop_deadline(wait)
+        tcb.wait = None
+        return wait.mutex
+
+    def drop_deadline(self, wait: WaitRecord) -> None:
+        """Cancel ``wait``'s timer-queue entry, if it still has one."""
+        entry = wait.timeout
+        if entry is not None:
+            wait.timeout = None
+            self.timer_ops.cancel_timeout(entry)
 
     # -- the executor ------------------------------------------------------------------
 

@@ -105,7 +105,7 @@ class SignalDelivery:
         if tcb.state is ThreadState.EMBRYO:
             return False  # lazy threads receive signals only once active
         if tcb.wait is not None and tcb.wait.kind == "sigwait":
-            if sig in tcb.wait.data["set"]:
+            if sig in tcb.wait.sigset:
                 return True
         return sig not in tcb.sigmask
 
@@ -145,7 +145,7 @@ class SignalDelivery:
         if (
             tcb.wait is not None
             and tcb.wait.kind == "sigwait"
-            and sig in tcb.wait.data["set"]
+            and sig in tcb.wait.sigset
         ):
             self._wake_sigwait(tcb, sig)
             return
@@ -159,9 +159,7 @@ class SignalDelivery:
 
         # Rule 2: a plain alarm readies its suspended armer.
         if sig == SIGALRM and cause.kind == "timer":
-            if tcb.wait is not None and tcb.wait.kind == "delay":
-                tcb.wait.deliver(OK)
-                rt.sched.make_ready(tcb)
+            self._wake_armer(tcb)
             return
 
         # Rule 4: a registered user handler -> fake call.
@@ -182,14 +180,16 @@ class SignalDelivery:
             return  # completions/expirations with no sleeper: discard
         rt.process_default_action(sig)
 
+    def _wake_armer(self, tcb: Tcb) -> None:
+        """Action rule 2: ready the armer if it sleeps; the sleep's own
+        timer-queue deadline ends with the wait."""
+        if tcb.wait is not None and tcb.wait.kind == "delay":
+            self.rt.end_wait(tcb, OK)
+
     def _wake_sigwait(self, tcb: Tcb, sig: int) -> None:
         """Action rule 3: ready the sigwait-er, re-mask the set."""
-        rt = self.rt
-        wait = tcb.wait
-        waited = wait.data["set"]
-        tcb.sigmask = tcb.sigmask | waited  # re-masked on return
-        wait.deliver((OK, sig))
-        rt.sched.make_ready(tcb)
+        tcb.sigmask = tcb.sigmask | tcb.wait.sigset  # re-masked on return
+        self.rt.end_wait(tcb, (OK, sig))
 
     # -- rechecks ------------------------------------------------------------------------
 

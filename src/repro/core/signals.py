@@ -163,7 +163,7 @@ class SignalOps(LibraryOps):
             kind="sigwait",
             obj=None,
             interruptible=True,
-            set=signals.copy(),
+            sigset=signals.copy(),
         )
         rt.kern.leave()
         return BLOCKED

@@ -15,6 +15,7 @@ import enum
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.core import config
+from repro.core.errors import OK
 from repro.hw.memory import Stack
 from repro.sim.frames import Frame, FrameStack
 from repro.unix.signals import InterruptFrame, PendingSignals, SigCause
@@ -40,10 +41,20 @@ class WaitRecord:
     the wait); ``interruptible`` says whether a user signal handler may
     interrupt this wait (mutex waits are not interruptible, per the
     paper's deterministic-mutex-state rule).
+
+    The typed slots carry what one kind of wait needs: ``mutex`` is
+    what a conditional wait reacquires, ``request`` what an ``io`` wait
+    parks on, ``sigset`` what a ``sigwait`` waits for, ``result`` what
+    a handed-over mutex returns, and ``timeout`` the wait's entry in
+    the library timer queue.  A wait ends through
+    :meth:`~repro.core.runtime.PthreadsRuntime.end_wait` or
+    :meth:`~repro.core.runtime.PthreadsRuntime.abandon_wait`, which
+    both drop ``timeout``.
     """
 
     __slots__ = (
-        "kind", "obj", "frame", "since", "interruptible", "teardown", "data"
+        "kind", "obj", "frame", "since", "interruptible", "teardown",
+        "mutex", "request", "sigset", "result", "timeout",
     )
 
     def __init__(
@@ -54,7 +65,10 @@ class WaitRecord:
         since: int = 0,
         interruptible: bool = True,
         teardown: Optional[Callable[[], None]] = None,
-        data: Optional[Dict[str, Any]] = None,
+        mutex: Any = None,
+        request: Any = None,
+        sigset: Optional[SigSet] = None,
+        result: Any = OK,
     ) -> None:
         self.kind = kind
         self.obj = obj
@@ -62,7 +76,11 @@ class WaitRecord:
         self.since = since
         self.interruptible = interruptible
         self.teardown = teardown
-        self.data = {} if data is None else data
+        self.mutex = mutex
+        self.request = request
+        self.sigset = sigset
+        self.result = result
+        self.timeout: Optional[tuple] = None
 
     def deliver(self, value: Any) -> None:
         """Set the blocked call's return value for when the thread runs."""
@@ -121,7 +139,6 @@ class Tcb:
         "cpu_cycles",
         "context_switches_in",
         "_kill_cause",
-        "_wake_cb",
         "_wrap_pop_cb",
         "__weakref__",  # so a reclaimed TCB's release can be observed
     )
@@ -186,10 +203,8 @@ class Tcb:
         self.context_switches_in = 0
 
         # Hot-path caches: the (frozen) directed-at-me SigCause reused
-        # by pthread_kill, the timer queue's wake-me callback, and the
-        # fake-call wrapper's on_pop callback.
+        # by pthread_kill and the fake-call wrapper's on_pop callback.
         self._kill_cause: Optional[SigCause] = None
-        self._wake_cb: Optional[Callable[[], None]] = None
         self._wrap_pop_cb: Optional[Callable[[Any], Any]] = None
 
     # -- predicates --------------------------------------------------------

@@ -276,8 +276,9 @@ class ThreadOps(LibraryOps):
             joiner = tcb.joiner
             tcb.joiner = None
             if joiner.wait is not None and joiner.wait.kind == "join":
-                joiner.wait.deliver((OK, value))
-            rt.sched.make_ready(joiner)
+                rt.end_wait(joiner, (OK, value))
+            else:
+                rt.sched.make_ready(joiner)
             self._reclaim(tcb)
         elif tcb.detached:
             self._reclaim(tcb)

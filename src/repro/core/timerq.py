@@ -9,32 +9,27 @@ SIGALRM delivery wakes *every* due sleeper (delivery-model rule 3:
 the alarm is directed at the threads that armed it).
 
 The same queue provides internal timeouts (condition-variable timed
-waits), which therefore flow through the ordinary signal machinery and
-respect the monolithic monitor.
+waits, select and epoll_wait timeouts), which therefore flow through
+the ordinary signal machinery and respect the monolithic monitor.
+
+The deadlines are a callout table: an
+:class:`~repro.sim.events.EventQueue` of the library's own, separate
+from the world's event horizon.  Each queued entry is its own
+cancellation handle, and every entry in the queue is live, so the
+earliest deadline is the queue's horizon.  A wait keeps its entry in
+``WaitRecord.timeout``; the runtime's one wake path and one abandon
+path drop it, so no deadline outlives its wait.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional
 
 from repro.core.errors import EINVAL, OK
 from repro.core.libbase import BLOCKED, LibraryOps
 from repro.core.tcb import Tcb
 from repro.hw import costs
-
-
-class TimeoutHandle:
-    """Cancellable handle for one queued deadline."""
-
-    __slots__ = ("deadline", "seq", "action", "cancelled")
-
-    def __init__(self, deadline: int, seq: int, action: Callable[[], None]):
-        self.deadline = deadline
-        self.seq = seq
-        self.action = action
-        self.cancelled = False
+from repro.sim.events import Entry, EventQueue
 
 
 class TimerOps(LibraryOps):
@@ -46,8 +41,7 @@ class TimerOps(LibraryOps):
 
     def __init__(self, runtime) -> None:
         super().__init__(runtime)
-        self._heap: List[Tuple[int, int, TimeoutHandle]] = []
-        self._seq = itertools.count()
+        self._queue = EventQueue()
         self._armed_for: Optional[int] = None
         self._draining = False
         self.alarms_taken = 0
@@ -64,80 +58,79 @@ class TimerOps(LibraryOps):
         rt.kern.enter()
         rt.world.spend(costs.TIMER_TICK)
         record = rt.block_current(kind="delay", obj=None, interruptible=True)
-        # One wake-me closure per thread, built on first delay.
-        wake = tcb._wake_cb
-        if wake is None:
-            wake = tcb._wake_cb = lambda: self._wake_sleeper(tcb)
-        handle = self._push(rt.world.now + rt.world.cycles_for_us(us), wake)
-        record.data["timeout_handle"] = handle
+        record.timeout = self._push(
+            rt.world.now + rt.world.cycles_for_us(us), self._wake_sleeper, tcb
+        )
         rt.kern.leave()
         return BLOCKED
 
     def _wake_sleeper(self, tcb: Tcb) -> None:
+        """A sleeper's deadline callout."""
+        rt = self.rt
+        rt.world.spend(costs.TIMER_TICK)
         if tcb.wait is None or tcb.wait.kind != "delay":
             return  # woken early (handler or cancellation)
-        tcb.wait.deliver(OK)
-        self.rt.sched.make_ready(tcb)
+        rt.end_wait(tcb, OK)
 
     # -- internal timeouts (condvars etc.) ----------------------------------------
 
-    def add_timeout(
-        self, us_from_now: float, action: Callable[[], None]
-    ) -> TimeoutHandle:
-        """Queue ``action`` to run (kernel held) after ``us_from_now``."""
+    def add_timeout(self, us_from_now: float, action: Callable[[], None]) -> Entry:
+        """Queue ``action`` to run (kernel held) after ``us_from_now``;
+        returns the queued entry, which :meth:`cancel_timeout` takes."""
         deadline = self.rt.world.now + self.rt.world.cycles_for_us(us_from_now)
-        return self._push(deadline, action)
+        return self._push(deadline, self._run_action, action)
 
-    def cancel_timeout(self, handle: TimeoutHandle) -> None:
-        """Drop a queued deadline.
+    def _run_action(self, action: Callable[[], None]) -> None:
+        """An internal timeout's callout."""
+        self.rt.world.spend(costs.TIMER_TICK)
+        action()
 
-        When the cancelled entry is at the head of the heap the UNIX
-        timer is armed for a deadline nobody wants any more: sweep the
-        cancelled heads and, if later deadlines remain, retarget the
-        timer at the real earliest -- otherwise it fires early and the
-        process takes a spurious SIGALRM with nothing due.
+    def cancel_timeout(self, entry: Entry) -> None:
+        """Drop a queued deadline (a no-op once it fired or was dropped).
 
-        When the sweep empties the queue the stale one-shot stays
-        armed and only ``_armed_for`` is cleared: cancellations arrive
-        on signal-delivery paths (condvar wakeups, EINTR'd sleeps)
-        where an immediate disarm would cost a ``setitimer`` dearer
-        than the single self-cleaning alarm it avoids, and any
-        deadline pushed before then retargets the timer anyway.
+        When the cancelled entry was the earliest, the UNIX timer is
+        armed for a deadline nobody wants any more: if later deadlines
+        remain, retarget the timer at the new earliest -- otherwise it
+        fires early and the process takes a spurious SIGALRM with
+        nothing due.
+
+        When the queue empties the stale one-shot stays armed and only
+        ``_armed_for`` is cleared: cancellations arrive on
+        signal-delivery paths (condvar wakeups, EINTR'd sleeps) where an
+        immediate disarm would cost a ``setitimer`` dearer than the
+        single self-cleaning alarm it avoids, and any deadline pushed
+        before then retargets the timer anyway.
         """
-        handle.cancelled = True
-        if self._heap and self._heap[0][2] is handle:
-            while self._heap and self._heap[0][2].cancelled:
-                heapq.heappop(self._heap)
-            if self._heap:
-                self._rearm()
-            else:
-                self._armed_for = None
+        queue = self._queue
+        if not queue.cancel(entry):
+            return
+        if queue:
+            self._rearm()
+        else:
+            self._armed_for = None
 
     # -- queue mechanics ---------------------------------------------------------------
 
-    def _push(self, deadline: int, action: Callable[[], None]) -> TimeoutHandle:
-        handle = TimeoutHandle(deadline, next(self._seq), action)
-        heapq.heappush(self._heap, (deadline, handle.seq, handle))
+    def _push(self, deadline: int, fn: Callable, arg: object) -> Entry:
+        entry = self._queue.post(deadline, fn, arg, "libtimer")
         self._rearm()
-        return handle
+        return entry
 
     def _rearm(self) -> None:
         """Keep the single UNIX timer armed for the earliest deadline."""
         if self._draining:
-            # ``on_alarm`` is popping due entries; an action that
-            # queues or cancels a deadline mid-drain must not touch the
-            # UNIX timer for entries the loop is about to pop.  One
-            # rearm happens when the drain completes.
+            # ``on_alarm`` is firing due entries; a callout that queues
+            # or cancels a deadline mid-drain must not touch the UNIX
+            # timer for entries the drain is about to fire.  One rearm
+            # happens when the drain completes.
             return
         rt = self.rt
-        while self._heap and self._heap[0][2].cancelled:
-            heapq.heappop(self._heap)
-        if not self._heap:
+        earliest = self._queue.next_time()
+        if earliest is None:
             if self._armed_for is not None:
                 rt.timer.disarm()
                 self._armed_for = None
             return
-        earliest = self._heap[0][0]
         if self._armed_for == earliest:
             return
         delay = max(earliest - rt.world.now, 1)
@@ -145,23 +138,16 @@ class TimerOps(LibraryOps):
         self._armed_for = earliest
 
     def on_alarm(self) -> None:
-        """SIGALRM arrived (kernel flag held): wake every due entry."""
-        rt = self.rt
+        """SIGALRM arrived (kernel flag held): fire every due callout."""
         self.alarms_taken += 1
         self._armed_for = None
         self._draining = True
         try:
-            now = rt.world.now
-            while self._heap and self._heap[0][0] <= now:
-                __, __, handle = heapq.heappop(self._heap)
-                if handle.cancelled:
-                    continue
-                rt.world.spend(costs.TIMER_TICK)
-                handle.action()
+            self._queue.fire_due(self.rt.world.now)
         finally:
             self._draining = False
         self._rearm()
 
     @property
     def pending_count(self) -> int:
-        return sum(1 for __, __, h in self._heap if not h.cancelled)
+        return len(self._queue)

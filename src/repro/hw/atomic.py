@@ -23,7 +23,7 @@ from typing import Callable, List, Optional, TypeVar
 from repro.hw import costs
 from repro.hw.clock import VirtualClock
 from repro.hw.costs import CostModel
-from repro.hw.memory import CacheDirectory, CacheLine
+from repro.hw.memory import CacheLine
 
 T = TypeVar("T")
 
@@ -43,9 +43,8 @@ class AtomicCell:
 class SharedCell(AtomicCell):
     """An :class:`AtomicCell` that lives on a named cache line.
 
-    Multiprocessor accessors (the ``smp_*`` functions below and
-    :class:`repro.sim.smp.Cpu`) consult the line's directory entry to
-    price coherence traffic; the single-CPU paths never look at it, so
+    The multiprocessor accessors (:class:`repro.sim.smp.Cpu`) consult
+    the line's directory entry to price coherence traffic; the single-CPU paths never look at it, so
     a ``SharedCell`` behaves exactly like an ``AtomicCell`` there.
     """
 
@@ -85,117 +84,6 @@ def compare_and_swap(
         cell.value = new
         return True
     return False
-
-
-# ---------------------------------------------------------------------------
-# Multiprocessor atomics: the same instructions, priced for contention.
-#
-# Each op takes the accessing CPU's *own* clock plus the shared cache
-# directory.  The directory returns the coherence surcharge -- zero on
-# a cache hit, a (possibly queued) line transfer otherwise -- so an
-# ldstub on a line that just bounced to another CPU automatically
-# costs a full transfer window, which is the physical mechanism behind
-# test-and-set's collapse under contention.  Atomicity needs no extra
-# machinery: the simulator executes one op at a time, and the
-# directory's busy-window serialization decides who pays what.
-# ---------------------------------------------------------------------------
-
-
-def smp_load(
-    clock: VirtualClock,
-    table: dict,
-    directory: CacheDirectory,
-    cpu: int,
-    cell: SharedCell,
-) -> int:
-    """Ordinary load of a shared word on ``cpu``."""
-    extra = directory.read(cpu, cell.line, clock.cycles)
-    clock.advance(table[costs.INSN] + extra)
-    return cell.value
-
-
-def smp_store(
-    clock: VirtualClock,
-    table: dict,
-    directory: CacheDirectory,
-    cpu: int,
-    cell: SharedCell,
-    value: int,
-) -> None:
-    """Ordinary store to a shared word on ``cpu``."""
-    extra = directory.write(cpu, cell.line, clock.cycles)
-    clock.advance(table[costs.INSN] + extra)
-    cell.value = value
-
-
-def smp_ldstub(
-    clock: VirtualClock,
-    table: dict,
-    directory: CacheDirectory,
-    cpu: int,
-    cell: SharedCell,
-) -> int:
-    """Test-and-set on a shared byte: old value out, 0xFF stored.
-
-    Always a write for coherence purposes -- even a failing probe
-    yanks the line exclusive, which is why pure spin-on-ldstub
-    saturates the fabric.
-    """
-    extra = directory.write(cpu, cell.line, clock.cycles)
-    clock.advance(table[costs.LDSTUB] + extra)
-    old = cell.value
-    cell.value = 0xFF
-    return old
-
-
-def smp_compare_and_swap(
-    clock: VirtualClock,
-    table: dict,
-    directory: CacheDirectory,
-    cpu: int,
-    cell: SharedCell,
-    expected: int,
-    new: int,
-) -> bool:
-    """Compare-and-swap on a shared word (coherence-priced)."""
-    extra = directory.write(cpu, cell.line, clock.cycles)
-    clock.advance(table[costs.CAS] + extra)
-    if cell.value == expected:
-        cell.value = new
-        return True
-    return False
-
-
-def smp_swap(
-    clock: VirtualClock,
-    table: dict,
-    directory: CacheDirectory,
-    cpu: int,
-    cell: SharedCell,
-    value: int,
-) -> int:
-    """Atomic exchange (MCS tail updates); priced like a CAS."""
-    extra = directory.write(cpu, cell.line, clock.cycles)
-    clock.advance(table[costs.CAS] + extra)
-    old = cell.value
-    cell.value = value
-    return old
-
-
-def smp_fetch_add(
-    clock: VirtualClock,
-    table: dict,
-    directory: CacheDirectory,
-    cpu: int,
-    cell: SharedCell,
-    delta: int,
-) -> int:
-    """Atomic fetch-and-add (ticket-lock arrivals); priced like a CAS."""
-    extra = directory.write(cpu, cell.line, clock.cycles)
-    clock.advance(table[costs.CAS] + extra)
-    old = cell.value
-    cell.value = old + delta
-    return old
 
 
 class RestartableSequence:

@@ -19,7 +19,13 @@ Two ways in, one insertion path:
   cancellation handle (the interval timers, tests, examples).  It
   builds an :class:`Event` and posts ``_fire_event(event)``.  Like
   4.3BSD's ``untimeout``, :meth:`Event.cancel` unlinks the handle's
-  entry at once, so every queued entry is live.
+  entry at once (through :meth:`EventQueue.cancel`), so every queued
+  entry is live.
+
+:meth:`EventQueue.cancel` takes the entry :meth:`EventQueue.post`
+returned, so a caller that keeps the entry needs no handle at all: the
+library timer queue (:mod:`repro.core.timerq`) is an ``EventQueue`` of
+its own whose entries are their own cancellation handles.
 
 Host-speed notes: this queue sits on the executor's hottest path (every
 kernel crossing asks "is anything due?"), so it caches the earliest
@@ -91,7 +97,7 @@ class Event:
             return
         self.cancelled = True
         if self.queue is not None:
-            self.queue._remove(self.entry)
+            self.queue.cancel(self.entry)
             self.entry = None
 
     def __repr__(self) -> str:
@@ -253,21 +259,26 @@ class EventQueue:
         if run > self.max_batch:
             self.max_batch = run
 
-    def _remove(self, entry: Entry) -> None:
-        """Unlink a queued ``entry`` (:meth:`Event.cancel`).
+    def cancel(self, entry: Entry) -> bool:
+        """Unlink a queued ``entry``; False, with nothing changed, when
+        it is no longer queued (it fired or was cancelled before).
 
         An entry behind its lane's head is not on the heap, so only its
         lane changes; a lane head or lane-less entry leaves the heap,
         and a lane head's successor takes its place there.  Only
-        interval timers cancel, and each timer kind has its own lane,
-        so lanes and heap are short where this runs.
+        interval timers and the library timer queue cancel, and each
+        cancelling kind has its own lane, so lanes and heap are short
+        where this runs.  ``(time, seq)`` is unique, so membership
+        tests never compare further fields.
         """
         heap = self._heap
         lane = entry[4]
-        if lane is not None and lane[0] is not entry:
-            lane.remove(entry)
-        else:
-            heap.remove(entry)
+        off_heap = lane is not None and not (lane and lane[0] is entry)
+        try:
+            (lane if off_heap else heap).remove(entry)
+        except ValueError:
+            return False  # fired, or cancelled before
+        if not off_heap:
             if lane is not None:
                 lane.popleft()
                 if lane:
@@ -275,6 +286,7 @@ class EventQueue:
             heapq.heapify(heap)
         self._live -= 1
         self._horizon = heap[0][0] if heap else None
+        return True
 
     def signature(self) -> Tuple[Tuple[int, int, str], ...]:
         """The queued entries as a sorted ``(time, seq, name)`` tuple.

@@ -40,15 +40,7 @@ from collections import deque
 from typing import Any, Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.hw import costs
-from repro.hw.atomic import (
-    SharedCell,
-    smp_compare_and_swap,
-    smp_fetch_add,
-    smp_ldstub,
-    smp_load,
-    smp_store,
-    smp_swap,
-)
+from repro.hw.atomic import SharedCell
 from repro.hw.clock import IDLE, VirtualClock
 from repro.hw.memory import CacheDirectory, CacheLine
 from repro.sim.events import EventQueue
@@ -173,50 +165,69 @@ class Cpu:
         self.clock.advance(cycles)
 
     # -- coherence-priced memory ops (shared cells) -----------------------
+    #
+    # The same instructions as the uniprocessor ``repro.hw.atomic``
+    # helpers, priced for contention on this CPU's *own* clock.  The
+    # shared cache directory returns the coherence surcharge -- zero on
+    # a cache hit, a (possibly queued) line transfer otherwise -- so an
+    # ldstub on a line that just bounced to another CPU costs a full
+    # transfer window, the physical mechanism behind test-and-set's
+    # collapse under contention.  Atomicity needs no extra machinery:
+    # the simulator executes one op at a time, and the directory's
+    # busy-window serialization decides who pays what.
+
+    def _access(self, cell: SharedCell, key: str, write: bool = True) -> None:
+        """Charge one access to ``cell``: the instruction's cost plus
+        the directory's surcharge.  Every atomic is a write for
+        coherence purposes -- even a failing ldstub probe yanks the
+        line exclusive -- and a write wakes the tasks parked on it."""
+        smp = self.smp
+        clock = self.clock
+        line = cell.line
+        if write:
+            extra = smp.directory.write(self.index, line, clock.cycles)
+        else:
+            extra = smp.directory.read(self.index, line, clock.cycles)
+        clock.advance(smp.table[key] + extra)
+        if write:
+            smp.line_written(line, clock.cycles)
 
     def load(self, cell: SharedCell) -> int:
-        return smp_load(
-            self.clock, self.smp.table, self.smp.directory, self.index, cell
-        )
+        self._access(cell, costs.INSN, write=False)
+        return cell.value
 
     def store(self, cell: SharedCell, value: int) -> None:
-        smp_store(
-            self.clock, self.smp.table, self.smp.directory, self.index,
-            cell, value,
-        )
-        self.smp.line_written(cell.line, self.clock.cycles)
+        self._access(cell, costs.INSN)
+        cell.value = value
 
     def ldstub(self, cell: SharedCell) -> int:
-        old = smp_ldstub(
-            self.clock, self.smp.table, self.smp.directory, self.index, cell
-        )
-        self.smp.line_written(cell.line, self.clock.cycles)
+        """Test-and-set on a shared byte: old value out, 0xFF stored."""
+        self._access(cell, costs.LDSTUB)
+        old = cell.value
+        cell.value = 0xFF
         return old
 
     def compare_and_swap(
         self, cell: SharedCell, expected: int, new: int
     ) -> bool:
-        ok = smp_compare_and_swap(
-            self.clock, self.smp.table, self.smp.directory, self.index,
-            cell, expected, new,
-        )
-        self.smp.line_written(cell.line, self.clock.cycles)
-        return ok
+        self._access(cell, costs.CAS)
+        if cell.value == expected:
+            cell.value = new
+            return True
+        return False
 
     def swap(self, cell: SharedCell, value: int) -> int:
-        old = smp_swap(
-            self.clock, self.smp.table, self.smp.directory, self.index,
-            cell, value,
-        )
-        self.smp.line_written(cell.line, self.clock.cycles)
+        """Atomic exchange (MCS tail updates); priced like a CAS."""
+        self._access(cell, costs.CAS)
+        old = cell.value
+        cell.value = value
         return old
 
     def fetch_add(self, cell: SharedCell, delta: int) -> int:
-        old = smp_fetch_add(
-            self.clock, self.smp.table, self.smp.directory, self.index,
-            cell, delta,
-        )
-        self.smp.line_written(cell.line, self.clock.cycles)
+        """Atomic fetch-and-add (ticket-lock arrivals); priced like a CAS."""
+        self._access(cell, costs.CAS)
+        old = cell.value
+        cell.value = old + delta
         return old
 
     def __repr__(self) -> str:

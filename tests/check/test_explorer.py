@@ -10,7 +10,7 @@ its minimized decision vector.
 from repro.check.explore import Explorer
 from repro.check.preseed import preseeded
 from repro.check.reduce import Reducer
-from repro.check.workloads import cond_relay, writer_cancel
+from repro.check.workloads import cond_relay, timed_sleepers, writer_cancel
 from repro.debug.replay import compare_schedules
 
 
@@ -73,6 +73,28 @@ def test_dfs_also_reaches_the_wrlock_leak():
         report = explorer.explore_dfs(max_runs=120)
         assert report.first_failure is not None
         assert report.first_failure.failure.rule == "mutex-owner-dead"
+
+
+def test_timed_sleepers_exhaust_clean_under_dfs():
+    """Every way out of a timed wait leaves no deadline behind, on
+    every schedule DFS can reach (it exhausts the tree)."""
+    report = Explorer(timed_sleepers).explore_dfs(max_runs=2_000)
+    assert report.schedules_explored == 840
+    assert report.failures == []
+
+
+def test_dfs_finds_the_stale_sleep_deadline():
+    explorer = Explorer(timed_sleepers)
+    with preseeded("stale-sleep-deadline"):
+        report = explorer.explore_dfs(max_runs=300)
+        failure = report.first_failure
+        assert failure is not None
+        assert failure.failure.rule == "timer-queue-drained"
+        minimized = Reducer(explorer).shrink(failure)
+        assert minimized.decisions == []
+        again = explorer.run_once(minimized.decisions)
+    assert again.failure is not None
+    assert again.failure.same_as(failure.failure)
 
 
 def test_fixed_library_survives_the_bug_schedules():

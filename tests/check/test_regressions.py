@@ -164,16 +164,16 @@ def test_cancelled_writer_withdraws_claim_and_lock_stays_usable():
 
 
 def test_cancel_of_head_deadline_retargets_the_timer():
-    """Cancelling the earliest deadline must sweep the tombstone and
+    """Cancelling the earliest deadline must unlink it and
     retarget the single UNIX timer at the real earliest (pre-fix it
     stayed armed for the dead deadline and fired spuriously early)."""
     rt = make_runtime()
     tq = rt.timer_ops
     h1 = tq.add_timeout(1_000.0, lambda: None)
     h2 = tq.add_timeout(5_000.0, lambda: None)
-    assert tq._armed_for == h1.deadline
+    assert tq._armed_for == h1[0]
     tq.cancel_timeout(h1)
-    assert tq._armed_for == h2.deadline
+    assert tq._armed_for == h2[0]
     assert tq.pending_count == 1
     tq.cancel_timeout(h2)
     assert tq._armed_for is None
@@ -187,7 +187,7 @@ def test_cancel_of_later_deadline_leaves_timer_alone():
     h2 = tq.add_timeout(5_000.0, lambda: None)
     before = rt.unix.syscall_counts["setitimer"]
     tq.cancel_timeout(h2)
-    assert tq._armed_for == h1.deadline
+    assert tq._armed_for == h1[0]
     assert rt.unix.syscall_counts["setitimer"] == before
 
 
@@ -211,3 +211,29 @@ def test_alarm_drain_rearms_once():
     # One arm per distinct head deadline plus the final disarm; far
     # fewer than the 2-per-wakeup churn of the pre-fix code.
     assert rt.unix.syscall_counts["setitimer"] <= 8
+
+
+# -- fix 6: an alarm that wakes a sleeper drops the sleep's deadline -------------
+
+
+def test_armer_alarm_drops_the_sleepers_deadline():
+    """Delivery rule 2 wakes a sleeping armer early; the sleep's own
+    timer-queue deadline must go with the wait.  Pre-fix it stayed
+    queued and woke the thread's *next* sleep early (a 2,000 us sleep
+    returned after about 740 us) and was still queued at run end."""
+    from repro.unix.timers import alarm
+
+    out = {}
+
+    def main(pt):
+        rt = pt.runtime
+        me = yield pt.self_id()
+        alarm(rt.world, rt.unix, rt.proc, 300.0, armer=me)
+        yield pt.delay_us(1_000.0)  # woken by the alarm at ~300 us
+        start = rt.world.now_us
+        yield pt.delay_us(2_000.0)
+        out["second_sleep_us"] = rt.world.now_us - start
+
+    rt = run_program(main, priority=100)
+    assert out["second_sleep_us"] >= 2_000.0
+    assert rt.timer_ops.pending_count == 0

@@ -329,7 +329,7 @@ class ReferenceRules:
                 )
             wait = tcb.wait
             if wait is not None and wait.kind == "io":
-                request = wait.data["request"]
+                request = wait.request
                 sock = request.sock
                 if (
                     sock is not None
@@ -646,12 +646,12 @@ def _corrupt_parked_socket(rt, ctx, rng):
         [
             t for t in rt.threads.values()
             if t.wait is not None and t.wait.kind == "io"
-            and t.wait.data["request"].sock is not None
+            and t.wait.request.sock is not None
         ],
     )
     if tcb is None:
         return False
-    request = tcb.wait.data["request"]
+    request = tcb.wait.request
     request.sock.state = "closed"
     request.done = rng.random() < 0.3
     return True

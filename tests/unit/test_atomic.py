@@ -93,52 +93,44 @@ def test_sequence_charges_one_insn_per_executed_step():
 
 
 def _smp_parts():
+    """CPU 1 of a 2-CPU Niagara machine (its own clock) and one shared
+    cell; each access is measured as that clock's delta."""
     from repro.hw import costs
-    from repro.hw.atomic import SharedCell
-    from repro.hw.memory import CacheDirectory
+    from repro.sim.world import World
 
-    table = costs.NIAGARA_T3.table()
-    directory = CacheDirectory(2, table)
-    cell = SharedCell(directory.line("w"), 0)
-    return costs, table, directory, cell
+    smp = World(model="niagara-t3", seed=7, ncpus=2).smp
+    cell = smp.cell("w", 0)
+    return costs, smp.table, smp.directory, cell, smp.cpus[1]
+
+
+def _charged(cpu, op, *args):
+    before = cpu.clock.cycles
+    op(*args)
+    return cpu.clock.cycles - before
 
 
 def test_smp_cas_charges_more_than_smp_ldstub():
     """Satellite of the SMP PR: the relative pricing must come from
     the cost table, never a literal -- a recalibration that narrows
     the gap must not silently break the comparison."""
-    from repro.hw.atomic import smp_compare_and_swap, smp_ldstub
-
-    costs, table, directory, cell = _smp_parts()
-    clock_a = VirtualClock()
-    directory.write(0, cell.line, 0)  # pre-own: isolate the base cost
-    smp_ldstub(clock_a, table, directory, 0, cell)
-    clock_b = VirtualClock()
+    costs, table, directory, cell, cpu = _smp_parts()
+    directory.write(1, cell.line, 0)  # pre-own: isolate the base cost
+    ldstub_cycles = _charged(cpu, cpu.ldstub, cell)
     cell.value = 0xFF
-    smp_compare_and_swap(clock_b, table, directory, 0, cell, 0xFF, 0)
-    assert clock_a.cycles == table[costs.LDSTUB]
-    assert clock_b.cycles == table[costs.CAS]
-    assert clock_b.cycles > clock_a.cycles
+    cas_cycles = _charged(cpu, cpu.compare_and_swap, cell, 0xFF, 0)
+    assert ldstub_cycles == table[costs.LDSTUB]
+    assert cas_cycles == table[costs.CAS]
+    assert cas_cycles > ldstub_cycles
 
 
 def test_smp_atomics_add_coherence_cost_on_remote_line():
-    from repro.hw.atomic import smp_ldstub
-
-    costs, table, directory, cell = _smp_parts()
-    directory.write(1, cell.line, 0)  # CPU 1 owns the line
-    clock = VirtualClock()
-    smp_ldstub(clock, table, directory, 0, cell)
-    assert clock.cycles > table[costs.LDSTUB]  # paid the line transfer
+    costs, table, directory, cell, cpu = _smp_parts()
+    directory.write(0, cell.line, 0)  # CPU 0 owns the line
+    assert _charged(cpu, cpu.ldstub, cell) > table[costs.LDSTUB]
 
 
 def test_swap_and_fetch_add_priced_as_cas():
-    from repro.hw.atomic import smp_fetch_add, smp_swap
-
-    costs, table, directory, cell = _smp_parts()
-    directory.write(0, cell.line, 0)
-    clock = VirtualClock()
-    smp_swap(clock, table, directory, 0, cell, 5)
-    assert clock.cycles == table[costs.CAS]
-    clock = VirtualClock()
-    smp_fetch_add(clock, table, directory, 0, cell, 1)
-    assert clock.cycles == table[costs.CAS]
+    costs, table, directory, cell, cpu = _smp_parts()
+    directory.write(1, cell.line, 0)
+    assert _charged(cpu, cpu.swap, cell, 5) == table[costs.CAS]
+    assert _charged(cpu, cpu.fetch_add, cell, 1) == table[costs.CAS]

@@ -229,6 +229,24 @@ def test_cancel_unlinks_its_entry_at_once():
     assert len(queue) == 0 and queue._horizon is None
 
 
+def test_cancelling_a_posted_entry_is_idempotent():
+    """A posted entry is its own handle: the first cancel unlinks it,
+    and a second cancel, or a cancel after it fired, changes nothing."""
+    queue = EventQueue()
+    hits = []
+    head = queue.post(10, hits.append, "head", "k")
+    behind = queue.post(20, hits.append, "behind", "k")
+    lone = queue.post(5, hits.append, "lone", "k")  # before the tail
+    assert queue.cancel(behind) is True
+    assert queue.cancel(behind) is False
+    assert len(queue) == 2
+    assert queue.fire_due(10) == 2
+    assert hits == ["lone", "head"]
+    assert queue.cancel(head) is False
+    assert queue.cancel(lone) is False
+    assert len(queue) == 0 and queue.next_time() is None
+
+
 def test_cancelling_the_last_live_handle_clears_every_lane():
     queue = EventQueue()
     hits = []
