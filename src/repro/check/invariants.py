@@ -463,11 +463,18 @@ class CheckContext:
                     "quiescent-cond",
                     "%r still has waiters at end of run" % c,
                 )
-        leaked = runtime.timer_ops.pending_count
+        timer_ops = runtime.timer_ops
+        leaked = timer_ops.pending_count
         if leaked:
             self._fail(
                 "timer-queue-drained",
                 "%d library deadline(s) outlived their waits" % leaked,
+            )
+        if timer_ops.stale_firings:
+            self._fail(
+                "timer-queue-drained",
+                "%d sleeper deadline(s) fired after their waits ended"
+                % timer_ops.stale_firings,
             )
         for wq in self.workqueues:
             if wq.items or not wq.closed:

@@ -18,9 +18,10 @@ Known bugs:
   per-mutex one.  Caught by the ``mutex-counter-agreement`` rule.
 - ``stale-sleep-deadline``: delivery rule 2 (an alarm readies its
   sleeping armer) ended the sleep without dropping the sleep's own
-  timer-queue deadline, which later woke the thread's next sleep early
-  and could outlive every wait.  Caught by the quiescent
-  ``timer-queue-drained`` rule.
+  timer-queue deadline, which outlived the wait (and, before a
+  sleeper's callout checked for its own wait, woke the thread's next
+  sleep early).  Caught by the quiescent ``timer-queue-drained`` rule,
+  as a deadline still queued or as one that fired after its wait.
 - ``wrlock-cancel``: the writer-lock path claimed ``waiting_writers``
   *before* registering the cleanup handler that withdraws the claim
   (and releases the internal mutex).  A cancellation landing in that

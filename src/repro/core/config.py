@@ -91,11 +91,14 @@ class RuntimeConfig:
         inversion) or ``"stack"`` (pure SRP pop -- exhibits the paper's
         step-4 divergence, kept for the Table 4 reproduction).
     segments:
-        Enable the executor's segment compiler (see
-        :mod:`repro.sim.segments`).  Purely a host-speed feature --
-        simulated behaviour is bit-identical either way, which the
-        property tests assert.  ``segments=False`` is the one switch
-        for the interpreter-only reference runs.
+        Enable the executor's segment cache (see
+        :mod:`repro.sim.segments`): hot loops of ops are recorded once
+        under a certifier and replayed from a per-segment plan.  Purely
+        a host-speed feature -- simulated behaviour is bit-identical
+        either way, which the property tests assert and
+        ``tests/integration/test_segment_replay_pin.py`` pins.
+        ``segments=False`` is the one switch for the interpreter-only
+        reference runs.
     """
 
     pool_size: int = 32

@@ -23,11 +23,11 @@ path drop it, so no deadline outlives its wait.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 from repro.core.errors import EINVAL, OK
 from repro.core.libbase import BLOCKED, LibraryOps
-from repro.core.tcb import Tcb
+from repro.core.tcb import Tcb, WaitRecord
 from repro.hw import costs
 from repro.sim.events import Entry, EventQueue
 
@@ -45,6 +45,9 @@ class TimerOps(LibraryOps):
         self._armed_for: Optional[int] = None
         self._draining = False
         self.alarms_taken = 0
+        #: Sleeper deadlines that fired after their wait had ended: each
+        #: one outlived its wait (the ``timer-queue-drained`` rule).
+        self.stale_firings = 0
 
     # -- public: thread sleep ----------------------------------------------------
 
@@ -59,17 +62,23 @@ class TimerOps(LibraryOps):
         rt.world.spend(costs.TIMER_TICK)
         record = rt.block_current(kind="delay", obj=None, interruptible=True)
         record.timeout = self._push(
-            rt.world.now + rt.world.cycles_for_us(us), self._wake_sleeper, tcb
+            rt.world.now + rt.world.cycles_for_us(us),
+            self._wake_sleeper, (tcb, record),
         )
         rt.kern.leave()
         return BLOCKED
 
-    def _wake_sleeper(self, tcb: Tcb) -> None:
-        """A sleeper's deadline callout."""
+    def _wake_sleeper(self, sleep: Tuple[Tcb, WaitRecord]) -> None:
+        """A sleeper's deadline callout: ends the sleep it was queued
+        for, and only that one.  Every way out of a wait drops its
+        deadline, so a firing whose wait has ended is a deadline that
+        outlived its wait: it is counted, and wakes nothing."""
         rt = self.rt
         rt.world.spend(costs.TIMER_TICK)
-        if tcb.wait is None or tcb.wait.kind != "delay":
-            return  # woken early (handler or cancellation)
+        tcb, wait = sleep
+        if tcb.wait is not wait:
+            self.stale_firings += 1
+            return
         rt.end_wait(tcb, OK)
 
     # -- internal timeouts (condvars etc.) ----------------------------------------

@@ -6,10 +6,11 @@ executor exploits the same property at the *host* level: a straight-
 line run of ops between two interruption points is deterministic given
 a small set of guards (mutex ownership, empty waiter queues, no event
 due inside the window), so after interpreting it once the executor can
-*replay* it -- one compiled Python function per segment, one clock
-store per batch -- instead of re-dispatching every op through the
-interpreter loop.  Every segment is a loop: a run that closes back on
-its own first op, replayed while the bounds allow.
+*replay* it -- one closure per segment reading the segment's plan (one
+entry per op: its cycles, the value it sends back, the op expected
+next, its site), one clock store per op -- instead of re-dispatching
+every op through the interpreter loop.  Every segment is a loop: a run
+that closes back on its own first op, replayed while the bounds allow.
 
 Keying
 ------
@@ -30,13 +31,14 @@ The executor resolves a frame's per-code location table once
 (:meth:`SegmentSpace.table_for`, cached on ``Frame.seg_table``), so the
 per-step guard is one int-keyed lookup and no step hashes a code
 object.  A location's entry is either ``_BLACKLISTED`` or a dict from
-op to compiled segment, plus one visit counter under a private key.
-Only ``Work`` and ``LibCall`` ops are looked up (anything else, a bad
-op included, only counts a visit and goes on to the executor's
-dispatch), and only an op that can certify -- the shared instance
-``core/api.py`` hands out for ``Work``, ``mutex_lock``,
-``mutex_unlock`` and ``cond_signal`` -- is ever recorded, so a
-location fed a fresh op on every visit ends as one blacklisted slot.
+op to a segment's replay closure, plus one visit counter under a
+private key.  Only ``Work`` and ``LibCall`` ops are looked up
+(anything else, a bad op included, only counts a visit and goes on to
+the executor's dispatch), and only an op that can certify -- the
+shared instance ``core/api.py`` hands out for ``Work``,
+``mutex_lock``, ``mutex_unlock`` and ``cond_signal`` -- is ever
+recorded, so a location fed a fresh op on every visit ends as one
+blacklisted slot.
 
 Correctness model
 -----------------
@@ -109,6 +111,7 @@ inside a certified op; this is structural, not an audit of call sites.
 
 from __future__ import annotations
 
+from itertools import cycle, islice
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core import config as cfg
@@ -128,8 +131,7 @@ _RECORD_AFTER = 8
 #: Failed recordings in a row before a location stops recording: one
 #: with no segment is blacklisted, one with segments keeps them.
 _MAX_FAILS = 3
-#: Maximum ops recorded into one segment (also bounds generated-code
-#: size, and with it the one-time host cost of compiling a segment).
+#: Maximum ops recorded into one segment.
 _MAX_OPS = 16
 #: Minimum certified ops worth compiling.
 _MIN_OPS = 2
@@ -148,13 +150,6 @@ _CANONICAL = {
     "cond_signal": "_seg_signal_op",
 }
 
-#: Process-wide generated-source -> code-object cache.  Generated
-#: source carries no object identities (those go through the closure
-#: env), so it is safe to share across runtimes.  Bounded as a leak
-#: guard; overflow simply recompiles.
-_SOURCE_CACHE: Dict[str, Any] = {}
-_SOURCE_CACHE_MAX = 4096
-
 
 class _SegStep:
     """One certified op: identity, result, cycle constant, IR."""
@@ -163,7 +158,7 @@ class _SegStep:
 
     def __init__(self, op, result, cycles, guards, effects) -> None:
         self.op = op
-        self.result = result  # "none" | "zero"
+        self.result = result  # the value the op sends back
         self.cycles = cycles
         self.guards = guards  # tuple of guard IR tuples
         self.effects = effects  # tuple of effect IR tuples
@@ -422,7 +417,7 @@ class SegmentSpace:
                 next_op = op  # the executor performs (or rejects) it
                 break
         if closed and len(steps) >= _MIN_OPS:
-            fn = self._compile(steps)
+            fn = self._plan(steps)
             if fn is not None:
                 slots[first] = fn
                 slots[_VISITS] = 0
@@ -463,7 +458,7 @@ class SegmentSpace:
                 return None
             if rt.kern.enters != pre_enters:
                 return None
-            return _SegStep(op, "none", delta, (), ())
+            return _SegStep(op, None, delta, (), ())
         name = op.name
         result = frame.pending_value
         if name == "mutex_lock":
@@ -481,7 +476,7 @@ class SegmentSpace:
             ):
                 return None
             return _SegStep(
-                op, "zero", delta,
+                op, 0, delta,
                 (
                     ("not_attr", m, "destroyed"),
                     ("attr_is_none", m, "owner"),
@@ -510,7 +505,7 @@ class SegmentSpace:
             ):
                 return None
             return _SegStep(
-                op, "zero", delta,
+                op, 0, delta,
                 (
                     ("not_attr", m, "destroyed"),
                     ("attr_is_tcb", m, "owner"),
@@ -533,7 +528,7 @@ class SegmentSpace:
         ):
             return None
         return _SegStep(
-            op, "zero", delta,
+            op, 0, delta,
             (
                 ("not_attr", c, "destroyed"),
                 ("empty", c.waiters, None),
@@ -544,250 +539,189 @@ class SegmentSpace:
             ),
         )
 
-    # -- compilation -------------------------------------------------------
+    # -- the replay plan ---------------------------------------------------
 
-    def _compile(self, steps: List[_SegStep]):
-        """Generate and exec the replay function for a closed run.
+    def _plan(self, steps: List[_SegStep]):
+        """The replay closure of a closed run, or None if its loop
+        cannot replay.
 
-        Every segment is one emitted form, a ``while it < k`` loop that
-        takes its first op in hand and resumes the generator after its
-        last op, so it always ends with the next op in hand.  It
-        iterates while that next op is its first one and the step
-        budget, the event horizon and the run's end allow.  A run
-        compiles only if one iteration net-restores every guarded
-        field, so the guards hoist out of the loop.  The generated code
-        keeps no per-op bookkeeping: every exit site (op mismatch,
-        exception, clean stop) statically knows how many ops completed
-        and how many cycles they cost, so the hot loop is just sends,
-        identity checks and one add per iteration.  Effects are
-        deferred: counters are applied once at exit (``delta *
-        iterations``), and mid-iteration exits carry statically-known
-        fix-up assignments.
+        Each iteration takes the run's first op in hand and resumes the
+        generator after its last op, so replay always ends with the next
+        op in hand, and iterates while that op is the first one and the
+        step budget, the event horizon and the run's end allow.  A run
+        compiles only if its guards hold throughout once they hold at
+        entry: no op's guard contradicts what an earlier op set, and one
+        iteration net-restores every guarded field and the held list.
+        So the guards are checked once, before the first op, and the
+        state effects are deferred: the exit applies those of the ops
+        its iteration completed and then each counter's per-iteration
+        total times the iterations completed.
         """
-        env_names: Dict[int, str] = {}
-        env_objs: List[Any] = []
-
-        def ref(obj) -> str:
-            name = env_names.get(id(obj))
-            if name is None:
-                name = "v%d" % len(env_objs)
-                env_names[id(obj)] = name
-                env_objs.append(obj)
-            return name
-
         n_ops = len(steps)
         total = sum(s.cycles for s in steps)
         if not total:
             return None  # the horizon cannot bound a zero-cycle run
-        lit = {"none": "None", "zero": "0"}
-
-        # Pass 1: entry guards, symbolic state, aggregated effects, and
-        # a per-site snapshot of the prefix state (for exit fix-ups).
-        # Site i is the resume after op i - 1; site n_ops is the resume
-        # that ends the iteration.
-        entry_guards: List[str] = []
-        guard_expect: Dict[Tuple[str, str], Any] = {}
-        sym: Dict[Tuple[str, str], Any] = {}
-        state_now: Dict[Tuple[str, str], Any] = {}
-        counter_now: Dict[Tuple[str, str], int] = {}
-        held_now: List[Tuple[str, str]] = []
-        held_balance: Dict[str, int] = {}
-        uses_held = False
-        prefix_cycles: List[int] = []
-        snapshots = []
-        op_refs: List[str] = []
-        cycles_so_far = 0
-
+        guards = []
+        expected: Dict[Tuple[int, Any], Any] = {}
+        # What the ops so far left in each field they wrote: a value
+        # token, or "opaque" for a counter.
+        sym: Dict[Tuple[int, Any], Any] = {}
+        state = set()
+        counters: Dict[Tuple[int, Any], List[Any]] = {}
+        held: Dict[int, int] = {}
         for step in steps:
-            op_refs.append(ref(step.op))
-            prefix_cycles.append(cycles_so_far)
-            snapshots.append(
-                (dict(state_now), dict(counter_now), list(held_now))
-            )
             for g in step.guards:
-                kind, obj, attr = g[0], g[1], g[2]
-                nm = ref(obj)
-                var = (nm, attr if attr is not None else "__bool__")
-                if kind == "not_attr":
-                    expr, expect = "not %s.%s" % (nm, attr), False
-                elif kind == "attr_is_none":
-                    expr, expect = "%s.%s is None" % (nm, attr), "none"
-                elif kind == "attr_is_tcb":
-                    expr, expect = "%s.%s is tcb" % (nm, attr), "tcb"
-                elif kind == "attr_eq":
-                    expr, expect = "%s.%s == %r" % (nm, attr, g[3]), g[3]
-                elif kind == "empty":
-                    expr, expect = "not %s" % nm, False
-                else:  # pragma: no cover - unknown guard kind
-                    return None
+                kind = g[0]
+                var = (id(g[1]), g[2])
+                expect = g[3] if kind == "attr_eq" else _TOKENS[kind]
                 if var in sym:
                     if sym[var] != expect:
                         return None  # guard cannot hold mid-segment
-                elif var not in guard_expect:
-                    guard_expect[var] = expect
-                    entry_guards.append(expr)
+                elif var not in expected:
+                    expected[var] = expect
+                    guards.append(g)
             for e in step.effects:
                 kind, obj = e[0], e[1]
-                nm = ref(obj)
-                if kind == "held_append":
-                    uses_held = True
-                    held_now.append(("append", nm))
-                    held_balance[nm] = held_balance.get(nm, 0) + 1
+                if kind == "held_append" or kind == "held_remove":
+                    delta = 1 if kind == "held_append" else -1
+                    held[id(obj)] = held.get(id(obj), 0) + delta
                     continue
-                if kind == "held_remove":
-                    uses_held = True
-                    held_now.append(("remove", nm))
-                    held_balance[nm] = held_balance.get(nm, 0) - 1
-                    continue
-                attr = e[2]
-                var = (nm, attr)
+                var = (id(obj), e[2])
                 if kind == "inc":
-                    counter_now[var] = counter_now.get(var, 0) + e[3]
+                    counters.setdefault(var, [obj, e[2], 0])[2] += e[3]
                     sym[var] = "opaque"
-                elif kind == "set_const":
-                    state_now[var] = e[3]
-                    sym[var] = e[3]
-                elif kind == "set_tcb":
-                    state_now[var] = "tcb"
-                    sym[var] = "tcb"
-                elif kind == "set_none":
-                    state_now[var] = "none"
-                    sym[var] = "none"
-                else:  # pragma: no cover - unknown effect kind
-                    return None
-            cycles_so_far += step.cycles
-        prefix_cycles.append(total)
-        snapshots.append((state_now, counter_now, held_now))
-
+                else:
+                    state.add(var)
+                    sym[var] = e[3] if kind == "set_const" else _TOKENS[kind]
         # One full iteration must restore every guarded field.
-        for var, expect in guard_expect.items():
+        for var, expect in expected.items():
             final = sym.get(var)
             if final is not None and final != expect:
                 return None
-        if any(held_balance.values()) or set(counter_now) & set(state_now):
+        if any(held.values()) or state & counters.keys():
             return None
+        return _replayer(
+            steps, tuple(guards), tuple(tuple(c) for c in counters.values()),
+            total,
+        )
 
-        out: List[Tuple[int, str]] = []
 
-        def emit(indent: int, text: str) -> None:
-            out.append((indent, text))
+#: The value token a guard expects in its field, or an effect leaves
+#: there, by kind (an ``attr_eq`` guard and a ``set_const`` effect carry
+#: their value).
+_TOKENS = {
+    "not_attr": False,
+    "empty": False,
+    "attr_is_none": "none",
+    "set_none": "none",
+    "attr_is_tcb": "tcb",
+    "set_tcb": "tcb",
+}
 
-        def render_tok(tok) -> str:
-            if tok == "tcb":
-                return "tcb"
-            if tok == "none":
-                return "None"
-            return repr(tok)
 
-        def fixup(indent: int, i: int) -> None:
-            """State/counter/held repair for 'i ops completed'."""
-            state, cnt, held_ops = snapshots[i]
-            for (nm, attr), tok in state.items():
-                emit(indent, "%s.%s = %s" % (nm, attr, render_tok(tok)))
-            for verb, nm in held_ops:
-                emit(indent, "held.%s(%s)" % (verb, nm))
-            for (nm, attr), prefix in cnt.items():
-                full = counter_now.get((nm, attr), 0)
-                if full and prefix:
-                    emit(
-                        indent,
-                        "%s.%s += %d * it + %d" % (nm, attr, full, prefix),
-                    )
-                elif full:
-                    emit(indent, "%s.%s += %d * it" % (nm, attr, full))
-                elif prefix:
-                    emit(indent, "%s.%s += %d" % (nm, attr, prefix))
-            # Counters whose first touch is after site i still owe the
-            # completed-iterations part.
-            for (nm, attr), full in counter_now.items():
-                if (nm, attr) not in cnt and full:
-                    emit(indent, "%s.%s += %d * it" % (nm, attr, full))
+def _guards_hold(guards, tcb) -> bool:
+    """Whether every entry guard holds in the current state."""
+    for g in guards:
+        kind, obj = g[0], g[1]
+        if kind == "empty":
+            if obj:
+                return False
+            continue
+        value = getattr(obj, g[2])
+        if kind == "not_attr":
+            if value:
+                return False
+        elif kind == "attr_is_none":
+            if value is not None:
+                return False
+        elif kind == "attr_is_tcb":
+            if value is not tcb:
+                return False
+        elif value != g[3]:  # attr_eq
+            return False
+    return True
 
-        def t_expr(i: int) -> str:
-            p = prefix_cycles[i]
-            return "t + %d" % p if p else "t"
 
-        def exit_at(indent: int, i: int, code: int, value: str) -> None:
-            """Leave at site i (1 <= i <= n_ops): i ops of this
-            iteration done, as many resumes made."""
-            fixup(indent, i)
-            emit(
-                indent,
-                "return (%d, %d * it + %d, %s, %s)"
-                % (code, n_ops, i, t_expr(i), value),
-            )
+def _apply(steps, tcb) -> None:
+    """Apply the effects of ``steps``, in order."""
+    held = tcb.held_mutexes
+    for step in steps:
+        for e in step.effects:
+            kind, obj = e[0], e[1]
+            if kind == "inc":
+                setattr(obj, e[2], getattr(obj, e[2]) + e[3])
+            elif kind == "set_const":
+                setattr(obj, e[2], e[3])
+            elif kind == "set_tcb":
+                setattr(obj, e[2], tcb)
+            elif kind == "set_none":
+                setattr(obj, e[2], None)
+            elif kind == "held_append":
+                held.append(obj)
+            else:  # held_remove
+                held.remove(obj)
 
-        emit(0, "def _make(env):")
-        if env_objs:
-            emit(
-                1,
-                "(%s,) = env"
-                % ", ".join("v%d" % j for j in range(len(env_objs))),
-            )
-        emit(1, "def _replay(rt, tcb, frame, limit, until, budget, op):")
-        emit(2, "ck = rt.world.clock")
-        emit(2, "t = ck.cycles")
-        if entry_guards:
-            emit(2, "if not (%s):" % " and ".join(entry_guards))
-            emit(3, "return (0, 0, t, op)")
-        emit(2, "k = budget // %d" % n_ops)
-        emit(2, "if limit is not None:")
-        emit(3, "k2 = (limit - t - 1) // %d" % total)
-        emit(3, "if k2 < k:")
-        emit(4, "k = k2")
-        emit(2, "if until != %d:" % _NO_BOUND)
-        emit(3, "k2 = (until - t - 1) // %d" % total)
-        emit(3, "if k2 < k:")
-        emit(4, "k = k2")
-        emit(2, "if k <= 0:")
-        emit(3, "return (0, 0, t, op)")
-        emit(2, "send = frame.gen.send")
-        if uses_held:
-            emit(2, "held = tcb.held_mutexes")
-        emit(2, "it = 0")
-        emit(2, "while it < k:")
-        for i in range(1, n_ops + 1):
-            # The generator body runs inside each send and may read
-            # ``world.now``: publish the exact interpreted clock (the
-            # charge of every completed op) before resuming it, or
-            # mid-segment time observations would see a stale clock.
-            emit(3, "ck.cycles = %s" % t_expr(i))
-            emit(3, "try:")
-            emit(4, "op = send(%s)" % lit[steps[i - 1].result])
-            emit(3, "except BaseException as exc:")
+
+def _replayer(steps, guards, counters, total):
+    """The replay closure of a certified loop.
+
+    Its plan holds one entry per op: the op's cycles, the value it sends
+    back, the op expected next (the first op, after the last) and the
+    site that entry's resume starts, counted as the ops of the
+    iteration completed before it.  Replay walks the plan round and
+    round, as many ops as the bounds allow, doing one clock add and
+    store, one send and one identity test per op; the iterations
+    completed follow from the clock at exit, and the site, which the
+    clock cannot give (``work(0)`` certifies, so two sites can share a
+    clock offset), comes from the entry the walk stopped at.
+    """
+    n_ops = len(steps)
+    offsets = [0]
+    for step in steps:
+        offsets.append(offsets[-1] + step.cycles)
+    plan = tuple(
+        (steps[i].cycles, steps[i].result, steps[(i + 1) % n_ops].op, i + 1)
+        for i in range(n_ops)
+    )
+
+    def leave(code, tcb, done, t, now, op):
+        """Exit at site ``done`` with the clock at ``now``."""
+        it = (now - t - offsets[done]) // total
+        if done == n_ops and not code:
+            done = 0  # the iteration is complete, and so is the step
+            it += 1
+        _apply(steps[:done], tcb)
+        for obj, attr, full in counters:
+            setattr(obj, attr, getattr(obj, attr) + full * it)
+        return code, n_ops * it + done, now, op
+
+    def replay(rt, tcb, frame, limit, until, budget, op):
+        ck = rt.world.clock
+        t = ck.cycles
+        if not _guards_hold(guards, tcb):
+            return 0, 0, t, op
+        k = budget // n_ops
+        if limit is not None:
+            k = min(k, (limit - t - 1) // total)
+        if until != _NO_BOUND:
+            k = min(k, (until - t - 1) // total)
+        if k <= 0:
+            return 0, 0, t, op
+        send = frame.gen.send
+        now = t
+        try:
+            for cycles, value, nxt, done in islice(cycle(plan), k * n_ops):
+                # The generator body runs inside each send and may read
+                # ``world.now``: publish the exact interpreted clock
+                # (the charge of every completed op) before resuming it.
+                now += cycles
+                ck.cycles = now
+                op = send(value)
+                if op is not nxt:
+                    break
+        except BaseException as exc:
             # The resume raised: the runtime's _resume_ended takes it.
-            exit_at(4, i, 1, "exc")
-            if i < n_ops:
-                emit(3, "if op is not %s:" % op_refs[i])
-                exit_at(4, i, 0, "op")
-        emit(3, "t += %d" % total)
-        emit(3, "it += 1")
-        emit(3, "if op is not %s:" % op_refs[0])
-        emit(4, "break")
-        for (nm, attr), full in counter_now.items():
-            if full:
-                emit(2, "%s.%s += %d * it" % (nm, attr, full))
-        emit(2, "return (0, %d * it, t, op)" % n_ops)
-        emit(1, "return _replay")
+            return leave(1, tcb, done, t, now, exc)
+        return leave(0, tcb, done, t, now, op)
 
-        code = "\n".join("    " * ind + text for ind, text in out) + "\n"
-        namespace: Dict[str, Any] = {}
-        # The generated source depends only on segment *structure*
-        # (op kinds, costs, guard constants) -- captured objects enter
-        # through the _make(env) closure.  Identical workloads therefore
-        # regenerate identical source across runtimes and repeats, so a
-        # process-wide source->code-object cache turns the ~1ms
-        # compile() into a dict hit.
-        code_obj = _SOURCE_CACHE.get(code)
-        if code_obj is None:
-            try:
-                code_obj = compile(code, "<segment>", "exec")
-            except SyntaxError:  # pragma: no cover - codegen bug guard
-                import sys
-
-                print(code, file=sys.stderr)
-                raise
-            if len(_SOURCE_CACHE) < _SOURCE_CACHE_MAX:
-                _SOURCE_CACHE[code] = code_obj
-        exec(code_obj, namespace)  # noqa: S102
-        return namespace["_make"](tuple(env_objs))
+    return replay

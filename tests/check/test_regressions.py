@@ -237,3 +237,39 @@ def test_armer_alarm_drops_the_sleepers_deadline():
     rt = run_program(main, priority=100)
     assert out["second_sleep_us"] >= 2_000.0
     assert rt.timer_ops.pending_count == 0
+
+
+def test_stale_sleeper_deadline_wakes_nothing_and_is_reported():
+    """A sleeper deadline that outlives its sleep must not end the
+    thread's next sleep.  With the pre-fix rule-2 wake reinstated, the
+    first sleep's deadline stays queued and fires half way through the
+    second sleep: pre-fix it ended that sleep (a 2,000 us sleep returned
+    after about 721 us) and the queue drained at run end, so the
+    ``timer-queue-drained`` rule saw nothing.  Now the callout ends only
+    the wait it was queued for, and the rule reports the firing."""
+    from repro.check.invariants import InvariantViolation
+    from repro.check.preseed import preseeded
+    from repro.unix.timers import alarm
+
+    out = {}
+
+    def main(pt):
+        rt = pt.runtime
+        me = yield pt.self_id()
+        alarm(rt.world, rt.unix, rt.proc, 300.0, armer=me)
+        yield pt.delay_us(1_000.0)  # woken by the alarm at ~300 us
+        start = rt.world.now_us
+        yield pt.delay_us(2_000.0)
+        out["second_sleep_us"] = rt.world.now_us - start
+
+    check = CheckContext()
+    with preseeded("stale-sleep-deadline"):
+        runtime = PthreadsRuntime(check=check)
+        runtime.main(main, priority=100)
+        runtime.run()
+    assert out["second_sleep_us"] >= 2_000.0
+    assert runtime.timer_ops.stale_firings == 1
+    with pytest.raises(InvariantViolation) as info:
+        check.check_quiescent(runtime)
+    assert info.value.rule == "timer-queue-drained"
+    assert "1 sleeper deadline(s) fired" in info.value.detail

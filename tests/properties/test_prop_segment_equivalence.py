@@ -576,3 +576,178 @@ def test_bursts_that_always_straddle_an_event_end_their_recordings():
     # The loop's three locations and the spinner's one.
     entries = [e for t in seg._by_code.values() for e in t.values()]
     assert sum(e is _BLACKLISTED for e in entries) == 4
+
+
+# -- exit sites ---------------------------------------------------------------
+#
+# A replayed loop can stop at any of its sites: the resume before each
+# op (site 0 is the resume that ends an iteration).  The loop below has
+# eight ops, three of them ``work(0)``, so sites 1 and 2 share a clock
+# offset, and so do 4 and 5, and 6 and 7: an exit there must still
+# count exactly the steps it completed and owe exactly their effects.
+
+#: The loop's sites, and those whose op is a burst an event can cut.
+_SITES = range(8)
+_BURST_SITES = {2, 5, 7}
+
+
+def _zero_cycle_loop(pt, m, box, iterations=300, at=None, site=None,
+                     action=None):
+    """``lock; work(0); work(40); unlock; work(0); work(30); work(0);
+    work(25)``.
+
+    Before each op it notes its site in ``box``; at iteration ``at``,
+    site ``site``, it yields an op the loop does not expect
+    (``action`` "mismatch") or raises ``_Boom`` ("raise")."""
+    lock = pt.mutex_lock(m)
+    unlock = pt.mutex_unlock(m)
+    idle = pt.work(0)
+    burn = pt.work(40)
+    mid = pt.work(30)
+    tail = pt.work(25)
+    extra = pt.work(33)
+
+    def cut(i, j):
+        box["site"] = j
+        if i != at or j != site:
+            return False
+        if action == "raise":
+            raise _Boom(i, j)
+        return True
+
+    for i in range(iterations):
+        if cut(i, 0):
+            yield extra
+        yield lock
+        if cut(i, 1):
+            yield extra
+        yield idle
+        if cut(i, 2):
+            yield extra
+        yield burn
+        if cut(i, 3):
+            yield extra
+        yield unlock
+        if cut(i, 4):
+            yield extra
+        yield idle
+        if cut(i, 5):
+            yield extra
+        yield mid
+        if cut(i, 6):
+            yield extra
+        yield idle
+        if cut(i, 7):
+            yield extra
+        yield tail
+
+
+def test_loop_with_zero_cycle_steps_replays_exactly():
+    """``work(0)`` certifies, so a loop with zero-cycle steps compiles
+    (its iteration still costs cycles) and replays as interpretation
+    does, ``world.now`` at every site included."""
+
+    def make(marks):
+        def main(pt):
+            world = pt.runtime.world
+            m = yield pt.mutex_init()
+            box = {}
+            lock = pt.mutex_lock(m)
+            unlock = pt.mutex_unlock(m)
+            idle = pt.work(0)
+            for _ in range(300):
+                yield lock
+                marks.append(world.now)
+                yield idle
+                marks.append(world.now)
+                yield unlock
+                marks.append(world.now)
+                yield idle
+                marks.append(world.now)
+            yield pt.call(_zero_cycle_loop, m, box)
+
+        return main
+
+    marks_on: list = []
+    marks_off: list = []
+    on = _run(make(marks_on), segments=True)
+    off = _run(make(marks_off), segments=False)
+    seg = on._segments
+    assert seg.segments_compiled >= 2
+    assert seg.steps_replayed > 0.9 * on.steps
+    assert marks_on == marks_off
+    assert _fingerprint(on) == _fingerprint(off)
+
+
+@pytest.mark.parametrize("action", ["mismatch", "raise"])
+@pytest.mark.parametrize("site", _SITES)
+def test_replay_cut_at_each_site(site, action):
+    """A replayed loop stops at ``site`` on its 100th iteration: the
+    generator yields an op the segment does not expect there, or its
+    body raises a SimException that a caller catches.  Either way the
+    run goes on from that site exactly as interpretation does."""
+
+    def make(log):
+        def main(pt):
+            world = pt.runtime.world
+            m = yield pt.mutex_init()
+            box = {}
+            try:
+                yield pt.call(
+                    _zero_cycle_loop, m, box, at=100, site=site,
+                    action=action,
+                )
+            except _Boom as exc:
+                log.append(("caught", exc.args, world.now, m.acquisitions))
+                if m.owner is not None:
+                    yield pt.mutex_unlock(m)
+            log.append(("done", world.now, m.acquisitions))
+
+        return main
+
+    log_on: list = []
+    log_off: list = []
+    on = _run(make(log_on), segments=True)
+    off = _run(make(log_off), segments=False)
+    assert on._segments.steps_replayed > 0.9 * on.steps
+    assert log_on == log_off
+    assert len(log_on) == (2 if action == "raise" else 1)
+    assert _fingerprint(on) == _fingerprint(off)
+
+
+def test_replay_cut_at_each_site_by_an_event():
+    """A sleeper's deadlines preempt a replayed loop: replay stops
+    short of each deadline, the interpreter takes the loop on to the op
+    the deadline falls in, and replay starts again from the site after
+    it.  Only a burst with cycles can take an event, and across these
+    sleep lengths the deadlines land in every one of the loop's; each
+    run matches interpretation, the sites seen at the same instants."""
+    def make(log, sleep_us):
+        def sleeper(pt, box):
+            world = pt.runtime.world
+            for _ in range(30):
+                yield pt.delay_us(sleep_us)
+                log.append((world.now, box.get("site")))
+
+        def main(pt):
+            m = yield pt.mutex_init()
+            box = {}
+            t = yield pt.create(
+                sleeper, box, attr=ThreadAttr(priority=120), name="sleeper"
+            )
+            yield pt.call(_zero_cycle_loop, m, box, iterations=4000)
+            yield pt.join(t)
+
+        return main
+
+    seen = set()
+    for sleep_us in (97.0, 113.0, 151.0, 203.0, 251.0, 307.0):
+        log_on: list = []
+        log_off: list = []
+        on = _run(make(log_on, sleep_us), segments=True, priority=50)
+        off = _run(make(log_off, sleep_us), segments=False, priority=50)
+        assert on._segments.steps_replayed > 0
+        assert log_on == log_off, sleep_us
+        assert _fingerprint(on) == _fingerprint(off), sleep_us
+        seen.update(site for __, site in log_on)
+    assert seen == _BURST_SITES
