@@ -26,6 +26,7 @@ field that produced it:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import os
 import platform as platform_mod
 import subprocess
@@ -177,30 +178,11 @@ def _result(
 def standard_workloads(scale: int) -> Dict[str, Dict[str, Any]]:
     """The host benchmark matrix.  ``scale`` multiplies iteration counts."""
     return {
-        "lock_storm": {
-            "factory": lambda: workloads.lock_storm(
-                threads=8, iterations=25 * scale
-            ),
-            "priority": 100,
-        },
-        "signal_storm": {
-            "factory": lambda: workloads.signal_storm(
-                victims=4, rounds=100 * scale
-            ),
-            "priority": 50,
-        },
-        "pipeline": {
-            "factory": lambda: workloads.pipeline(
-                stages=4, items=25 * scale
-            ),
-            "priority": 100,
-        },
-        "create_join_churn": {
-            "factory": lambda: workloads.create_join_churn(
-                rounds=12 * scale, burst=8
-            ),
-            "priority": 100,
-        },
+        name: {
+            "factory": functools.partial(workloads.STANDARD[name][0], scale),
+            "priority": workloads.STANDARD[name][1],
+        }
+        for name in workloads.HOST
     }
 
 

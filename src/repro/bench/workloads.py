@@ -9,7 +9,7 @@ the scalability/ablation benches and the stress tests.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.core.attr import MutexAttr, ThreadAttr
 from repro.core.runtime import PthreadsRuntime
@@ -244,6 +244,30 @@ def create_join_churn(rounds: int, burst: int = 8, work_cycles: int = 200):
         return {"rounds": rounds, "burst": burst}
 
     return main
+
+
+#: The standard workloads: name -> (factory(scale) -> workload main,
+#: main-thread priority).  ``python -m repro.obs`` runs them, the
+#: checker explores them alongside its own (``repro.check.cli``), and
+#: the host benchmark suite measures those in :data:`HOST`.
+STANDARD: Dict[str, Tuple[Callable[[int], Callable], int]] = {
+    "lock_storm": (
+        lambda scale: lock_storm(threads=8, iterations=25 * scale), 100,
+    ),
+    "signal_storm": (
+        lambda scale: signal_storm(victims=4, rounds=100 * scale), 50,
+    ),
+    "pipeline": (lambda scale: pipeline(stages=4, items=25 * scale), 100),
+    "fan_out_fan_in": (
+        lambda scale: fan_out_fan_in(workers=8, chunks=4 * scale), 100,
+    ),
+    "create_join_churn": (
+        lambda scale: create_join_churn(rounds=12 * scale, burst=8), 100,
+    ),
+}
+
+#: The standard workloads of the host benchmark suite, in its order.
+HOST = ("lock_storm", "signal_storm", "pipeline", "create_join_churn")
 
 
 def run_workload(

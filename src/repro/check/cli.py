@@ -24,19 +24,17 @@ import argparse
 import sys
 from typing import Callable, Dict, Tuple
 
+from repro.bench.workloads import STANDARD
 from repro.check import workloads as check_workloads
 from repro.check.explore import Explorer, ExploreReport, RunResult
 from repro.check.preseed import BUGS, preseeded
 from repro.check.reduce import Reducer
 from repro.debug.replay import compare_schedules
-from repro.obs.cli import WORKLOADS as BENCH_WORKLOADS
 
 #: name -> (factory(scale) -> workload main, main-thread priority).
-#: The bench workloads are shared with ``python -m repro.obs``; the
-#: targeted ones exercise the checker's protocol windows.
-WORKLOADS: Dict[str, Tuple[Callable[[int], Callable], int]] = dict(
-    BENCH_WORKLOADS
-)
+#: The standard workloads (``repro.bench.workloads.STANDARD``) and the
+#: targeted ones that exercise the checker's protocol windows.
+WORKLOADS: Dict[str, Tuple[Callable[[int], Callable], int]] = dict(STANDARD)
 WORKLOADS.update(
     {
         "cond_relay": (
@@ -121,7 +119,7 @@ def cmd_list(args: argparse.Namespace) -> int:
     del args
     print("workloads:")
     for name in sorted(WORKLOADS):
-        origin = "bench" if name in BENCH_WORKLOADS else "check"
+        origin = "bench" if name in STANDARD else "check"
         print("  %-20s (%s)" % (name, origin))
     print("preseedable bugs:")
     for name in sorted(BUGS):

@@ -91,9 +91,12 @@ class SemOps(LibraryOps):
         return OK
 
     def lib_sem_trywait(self, tcb: Tcb, sem: Semaphore) -> int:
-        """Non-blocking P: EAGAIN when the count is zero."""
+        """Non-blocking P: EAGAIN when the count is zero or another
+        thread holds the semaphore's mutex (inside a P or V)."""
         rt = self.rt
-        err = rt.mutex_ops.lib_mutex_lock(tcb, sem.mutex)
+        err = rt.mutex_ops.lib_mutex_trylock(tcb, sem.mutex)
+        if err == EBUSY:
+            return EAGAIN
         if err != OK:
             return err
         rt.world.spend(costs.SEM_OVERHEAD)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.bench import workloads
 from repro.debug.trace import Tracer
@@ -30,31 +30,6 @@ from repro.obs.export import (
     write_jsonl,
 )
 
-#: name -> (factory(scale) -> workload main, main-thread priority).
-WORKLOADS: Dict[str, Tuple[Callable[[int], Callable], int]] = {
-    "lock_storm": (
-        lambda scale: workloads.lock_storm(threads=8, iterations=25 * scale),
-        100,
-    ),
-    "signal_storm": (
-        lambda scale: workloads.signal_storm(victims=4, rounds=100 * scale),
-        50,
-    ),
-    "pipeline": (
-        lambda scale: workloads.pipeline(stages=4, items=25 * scale),
-        100,
-    ),
-    "fan_out_fan_in": (
-        lambda scale: workloads.fan_out_fan_in(workers=8, chunks=4 * scale),
-        100,
-    ),
-    "create_join_churn": (
-        lambda scale: workloads.create_join_churn(rounds=12 * scale, burst=8),
-        100,
-    ),
-}
-
-
 def run_observed(
     workload: str,
     model: str = "sparc-ipx",
@@ -64,11 +39,11 @@ def run_observed(
 ) -> Tuple[Observability, Dict[str, Any]]:
     """Run one named workload with observability attached."""
     try:
-        factory, priority = WORKLOADS[workload]
+        factory, priority = workloads.STANDARD[workload]
     except KeyError:
         raise SystemExit(
             "unknown workload %r (have: %s)"
-            % (workload, ", ".join(sorted(WORKLOADS)))
+            % (workload, ", ".join(sorted(workloads.STANDARD)))
         )
     obs = Observability(trace=trace, profile=profile)
     stats = workloads.run_workload(
@@ -163,7 +138,7 @@ def cmd_timeline(args: argparse.Namespace) -> int:
 
 def cmd_list(args: argparse.Namespace) -> int:
     del args
-    for name in sorted(WORKLOADS):
+    for name in sorted(workloads.STANDARD):
         print(name)
     return 0
 

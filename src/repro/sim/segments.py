@@ -4,7 +4,7 @@ The paper's performance argument is that the common path of every
 thread primitive is a short, predictable instruction sequence.  The
 executor exploits the same property at the *host* level: a straight-
 line run of ops between two interruption points is deterministic given
-a small set of guards (mutex ownership, empty waiter queues, no event
+a small entry state (mutex ownership, empty waiter queues, no event
 due inside the window), so after interpreting it once the executor can
 *replay* it -- one closure per segment reading the segment's plan (one
 entry per op: its cycles, the value it sends back, the op expected
@@ -47,30 +47,35 @@ A segment is recorded by performing each op with the executor's own
 step (``PthreadsRuntime._step_current``, always with the op in hand,
 so the cache is never re-entered; a recording stops before an op that
 cannot certify and hands it back) while a *certifier* checks, after
-each op, that the op's entire observable effect is captured by a
-closed-form template:
+each op, that it took its fast path -- a ``Work`` burst, or the
+uncontended, protocol-free ``mutex_lock`` (Figure 4's sequence, no
+interrupt hook), ``mutex_unlock`` or waiterless ``cond_signal``:
 
 - the op object is the canonical cached instance (so replay can match
   it with a single ``is``);
-- the virtual-clock delta equals the template's constant;
+- the virtual-clock delta equals that path's constant;
 - no event was scheduled, cancelled, or fired;
-- the library kernel was not left in a flagged state and no dispatch
-  happened;
-- every mutated field (owner/cell/counters/held list) matches the
-  template's effect list.
+- the library kernel was not left in a flagged state, it was entered
+  only by a signal, and no dispatch happened;
+- the op returned 0 (a burst, None) and left its mutex owned by the
+  thread or free, as that path does.
 
-The generator body that runs between two ops (replay runs it too) must
+A certified step is ``(op, cycles, kind, obj)``: ``kind`` is None for
+``Work`` or the call's name, ``obj`` its mutex or condvar.  The
+generator body that runs between two ops (replay runs it too) must
 leave the clock, the event horizon, the library kernel and the
 dispatcher untouched, or the recording fails.
 
-Replay then re-applies exactly those effects, under guard checks that
-re-establish the recorded preconditions, while a *limit* derived from
-the event horizon guarantees no event becomes due inside the replayed
-window -- any rule that would fire mid-segment (timer expiry, watcher)
-either splits the segment at record time (the event fired while
-recording, so certification stopped there) or forces interpretation at
-replay time (the horizon bound fails, the step budget fails, or a
-clock watcher is attached).  Replay hands back to the interpreter
+Replay re-applies those paths' own effects (a lock sets the cell and
+the owner and counts a run and an acquisition, an unlock clears cell
+and owner, a signal counts a kernel entry and a signal sent) once the
+loop's entry state holds (:func:`_entry_holds`).  A *limit* derived
+from the event horizon guarantees no event becomes due inside the
+replayed window -- any rule that would fire mid-segment (timer
+expiry, watcher) either splits the segment at record time (the event
+fired while recording, so certification stopped there) or forces
+interpretation at replay time (the horizon bound fails, the step
+budget fails, or a clock watcher is attached).  Replay hands back to the interpreter
 through the same executor step: ``try_step`` returns the op in hand
 for the executor to perform (or :data:`SERVED`), and a resume that
 raised goes to the runtime's ``_resume_ended``.
@@ -149,19 +154,6 @@ _CANONICAL = {
     "mutex_unlock": "_seg_unlock_op",
     "cond_signal": "_seg_signal_op",
 }
-
-
-class _SegStep:
-    """One certified op: identity, result, cycle constant, IR."""
-
-    __slots__ = ("op", "result", "cycles", "guards", "effects")
-
-    def __init__(self, op, result, cycles, guards, effects) -> None:
-        self.op = op
-        self.result = result  # the value the op sends back
-        self.cycles = cycles
-        self.guards = guards  # tuple of guard IR tuples
-        self.effects = effects  # tuple of effect IR tuples
 
 
 class SegmentSpace:
@@ -372,7 +364,7 @@ class SegmentSpace:
         frames = tcb.frames._frames
         self.recordings += 1
         first = op
-        steps: List[_SegStep] = []
+        steps: List[tuple] = []
         closed = False
         next_op = SERVED
         pre = self._mark()
@@ -445,7 +437,9 @@ class SegmentSpace:
 
     # -- certification -----------------------------------------------------
 
-    def _certify(self, tcb, frame, op, pre) -> Optional[_SegStep]:
+    def _certify(self, tcb, frame, op, pre) -> Optional[tuple]:
+        """``op``'s step ``(op, cycles, kind, obj)`` if it took its fast
+        path, else None."""
         rt = self.rt
         world = rt.world
         events = world.events
@@ -458,90 +452,48 @@ class SegmentSpace:
                 return None
             if rt.kern.enters != pre_enters:
                 return None
-            return _SegStep(op, None, delta, (), ())
+            return op, delta, None, None
         name = op.name
+        obj = op.args[0]
         result = frame.pending_value
         if name == "mutex_lock":
-            m = op.args[0]
-            seq = m.lock_sequence
             if (
                 result != 0
-                or m.protocol != cfg.PRIO_NONE
-                or m.destroyed
-                or m.owner is not tcb
-                or m.cell.value != 0xFF
-                or seq.interrupt_hook is not None
+                or obj.protocol != cfg.PRIO_NONE
+                or obj.destroyed
+                or obj.owner is not tcb
+                or obj.cell.value != 0xFF
+                or obj.lock_sequence.interrupt_hook is not None
                 or rt.kern.enters != pre_enters
                 or delta != self._c_lock
             ):
                 return None
-            return _SegStep(
-                op, 0, delta,
-                (
-                    ("not_attr", m, "destroyed"),
-                    ("attr_is_none", m, "owner"),
-                    ("attr_eq", m.cell, "value", 0),
-                    ("attr_is_none", seq, "interrupt_hook"),
-                ),
-                (
-                    ("inc", seq, "runs", 1),
-                    ("set_const", m.cell, "value", 0xFF),
-                    ("set_tcb", m, "owner"),
-                    ("inc", m, "acquisitions", 1),
-                    ("held_append", m, None),
-                ),
-            )
-        if name == "mutex_unlock":
-            m = op.args[0]
+        elif name == "mutex_unlock":
             if (
                 result != 0
-                or m.protocol != cfg.PRIO_NONE
-                or m.destroyed
-                or m.owner is not None
-                or m.cell.value != 0
-                or m.waiters
+                or obj.protocol != cfg.PRIO_NONE
+                or obj.destroyed
+                or obj.owner is not None
+                or obj.cell.value != 0
+                or obj.waiters
                 or rt.kern.enters != pre_enters
                 or delta != self._c_unlock
             ):
                 return None
-            return _SegStep(
-                op, 0, delta,
-                (
-                    ("not_attr", m, "destroyed"),
-                    ("attr_is_tcb", m, "owner"),
-                    ("empty", m.waiters, None),
-                ),
-                (
-                    ("set_const", m.cell, "value", 0),
-                    ("set_none", m, "owner"),
-                    ("held_remove", m, None),
-                ),
-            )
-        c = op.args[0]  # cond_signal
-        if (
+        elif (  # cond_signal
             result != 0
-            or c.destroyed
-            or c.waiters
+            or obj.destroyed
+            or obj.waiters
             or rt.kern.enters != pre_enters + 1
             or rt.dispatcher.dispatch_calls != pre_dispatch
             or delta != self._c_signal
         ):
             return None
-        return _SegStep(
-            op, 0, delta,
-            (
-                ("not_attr", c, "destroyed"),
-                ("empty", c.waiters, None),
-            ),
-            (
-                ("inc", rt.kern, "enters", 1),
-                ("inc", c, "signals_sent", 1),
-            ),
-        )
+        return op, delta, name, obj
 
     # -- the replay plan ---------------------------------------------------
 
-    def _plan(self, steps: List[_SegStep]):
+    def _plan(self, steps):
         """The replay closure of a closed run, or None if its loop
         cannot replay.
 
@@ -549,120 +501,83 @@ class SegmentSpace:
         generator after its last op, so replay always ends with the next
         op in hand, and iterates while that op is the first one and the
         step budget, the event horizon and the run's end allow.  A run
-        compiles only if its guards hold throughout once they hold at
-        entry: no op's guard contradicts what an earlier op set, and one
-        iteration net-restores every guarded field and the held list.
-        So the guards are checked once, before the first op, and the
-        state effects are deferred: the exit applies those of the ops
-        its iteration completed and then each counter's per-iteration
-        total times the iterations completed.
+        compiles only if each mutex's locks and unlocks alternate and
+        one iteration leaves every mutex as it found it, free or held:
+        then every op's fast path holds throughout once the loop's entry
+        state holds, so that is checked once, before the first op, and
+        the state effects are deferred to the exit.
         """
-        n_ops = len(steps)
-        total = sum(s.cycles for s in steps)
-        if not total:
+        if not sum(step[1] for step in steps):
             return None  # the horizon cannot bound a zero-cycle run
-        guards = []
-        expected: Dict[Tuple[int, Any], Any] = {}
-        # What the ops so far left in each field they wrote: a value
-        # token, or "opaque" for a counter.
-        sym: Dict[Tuple[int, Any], Any] = {}
-        state = set()
-        counters: Dict[Tuple[int, Any], List[Any]] = {}
-        held: Dict[int, int] = {}
-        for step in steps:
-            for g in step.guards:
-                kind = g[0]
-                var = (id(g[1]), g[2])
-                expect = g[3] if kind == "attr_eq" else _TOKENS[kind]
-                if var in sym:
-                    if sym[var] != expect:
-                        return None  # guard cannot hold mid-segment
-                elif var not in expected:
-                    expected[var] = expect
-                    guards.append(g)
-            for e in step.effects:
-                kind, obj = e[0], e[1]
-                if kind == "held_append" or kind == "held_remove":
-                    delta = 1 if kind == "held_append" else -1
-                    held[id(obj)] = held.get(id(obj), 0) + delta
-                    continue
-                var = (id(obj), e[2])
-                if kind == "inc":
-                    counters.setdefault(var, [obj, e[2], 0])[2] += e[3]
-                    sym[var] = "opaque"
-                else:
-                    state.add(var)
-                    sym[var] = e[3] if kind == "set_const" else _TOKENS[kind]
-        # One full iteration must restore every guarded field.
-        for var, expect in expected.items():
-            final = sym.get(var)
-            if final is not None and final != expect:
-                return None
-        if any(held.values()) or state & counters.keys():
+        # Per mutex: whether the loop holds it at entry (its first op is
+        # an unlock), and whether it holds it after the ops so far.
+        entry: Dict[Any, bool] = {}
+        holds: Dict[Any, bool] = {}
+        conds: Dict[Any, None] = {}
+        for _op, _cycles, kind, obj in steps:
+            if kind == "cond_signal":
+                conds[obj] = None
+            elif kind is not None:
+                lock = kind == "mutex_lock"
+                if holds.setdefault(obj, not lock) == lock:
+                    return None  # two locks or two unlocks in a row
+                entry.setdefault(obj, not lock)
+                holds[obj] = lock
+        if holds != entry:
             return None
-        return _replayer(
-            steps, tuple(guards), tuple(tuple(c) for c in counters.values()),
-            total,
-        )
+        return _replayer(steps, tuple(entry.items()), tuple(conds))
 
 
-#: The value token a guard expects in its field, or an effect leaves
-#: there, by kind (an ``attr_eq`` guard and a ``set_const`` effect carry
-#: their value).
-_TOKENS = {
-    "not_attr": False,
-    "empty": False,
-    "attr_is_none": "none",
-    "set_none": "none",
-    "attr_is_tcb": "tcb",
-    "set_tcb": "tcb",
-}
-
-
-def _guards_hold(guards, tcb) -> bool:
-    """Whether every entry guard holds in the current state."""
-    for g in guards:
-        kind, obj = g[0], g[1]
-        if kind == "empty":
-            if obj:
+def _entry_holds(mutexes, conds, tcb) -> bool:
+    """Whether the loop's ops take their fast paths from here: no object
+    is destroyed, none has waiters, no mutex has an interrupt hook, and
+    each mutex is owned by ``tcb`` or free, as the loop expects."""
+    for m, held in mutexes:
+        if (
+            m.destroyed
+            or m.waiters
+            or m.lock_sequence.interrupt_hook is not None
+        ):
+            return False
+        if held:
+            if m.owner is not tcb:
                 return False
-            continue
-        value = getattr(obj, g[2])
-        if kind == "not_attr":
-            if value:
-                return False
-        elif kind == "attr_is_none":
-            if value is not None:
-                return False
-        elif kind == "attr_is_tcb":
-            if value is not tcb:
-                return False
-        elif value != g[3]:  # attr_eq
+        elif m.owner is not None or m.cell.value != 0:
+            return False
+    for c in conds:
+        if c.destroyed or c.waiters:
             return False
     return True
 
 
-def _apply(steps, tcb) -> None:
-    """Apply the effects of ``steps``, in order."""
+def _apply(steps, done, it, tcb, kern) -> None:
+    """Apply the effects of the first ``done`` ops, in order, then each
+    counter's per-iteration total times the iterations ``it``."""
     held = tcb.held_mutexes
-    for step in steps:
-        for e in step.effects:
-            kind, obj = e[0], e[1]
-            if kind == "inc":
-                setattr(obj, e[2], getattr(obj, e[2]) + e[3])
-            elif kind == "set_const":
-                setattr(obj, e[2], e[3])
-            elif kind == "set_tcb":
-                setattr(obj, e[2], tcb)
-            elif kind == "set_none":
-                setattr(obj, e[2], None)
-            elif kind == "held_append":
-                held.append(obj)
-            else:  # held_remove
-                held.remove(obj)
+    for _op, _cycles, kind, obj in steps[:done]:
+        if kind == "mutex_lock":
+            obj.lock_sequence.runs += 1
+            obj.cell.value = 0xFF
+            obj.owner = tcb
+            obj.acquisitions += 1
+            held.append(obj)
+        elif kind == "mutex_unlock":
+            obj.cell.value = 0
+            obj.owner = None
+            held.remove(obj)
+        elif kind == "cond_signal":
+            kern.enters += 1
+            obj.signals_sent += 1
+    for _op, _cycles, kind, obj in steps:
+        if kind == "mutex_lock":
+            obj.lock_sequence.runs += it
+            obj.acquisitions += it
+        elif kind == "cond_signal":
+            kern.enters += it
+            obj.signals_sent += it
 
 
-def _replayer(steps, guards, counters, total):
+def _replayer(steps, mutexes, conds):
     """The replay closure of a certified loop.
 
     Its plan holds one entry per op: the op's cycles, the value it sends
@@ -678,27 +593,26 @@ def _replayer(steps, guards, counters, total):
     n_ops = len(steps)
     offsets = [0]
     for step in steps:
-        offsets.append(offsets[-1] + step.cycles)
+        offsets.append(offsets[-1] + step[1])
+    total = offsets[-1]
     plan = tuple(
-        (steps[i].cycles, steps[i].result, steps[(i + 1) % n_ops].op, i + 1)
-        for i in range(n_ops)
+        (cycles, None if kind is None else 0, steps[(i + 1) % n_ops][0], i + 1)
+        for i, (_op, cycles, kind, _obj) in enumerate(steps)
     )
 
-    def leave(code, tcb, done, t, now, op):
+    def leave(code, rt, tcb, done, t, now, op):
         """Exit at site ``done`` with the clock at ``now``."""
         it = (now - t - offsets[done]) // total
         if done == n_ops and not code:
             done = 0  # the iteration is complete, and so is the step
             it += 1
-        _apply(steps[:done], tcb)
-        for obj, attr, full in counters:
-            setattr(obj, attr, getattr(obj, attr) + full * it)
+        _apply(steps, done, it, tcb, rt.kern)
         return code, n_ops * it + done, now, op
 
     def replay(rt, tcb, frame, limit, until, budget, op):
         ck = rt.world.clock
         t = ck.cycles
-        if not _guards_hold(guards, tcb):
+        if not _entry_holds(mutexes, conds, tcb):
             return 0, 0, t, op
         k = budget // n_ops
         if limit is not None:
@@ -721,7 +635,7 @@ def _replayer(steps, guards, counters, total):
                     break
         except BaseException as exc:
             # The resume raised: the runtime's _resume_ended takes it.
-            return leave(1, tcb, done, t, now, exc)
-        return leave(0, tcb, done, t, now, op)
+            return leave(1, rt, tcb, done, t, now, exc)
+        return leave(0, rt, tcb, done, t, now, op)
 
     return replay

@@ -1,11 +1,21 @@
 """Every shipped example must run clean (they are the user's first
-contact with the library, and several double as experiment drivers)."""
+contact with the library, and several double as experiment scripts),
+and print exactly its golden stdout: every example reports simulated
+results only, so its output is byte-identical from run to run and under
+any ``PYTHONHASHSEED``.  An intended change to an example's output
+refreshes its golden, from the repo root:
+
+    PYTHONPATH=src python examples/NAME.py \
+        > tests/data/examples/NAME.stdout
+"""
 
 import pathlib
 import subprocess
 import sys
 
 import pytest
+
+GOLDEN = pathlib.Path(__file__).resolve().parent.parent / "data" / "examples"
 
 EXAMPLES = sorted(
     p.name for p in pathlib.Path("examples").glob("*.py")
@@ -27,6 +37,8 @@ def test_example_runs_clean(example):
     )
     assert result.returncode == 0, result.stderr[-2000:]
     assert result.stdout.strip()  # every example narrates something
+    golden = (GOLDEN / example).with_suffix(".stdout").read_text()
+    assert result.stdout == golden
 
 
 def test_example_inventory_is_complete():

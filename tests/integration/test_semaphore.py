@@ -78,6 +78,37 @@ def test_trywait():
     assert out == {"first": OK, "second": EAGAIN, "third": OK}
 
 
+def test_trywait_while_another_thread_holds_the_mutex():
+    """Regression: ``sem_trywait`` took the semaphore's mutex with a
+    blocking lock, so while another thread held it (as ``sem_post`` and
+    ``sem_wait`` do between their lock and unlock) the non-blocking P
+    blocked until the holder let go, then returned 0 without taking a
+    unit, and its thread exited owning the mutex."""
+    out = {}
+    log = []
+
+    def trier(pt, sem):
+        out["err"] = yield pt.sem_trywait(sem)
+        log.append("tried")
+
+    def main(pt):
+        sem = yield pt.sem_init(0)
+        yield pt.mutex_lock(sem.mutex)
+        t = yield pt.create(trier, sem)
+        yield pt.delay_us(200)
+        log.append("unlocking")
+        yield pt.mutex_unlock(sem.mutex)
+        yield pt.join(t)
+        out["count"] = sem.count
+        out["owner"] = sem.mutex.owner
+
+    run_program(main)
+    assert out["err"] == EAGAIN
+    assert log == ["tried", "unlocking"]
+    assert out["count"] == 0
+    assert out["owner"] is None
+
+
 def test_producer_consumer_bounded_buffer():
     """The classic bounded buffer: two semaphores plus a mutex."""
     produced, consumed = [], []

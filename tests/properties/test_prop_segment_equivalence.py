@@ -751,3 +751,286 @@ def test_replay_cut_at_each_site_by_an_event():
         assert _fingerprint(on) == _fingerprint(off), sleep_us
         seen.update(site for __, site in log_on)
     assert seen == _BURST_SITES
+
+
+# -- loop shapes --------------------------------------------------------------
+#
+# A loop replays when each of its mutexes' locks and unlocks alternate
+# and one iteration leaves every mutex as it found it, free or held.
+# Each shape below is such a loop over mutexes ``a`` and ``b`` and
+# condvar ``c``.  A contender of higher priority takes ``a`` now and
+# then and waits on ``c`` a while, so a replay may find ``a`` owned by
+# the contender or with a waiter, or ``c`` with a waiter, and hands
+# ``a`` over at an unlock or wakes the waiter as interpretation does.
+
+
+def _shape_ops(pt, a, b, c):
+    return (
+        pt.mutex_lock(a), pt.mutex_unlock(a),
+        pt.mutex_lock(b), pt.mutex_unlock(b),
+        pt.cond_signal(c), pt.work(0), pt.work(40),
+    )
+
+
+def _unlock_first(pt, a, b, c, n):
+    lock_a, unlock_a, _, _, _, _, burn = _shape_ops(pt, a, b, c)
+    yield lock_a
+    for _ in range(n):
+        yield unlock_a
+        yield burn
+        yield lock_a
+        yield burn
+    yield unlock_a
+
+
+def _unlock_first_until_released(pt, a, b, c, n):
+    # Half-way through, a pass leaves ``a`` free: from then on the loop
+    # starts without owning it, and each unlock fails (EPERM).
+    lock_a, unlock_a, _, _, _, _, burn = _shape_ops(pt, a, b, c)
+    yield lock_a
+    for i in range(n):
+        yield unlock_a
+        yield burn
+        if i < n // 2:
+            yield lock_a
+        yield burn
+
+
+def _lock_first_until_kept(pt, a, b, c, n):
+    # Half-way through, a pass keeps ``a``: from then on the loop starts
+    # owning it, and each lock fails (EDEADLK).
+    lock_a, unlock_a, _, _, _, _, burn = _shape_ops(pt, a, b, c)
+    for i in range(n):
+        yield lock_a
+        yield burn
+        if i < n // 2:
+            yield unlock_a
+        yield burn
+    yield unlock_a
+
+
+def _lock_on_alternate_passes(pt, a, b, c, n):
+    # A run recorded from the burst ends holding what it found free, or
+    # free what it found held, so only runs from the lock or the unlock
+    # close into a loop.
+    lock_a, unlock_a, _, _, _, _, burn = _shape_ops(pt, a, b, c)
+    for i in range(n):
+        if i % 2:
+            yield unlock_a
+        else:
+            yield lock_a
+        yield burn
+
+
+def _until_hooked(pt, a, b, c, n):
+    # Half-way through, ``a``'s lock sequence gets an interrupt hook
+    # that restarts each lock once before its ldstub.
+    lock_a, unlock_a, _, _, _, _, burn = _shape_ops(pt, a, b, c)
+    for i in range(n):
+        if i == n // 2:
+            yield burn  # a site of its own: replay stops before the hook
+            a.lock_sequence.interrupt_hook = (
+                lambda attempt, step: attempt == 0 and step == 0
+            )
+        yield lock_a
+        yield burn
+        yield unlock_a
+        yield burn
+
+
+def _until_mutex_destroyed(pt, a, b, c, n):
+    # Half-way through, ``b`` is destroyed: from then on each lock and
+    # unlock fails (EINVAL).
+    _, _, lock_b, unlock_b, _, _, burn = _shape_ops(pt, a, b, c)
+    for i in range(n):
+        yield lock_b
+        yield burn
+        yield unlock_b
+        if i == n // 2:
+            yield pt.mutex_destroy(b)
+        yield burn
+
+
+def _until_cond_destroyed(pt, a, b, c, n):
+    # Half-way through, ``c`` is destroyed (unless the contender waits
+    # on it): from then on each signal fails (EINVAL).
+    lock_a, unlock_a, _, _, signal, _, burn = _shape_ops(pt, a, b, c)
+    for i in range(n):
+        yield lock_a
+        yield signal
+        yield unlock_a
+        if i == n // 2:
+            yield pt.cond_destroy(c)
+        yield burn
+
+
+def _unlock_first_both(pt, a, b, c, n):
+    lock_a, unlock_a, lock_b, unlock_b, _, _, burn = _shape_ops(pt, a, b, c)
+    yield lock_a
+    yield lock_b
+    for _ in range(n):
+        yield unlock_b
+        yield burn
+        yield unlock_a
+        yield burn
+        yield lock_a
+        yield lock_b
+        yield burn
+    yield unlock_b
+    yield unlock_a
+
+
+def _one_held_one_free(pt, a, b, c, n):
+    lock_a, unlock_a, lock_b, unlock_b, _, _, burn = _shape_ops(pt, a, b, c)
+    yield lock_a
+    for _ in range(n):
+        yield lock_b
+        yield unlock_a
+        yield burn
+        yield lock_a
+        yield unlock_b
+        yield burn
+    yield unlock_a
+
+
+def _nested(pt, a, b, c, n):
+    lock_a, unlock_a, lock_b, unlock_b, _, _, burn = _shape_ops(pt, a, b, c)
+    for _ in range(n):
+        yield lock_a
+        yield burn
+        yield lock_b
+        yield burn
+        yield unlock_b
+        yield unlock_a
+        yield burn
+
+
+def _crossed(pt, a, b, c, n):
+    lock_a, unlock_a, lock_b, unlock_b, _, _, burn = _shape_ops(pt, a, b, c)
+    for _ in range(n):
+        yield lock_a
+        yield lock_b
+        yield burn
+        yield unlock_a
+        yield burn
+        yield unlock_b
+
+
+def _signal_under_lock(pt, a, b, c, n):
+    lock_a, unlock_a, _, _, signal, _, burn = _shape_ops(pt, a, b, c)
+    for _ in range(n):
+        yield lock_a
+        yield burn
+        yield signal
+        yield unlock_a
+        yield burn
+
+
+def _signals_around_locks(pt, a, b, c, n):
+    lock_a, unlock_a, lock_b, unlock_b, signal, _, burn = _shape_ops(
+        pt, a, b, c
+    )
+    for _ in range(n):
+        yield signal
+        yield lock_a
+        yield lock_b
+        yield signal
+        yield unlock_a
+        yield burn
+        yield unlock_b
+        yield signal
+
+
+def _zero_bursts(pt, a, b, c, n):
+    _, _, _, _, _, idle, burn = _shape_ops(pt, a, b, c)
+    for _ in range(n):
+        yield idle
+        yield burn
+        yield idle
+
+
+def _zero_bursts_in_locks(pt, a, b, c, n):
+    lock_a, unlock_a, lock_b, unlock_b, _, idle, burn = _shape_ops(
+        pt, a, b, c
+    )
+    for _ in range(n):
+        yield lock_a
+        yield idle
+        yield unlock_a
+        yield idle
+        yield lock_b
+        yield burn
+        yield unlock_b
+        yield idle
+
+
+def _everything(pt, a, b, c, n):
+    lock_a, unlock_a, lock_b, unlock_b, signal, idle, burn = _shape_ops(
+        pt, a, b, c
+    )
+    yield lock_a
+    for _ in range(n):
+        yield idle
+        yield unlock_a
+        yield lock_b
+        yield signal
+        yield burn
+        yield lock_a
+        yield unlock_b
+        yield burn
+    yield unlock_a
+
+
+_SHAPES = {
+    shape.__name__.lstrip("_"): shape
+    for shape in (
+        _unlock_first, _unlock_first_until_released, _lock_first_until_kept,
+        _lock_on_alternate_passes, _until_hooked, _until_mutex_destroyed,
+        _until_cond_destroyed, _unlock_first_both, _one_held_one_free,
+        _nested, _crossed, _signal_under_lock, _signals_around_locks,
+        _zero_bursts, _zero_bursts_in_locks, _everything,
+    )
+}
+
+
+@pytest.mark.parametrize(
+    "slice_us", [None, 500.0], ids=["unsliced", "sliced"]
+)
+@pytest.mark.parametrize(
+    "contended", [False, True], ids=["alone", "contended"]
+)
+@pytest.mark.parametrize("shape", sorted(_SHAPES))
+def test_loop_shapes_replay_equivalent(shape, contended, slice_us):
+    """Each loop shape, 200 iterations, replays and matches
+    interpretation, alone and against the contender, with and without
+    a timeslice."""
+
+    def contender(pt, a, c):
+        lock = pt.mutex_lock(a)
+        unlock = pt.mutex_unlock(a)
+        burn = pt.work(50)
+        for _ in range(8):
+            yield pt.delay_us(150.0)
+            yield lock
+            yield burn
+            yield pt.cond_timedwait(c, a, 100.0)
+            yield unlock
+
+    def make():
+        def main(pt):
+            a = yield pt.mutex_init()
+            b = yield pt.mutex_init()
+            c = yield pt.cond_init()
+            if contended:
+                t = yield pt.create(
+                    contender, a, c, attr=ThreadAttr(priority=100),
+                    name="contender",
+                )
+            yield pt.call(_SHAPES[shape], a, b, c, 200)
+            if contended:
+                yield pt.join(t)
+
+        return main
+
+    on = assert_equivalent(make, timeslice_us=slice_us)
+    assert on._segments.steps_replayed > 0
